@@ -12,14 +12,29 @@ timed-dead.  The catalog nets only ever bound `cancel` from below, so all
 scenario analyses can use the fast explorer; the equivalence is checked
 empirically in the test suite.
 
+``explore_markings`` works a whole BFS level at a time.  Every marking
+has a 64-bit key, ``counts . R mod 2**64`` for a fixed vector R of odd
+multipliers (hash compaction, Wolper & Leroy 1993); a successor's key is
+its parent's key plus its transition's.  A level's keys are sorted,
+grouped and looked up in the sorted keys of the visited states, and a key
+match counts only once the two count rows are found equal, so the graph
+is exact.  If two distinct markings ever share a key, exploration starts
+again with fresh multipliers, and after ``KEY_ATTEMPTS`` tries it refuses
+with ``ExplorationError``.  Counts are stored as int16: a successor that
+would leave that range also raises ``ExplorationError`` instead of
+wrapping.  Ids, BFS parents and dead states are those of a dict-keyed BFS
+that visits each level transition-major.
+
 All checks return a ``Verdict`` whose witness replays from the initial
 state: witnesses from marking-level exploration are converted to timed
 ``(delay, transition)`` labels by waiting out each earliest firing delay.
+``check_reachable`` takes a predicate over markings or a covering goal
+``{place: min_count}``; on a marking graph a covering goal and
+``check_invariant_vector`` read only the columns they name.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +100,8 @@ class ReachGraph:
         return labels
 
 
-def explore(net, bound=DEFAULT_BOUND, marking=None, cap=None, workers=1):
-    """Breadth-first closure of timed successors, up to ``bound`` states.
-
-    ``workers > 1`` expands each frontier level in a thread pool; results
-    are merged in frontier order, so the graph is identical to the
-    single-threaded one.
-    """
+def explore(net, bound=DEFAULT_BOUND, marking=None, cap=None):
+    """Breadth-first closure of timed successors, up to ``bound`` states."""
     g = ReachGraph(net, bound)
     s0 = net.initial_state(marking=marking, cap=cap)
     g.states.append(s0)
@@ -99,50 +109,48 @@ def explore(net, bound=DEFAULT_BOUND, marking=None, cap=None, workers=1):
     g.edges.append([])
     g.parent.append(None)
     frontier = [0]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier and not g.truncated:
-            if pool is not None:
-                chunk = max(1, len(frontier) // (workers * 4))
-                succ_lists = list(pool.map(
-                    lambda i: g.states[i].successors(), frontier, chunksize=chunk))
-            else:
-                succ_lists = [g.states[i].successors() for i in frontier]
-            nxt = []
-            for i, succs in zip(frontier, succ_lists):
-                for label, s in succs:
-                    sid = g.index.get(s)
-                    if sid is None:
-                        if g.n_states >= bound:
-                            g.truncated = True
-                            break
-                        sid = g.n_states
-                        g.states.append(s)
-                        g.index[s] = sid
-                        g.edges.append([])
-                        g.parent.append((i, label))
-                        nxt.append(sid)
-                    g.edges[i].append((label, sid))
-                if g.truncated:
-                    break
-            frontier = nxt
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier and not g.truncated:
+        nxt = []
+        for i in frontier:
+            for label, s in g.states[i].successors():
+                sid = g.index.get(s)
+                if sid is None:
+                    if g.n_states >= bound:
+                        g.truncated = True
+                        break
+                    sid = g.n_states
+                    g.states.append(s)
+                    g.index[s] = sid
+                    g.edges.append([])
+                    g.parent.append((i, label))
+                    nxt.append(sid)
+                g.edges[i].append((label, sid))
+            if g.truncated:
+                break
+        frontier = nxt
     return g
 
 
 class MarkingGraph:
-    """Untimed reachable markings, stored as one int16 matrix row each."""
+    """Untimed reachable markings, stored as one int16 matrix row each.
+
+    State ``i`` is row ``i`` of ``matrix``; ``parent[i]`` and ``via[i]`` are
+    the BFS tree edge into it (parent id and transition index, -1 at the
+    root).  ``find`` maps a count vector back to its id through the sorted
+    hash keys the explorer deduplicated with.
+    """
 
     def __init__(self, net, bound):
         self.net = net
         self.bound = bound
-        self.index = {}          # row bytes -> id
-        self.parent = []         # per id: (parent id, transition index) or None
-        self.dead = []           # ids with no enabled transition
-        self.matrix = None       # n_states x n_places, set by explore_markings
+        self.parent = None       # int64 array: parent id per state, -1 at 0
+        self.via = None          # int64 array: transition index, -1 at 0
+        self.dead = None         # int64 array: ids with no enabled transition
+        self.matrix = None       # n_states x n_places int16
         self.truncated = False
+        self._multipliers = None
+        self._keys = None        # sorted hash keys of every state
+        self._ids = None         # state id of each key
 
     @property
     def n_states(self):
@@ -159,14 +167,28 @@ class MarkingGraph:
         return tuple(int(n) for n in self.matrix[i])
 
     def dead_ids(self):
-        return list(self.dead)
+        return self.dead.tolist()
+
+    def find(self, counts):
+        """Id of the state whose counts (in place order) are ``counts``, or
+        None when no reachable state has them."""
+        row = np.asarray(counts, dtype=np.int64)
+        if row.shape != (len(self.net.places),) or (
+                row.size and (row.min() < 0 or row.max() > INT16_MAX)):
+            return None
+        key = _keys(row[None, :], self._multipliers)[0]
+        pos = int(np.searchsorted(self._keys, key))
+        if pos == len(self._keys) or self._keys[pos] != key:
+            return None
+        i = int(self._ids[pos])
+        return i if np.array_equal(self.matrix[i], row) else None
 
     def path_transitions(self, i):
         names = self.net.transitions
         out = []
-        while self.parent[i] is not None:
-            i, t = self.parent[i]
-            out.append(names[t])
+        while self.parent[i] >= 0:
+            out.append(names[self.via[i]])
+            i = self.parent[i]
         out.reverse()
         return out
 
@@ -174,73 +196,194 @@ class MarkingGraph:
         return timed_witness(self.net, self.path_transitions(i))
 
 
+INT8_MAX = np.iinfo(np.int8).max
+INT16_MAX = np.iinfo(np.int16).max
+KEY_ATTEMPTS = 3
+
+
+class ExplorationError(Exception):
+    """Marking-level exploration cannot give an exact graph (a token count
+    leaves the int16 range, or hash keys keep colliding)."""
+
+
+class _Collision(Exception):
+    pass
+
+
+def _multipliers(n_places, attempt):
+    """Odd 64-bit multipliers of the linear marking hash; ``attempt``
+    selects a fresh, fixed set after a collision."""
+    rng = np.random.default_rng([0x51D, attempt])
+    return rng.integers(0, 2 ** 64, size=n_places, dtype=np.uint64,
+                        endpoint=False) | np.uint64(1)
+
+
+def _keys(rows, mult):
+    """counts . mult mod 2**64 for each row (negative entries wrap)."""
+    return (rows.astype(np.uint64) * mult).sum(axis=1, dtype=np.uint64)
+
+
 def explore_markings(net, bound=DEFAULT_BOUND, marking=None, force=False):
     """Vectorized untimed BFS over markings (see module docstring).
 
     Raises ValueError for nets with a finite lfd unless ``force`` is set,
-    since untimed closure is only faithful without firing deadlines.
+    since untimed closure is only faithful without firing deadlines, and
+    ExplorationError when a token count would leave the int16 range or
+    hash keys keep colliding.
     """
     if not force and net.max_finite_lfd() is not None:
         raise ValueError(
             "net has a finite lfd; marking-level exploration would be unsound")
-    _, pre, _, _, _ = net.compiled()
+    _, pre, post, _, _ = net.compiled()
     n_places = len(net.places)
-    pre_cols = []
-    pre_w = []
-    deltas = np.zeros((len(net.transitions), n_places), dtype=np.int16)
-    for ti, t in enumerate(net.transitions):
-        cols = np.array([p for p, _ in pre[ti]], dtype=np.intp)
-        pre_cols.append(cols)
-        pre_w.append(np.array([w for _, w in pre[ti]], dtype=np.int16))
+    deltas = np.zeros((len(net.transitions), n_places), dtype=np.int64)
+    for ti in range(len(net.transitions)):
         for p, w in pre[ti]:
             deltas[ti, p] -= w
-        for p, w in net.post[t].items():
-            deltas[ti, net.compiled()[0][p]] += w
+        for p, w in post[ti]:
+            deltas[ti, p] += w
+    row0 = np.array(net.marking_tuple(marking or net.initial), dtype=np.int64)
+    if (np.abs(deltas) > INT16_MAX).any() or (row0 > INT16_MAX).any():
+        raise ExplorationError("a token count or arc weight exceeds %d"
+                               % INT16_MAX)
+    for attempt in range(KEY_ATTEMPTS):
+        try:
+            return _bfs(net, bound, row0.astype(np.int16),
+                        deltas.astype(np.int16), pre,
+                        _multipliers(n_places, attempt))
+        except _Collision:
+            continue
+    raise ExplorationError("marking hash keys collided with %d sets of "
+                           "multipliers" % KEY_ATTEMPTS)
 
+
+def _bfs(net, bound, row0, deltas, pre, mult):
+    """One exploration with hash multipliers ``mult``; raises _Collision when
+    two distinct markings share a key.
+
+    Each level's successors are listed transition-major, frontier-row-minor,
+    the order a dict-based BFS visits them, and new states take ids in
+    first-occurrence order, so ids, parents and dead states do not depend on
+    the hash."""
     g = MarkingGraph(net, bound)
-    row0 = np.array(net.marking_tuple(marking or net.initial), dtype=np.int16)
-    g.index[row0.tobytes()] = 0
-    g.parent.append(None)
-    levels = [row0[None, :]]
-    frontier = row0[None, :]
-    frontier_ids = np.array([0], dtype=np.intp)
+    # arc j of every transition as one (place, weight) row each; shorter
+    # pre-sets repeat their first arc, an empty one tests place 0 >= 0
+    width = max((len(arcs) for arcs in pre), default=0)
+    arcs = [[arcs[min(j, len(arcs) - 1)] if arcs else (0, 0)
+             for arcs in pre] for j in range(width)]
+    arc_place = np.array([[p for p, _ in row] for row in arcs],
+                         dtype=np.intp).reshape(width, len(pre))
+    arc_weight = np.array([[w for _, w in row] for row in arcs],
+                          dtype=np.int16).reshape(width, len(pre), 1)
+    delta_keys = _keys(deltas, mult)
+    # a level whose counts stay within int8 is worked on as int8, which
+    # halves the bytes every gather and comparison moves
+    narrow_deltas = deltas.astype(np.int8) \
+        if (np.abs(deltas) <= INT8_MAX).all() else None
+    top = int(deltas.max(initial=0))
+    grow = np.flatnonzero((deltas > 0).any(axis=0))
+    # a column can overflow only where its frontier maximum is above this
+    headroom = INT16_MAX - deltas.max(axis=0, initial=0)[grow]
 
-    while len(frontier) and not g.truncated:
-        enabled_any = np.zeros(len(frontier), dtype=bool)
-        new_rows = []
-        for ti in range(len(net.transitions)):
-            if pre_cols[ti].size:
-                mask = (frontier[:, pre_cols[ti]] >= pre_w[ti]).all(axis=1)
-            else:
-                mask = np.ones(len(frontier), dtype=bool)
-            if not mask.any():
-                continue
-            enabled_any |= mask
-            rows = np.nonzero(mask)[0]
-            succ = frontier[rows] + deltas[ti]
-            for local, row in zip(rows, succ):
-                key = row.tobytes()
-                if key not in g.index:
-                    if g.n_states >= bound:
-                        g.truncated = True
-                        break
-                    g.index[key] = g.n_states
-                    g.parent.append((int(frontier_ids[local]), ti))
-                    new_rows.append(row)
-            if g.truncated:
-                break
-        g.dead.extend(int(frontier_ids[i])
-                      for i in np.nonzero(~enabled_any)[0])
-        if new_rows:
-            block = np.stack(new_rows)
-            levels.append(block)
-            frontier_ids = np.arange(g.n_states - len(block), g.n_states,
-                                     dtype=np.intp)
-            frontier = block
+    frontier = row0[None, :]             # rows of the current level
+    columns = frontier.T.copy()          # the same level, one row per place
+    blocks = [columns]                   # every level, column-major
+    starts = [0]                         # first id of each block
+    keys = _keys(row0[None, :], mult)    # sorted keys of all states
+    ids = np.zeros(1, dtype=np.int64)    # state id of each key
+    parents = [np.full(1, -1, dtype=np.int64)]
+    vias = [np.full(1, -1, dtype=np.int64)]
+    dead = []
+    n = 1
+    frontier_keys = keys
+    first_id = 0
+
+    while not g.truncated:
+        enabled = np.ones((len(pre), len(frontier)), dtype=bool)
+        for places, weights in zip(arc_place, arc_weight):
+            enabled &= columns[places] >= weights
+        dead.append(first_id + np.flatnonzero(~enabled.any(axis=0)))
+        trans, rows = np.divmod(np.flatnonzero(enabled), len(frontier))
+        if not rows.size:
+            break
+        succ_keys = frontier_keys[rows] + delta_keys[trans]
+
+        # Group equal keys.  A group's first occurrence is its smallest
+        # index; every member must be the same marking as its neighbour.
+        order = np.argsort(succ_keys)
+        sorted_keys = succ_keys[order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        heads = np.flatnonzero(head)
+        first = np.minimum.reduceat(order, heads)
+        uniq = sorted_keys[heads]
+        narrow = narrow_deltas is not None \
+            and int(columns.max(initial=0)) + top <= INT8_MAX
+        if narrow:
+            frontier, step = frontier.astype(np.int8, copy=False), narrow_deltas
         else:
-            frontier = row0[:0]
-    g.matrix = np.concatenate(levels, axis=0)
+            frontier, step = frontier.astype(np.int16, copy=False), deltas
+        succ = np.take(frontier, rows[order], axis=0)
+        succ += np.take(step, trans[order], axis=0)
+        if not narrow and grow.size \
+                and (columns[grow].max(axis=1) > headroom).any() \
+                and succ[:, grow].min() < 0:
+            raise ExplorationError(
+                "a token count exceeds %d: the net is unbounded or its "
+                "counts do not fit the int16 marking matrix" % INT16_MAX)
+        if len(heads) < len(order):
+            differ = succ[1:] != succ[:-1]
+            differ[head[1:]] = False
+            if differ.any():
+                raise _Collision()
+
+        # a key already visited must belong to the very same marking
+        pos = np.searchsorted(keys, uniq)
+        hit = keys[np.minimum(pos, len(keys) - 1)] == uniq
+        if hit.any() and not (_gather(blocks, starts, ids[pos[hit]])
+                              == succ[heads[hit]].T).all():
+            raise _Collision()
+
+        fresh = np.flatnonzero(~hit)
+        fresh = fresh[np.argsort(first[fresh])]
+        if n + len(fresh) > bound:
+            g.truncated = True
+            fresh = fresh[:max(bound - n, 0)]
+        id_of = np.empty(len(uniq), dtype=np.int64)
+        id_of[fresh] = np.arange(n, n + len(fresh))
+        keep = np.sort(fresh)
+        keys = np.insert(keys, pos[keep], uniq[keep])
+        ids = np.insert(ids, pos[keep], id_of[keep])
+
+        frontier = succ[heads[fresh]]
+        columns = frontier.T.astype(np.int16, order="C")
+        blocks.append(columns)
+        starts.append(n)
+        parents.append(first_id + rows[first[fresh]])
+        vias.append(trans[first[fresh]])
+        first_id = n
+        n += len(fresh)
+        frontier_keys = uniq[fresh]
+        if not len(frontier):
+            break
+
+    # column-major, so that a check reads each place's column contiguously
+    g.matrix = np.concatenate(blocks, axis=1).T
+    g.parent = np.concatenate(parents)
+    g.via = np.concatenate(vias)
+    g.dead = np.concatenate(dead)
+    g._multipliers, g._keys, g._ids = mult, keys, ids
     return g
+
+
+def _gather(blocks, starts, ids):
+    """Columns ``ids`` of the column-major level ``blocks`` side by side."""
+    level = np.searchsorted(starts, ids, side="right") - 1
+    out = np.empty((blocks[0].shape[0], len(ids)), dtype=blocks[0].dtype)
+    for lv in np.unique(level):
+        sel = np.flatnonzero(level == lv)
+        out[:, sel] = blocks[lv][:, ids[sel] - starts[lv]]
+    return out
 
 
 class ColoredGraph:
@@ -392,21 +535,51 @@ def check_invariant(g, predicate, name="invariant"):
 
 def check_reachable(g, goal, name="reachable"):
     """Verdict: some reachable marking satisfies the goal; the witness is
-    the BFS tree path to the first one found."""
+    the BFS tree path to the first one found.
+
+    ``goal`` is a predicate over markings, or a covering goal
+    ``{place: min_count}`` that holds where every listed place has at least
+    its count.  On a MarkingGraph a covering goal is one column test over
+    the whole matrix."""
     _require_complete(g)
+    if isinstance(goal, dict):
+        if isinstance(g, MarkingGraph):
+            return _check_covering(g, goal, name)
+        mins = dict(goal)
+        goal = lambda m: all(m.get(p, 0) >= n for p, n in mins.items())
     for i in range(g.n_states):
         if goal(g.marking(i)):
             return Verdict(name, True, g.path_labels(i), g.n_states)
     return Verdict(name, False, None, g.n_states)
 
 
+def _check_covering(g, goal, name):
+    pidx = g.net.compiled()[0]
+    if any(n > 0 and p not in pidx for p, n in goal.items()):
+        return Verdict(name, False, None, g.n_states)   # place never marked
+    cols = [pidx[p] for p in goal if p in pidx]
+    mins = np.array([goal[g.net.places[c]] for c in cols])
+    hits = np.flatnonzero((g.matrix[:, cols] >= mins).all(axis=1))
+    if hits.size:
+        return Verdict(name, True, g.path_labels(int(hits[0])), g.n_states)
+    return Verdict(name, False, None, g.n_states)
+
+
 def check_invariant_vector(g, weights, lo, hi, name="weighted invariant"):
     """Fast path for marking graphs: lo <= weights . counts <= hi for every
-    reachable marking, checked as one matrix product."""
+    reachable marking, summed over the weighted columns only."""
     _require_complete(g)
-    w = np.asarray([weights.get(p, 0) for p in g.net.places], dtype=np.int64)
-    sums = g.matrix.astype(np.int64) @ w
-    bad = np.nonzero((sums < lo) | (sums > hi))[0]
+    pidx = g.net.compiled()[0]
+    cols = [pidx[p] for p, x in weights.items() if x and p in pidx]
+    w = np.array([weights[g.net.places[c]] for c in cols], dtype=np.int64)
+    # an int32 sum cannot overflow while sum(|w|) * INT16_MAX fits
+    wide = np.abs(w).sum() * INT16_MAX > np.iinfo(np.int32).max
+    w = w.astype(np.int64 if wide else np.int32)
+    sums = np.zeros(g.n_states, dtype=w.dtype)
+    for c, x in zip(cols, w):
+        column = g.matrix[:, c]
+        sums += column if x == 1 else column * x
+    bad = np.flatnonzero((sums < lo) | (sums > hi))
     if bad.size:
         return Verdict(name, False, g.path_labels(int(bad[0])), g.n_states)
     return Verdict(name, True, None, g.n_states)

@@ -147,10 +147,8 @@ def cmd_analyze(args) -> Report:
                 witnesses.append(("machine-invariant", verdict.witness, None))
                 report.exit_status = 1
         elif prop == "job-done-reachable":
-            done = [jname("job_done", j.name) for j in sc.jobs]
-            v = analysis.check_reachable(
-                g, lambda mk: all(mk.get(p, 0) >= 1 for p in done),
-                name="job-done-reachable")
+            done = {jname("job_done", j.name): 1 for j in sc.jobs}
+            v = analysis.check_reachable(g, done, name="job-done-reachable")
             if v.holds:
                 report.add("job-done-reachable: holds")
                 witnesses.append(("job-done-reachable", v.witness, None))
@@ -289,8 +287,8 @@ def main(argv=None) -> int:
         parser.error("conformance needs a scenario file or --fuzz COUNT")
     try:
         report = args.func(args)
-    except (ScenarioError, OSError, dot.GraphTooLarge,
-            analysis.Truncated) as exc:
+    except (ScenarioError, OSError, dot.GraphTooLarge, analysis.Truncated,
+            analysis.ExplorationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     sys.stdout.write(report.render())

@@ -6,8 +6,6 @@ same net or graph always serializes to the same bytes.
 
 from __future__ import annotations
 
-import numpy as np
-
 MAX_GRAPH_STATES = 10_000
 
 
@@ -93,8 +91,6 @@ def _edge_iter(graph):
     for i in range(graph.n_states):
         m = graph.marking(i)
         for t in net.enabled(m):
-            m2 = net.fire_marking(m, t)
-            row = np.array(net.marking_tuple(m2), dtype=np.int16)
-            j = graph.index.get(row.tobytes())
+            j = graph.find(net.marking_tuple(net.fire_marking(m, t)))
             if j is not None:
                 yield i, t, j

@@ -5,14 +5,21 @@ open-ended firing intervals; the equivalence with the timed explorer is
 itself asserted here on representative nets.
 """
 
-import pytest
+import itertools
 
-from qurdlab.analysis import (DEFAULT_BOUND, Truncated, check_invariant,
-                              check_invariant_vector, check_p_invariant,
-                              check_reachable, completion_skip, explore,
-                              explore_colored, explore_markings,
-                              find_deadlocks, pending_deadlocks,
-                              replay_labels, timed_witness)
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qurdlab import analysis
+from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
+                              check_invariant, check_invariant_vector,
+                              check_p_invariant, check_reachable,
+                              completion_skip, explore, explore_colored,
+                              explore_markings, find_deadlocks,
+                              pending_deadlocks, replay_labels,
+                              timed_witness)
 from qurdlab.catalog import (CatalogParams, build_client_net, build_colored,
                              build_full, build_machine, build_net,
                              build_two_clients, universe_for)
@@ -54,15 +61,6 @@ def test_explore_deterministic():
     assert a.edges == b.edges
 
 
-def test_parallel_explore_identical():
-    net = contention(None)
-    single = explore(net)
-    multi = explore(net, workers=4)
-    assert [s.counts for s in single.states] == [s.counts for s in multi.states]
-    assert single.edges == multi.edges
-    assert single.dead_ids() == multi.dead_ids()
-
-
 def test_marking_explorer_matches_timed_markings():
     """With every lfd open, untimed marking closure equals the set of
     markings of the timed graph, and deadlock status agrees."""
@@ -91,6 +89,175 @@ def test_marking_explorer_refuses_finite_lfd():
     assert explore_markings(net, force=True).n_states == 2
 
 
+# -- marking explorer against a reference BFS -----------------------------------
+
+def reference_bfs(net, bound=DEFAULT_BOUND):
+    """Dict-keyed BFS over count tuples that visits each level
+    transition-major, the order explore_markings must reproduce.
+    Returns (states, (parent, transition) per state, dead ids, truncated)."""
+    _, pre, post, _, _ = net.compiled()
+    states = [net.marking_tuple(net.initial)]
+    index = {states[0]: 0}
+    parent, dead = [(-1, -1)], []
+    frontier = range(1)
+    while frontier:
+        level, fired = len(states), set()
+        for t, (need, give) in enumerate(zip(pre, post)):
+            for i in frontier:
+                counts = list(states[i])
+                if any(counts[p] < w for p, w in need):
+                    continue
+                fired.add(i)
+                for p, w in need:
+                    counts[p] -= w
+                for p, w in give:
+                    counts[p] += w
+                if tuple(counts) not in index:
+                    if len(states) >= bound:
+                        return states, parent, dead, True
+                    index[tuple(counts)] = len(states)
+                    states.append(tuple(counts))
+                    parent.append((i, t))
+        dead.extend(i for i in frontier if i not in fired)
+        frontier = range(level, len(states))
+    return states, parent, dead, False
+
+
+def assert_matches_reference(g, net, bound=DEFAULT_BOUND):
+    states, parent, dead, truncated = reference_bfs(net, bound)
+    assert g.truncated == truncated
+    assert [tuple(row) for row in g.matrix.tolist()] == states
+    assert list(zip(g.parent.tolist(), g.via.tolist())) == parent
+    if not truncated:
+        assert g.dead_ids() == dead
+
+
+def test_marking_explorer_matches_reference_on_catalog():
+    """Every configuration of the catalog safety sweep: same rows in the
+    same order, same BFS parents, same dead states."""
+    demand_lists = ([1], [2], [3], [1, 1], [2, 1], [2, 2],
+                    [3, 1], [3, 2], [3, 3])
+    for mc, demands, fd, zc in itertools.product(
+            (1, 2, 3), demand_lists, (False, True), (False, True)):
+        net = build_net(CatalogParams(machine_count=mc, job_demands=demands,
+                                      failure_detector=fd, zeroconf=zc))
+        assert_matches_reference(explore_markings(net), net)
+
+
+@st.composite
+def random_nets(draw):
+    """Small random nets; the larger token counts straddle the int8 range
+    that the explorer works in while a level's counts fit it."""
+    net = Net("random")
+    for p in range(draw(st.integers(1, 5))):
+        net.add_place("p%d" % p,
+                      tokens=draw(st.sampled_from((0, 0, 1, 2, 126, 200))))
+    arcs = st.dictionaries(st.sampled_from(list(net.places)),
+                           st.integers(1, 2), max_size=3)
+    for t in range(draw(st.integers(0, 5))):
+        net.add_transition("t%d" % t, pre=draw(arcs), post=draw(arcs))
+    return net
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_nets(), st.integers(1, 300))
+def test_marking_explorer_matches_reference_on_random_nets(net, bound):
+    g = explore_markings(net, bound=bound)
+    assert_matches_reference(g, net, bound)
+    assert [g.find(g.counts(i)) for i in range(g.n_states)] == \
+        list(range(g.n_states))
+
+
+def test_find_misses_unreachable_counts():
+    g = explore_markings(contention(None))
+    unreachable = list(g.counts(0))
+    unreachable[0] += 5
+    assert g.find(g.counts(7)) == 7
+    assert g.find(unreachable) is None
+    assert g.find(g.counts(0)[:-1]) is None
+    assert g.find([-1] * len(g.net.places)) is None
+
+
+def all_ones(n_places, attempt):
+    """Multipliers that key a marking by its token total."""
+    return np.ones(n_places, dtype=np.uint64)
+
+
+def test_colliding_keys_rekey_and_stay_exact(monkeypatch):
+    attempts = []
+    fresh = analysis._multipliers
+
+    def first_collides(n_places, attempt):
+        attempts.append(attempt)
+        return all_ones(n_places, attempt) if attempt == 0 \
+            else fresh(n_places, attempt)
+
+    monkeypatch.setattr(analysis, "_multipliers", first_collides)
+    net = contention(None)
+    assert_matches_reference(explore_markings(net), net)
+    assert attempts == [0, 1]
+
+
+def test_persistent_collisions_refuse(monkeypatch):
+    monkeypatch.setattr(analysis, "_multipliers", all_ones)
+    with pytest.raises(ExplorationError, match="collided"):
+        explore_markings(contention(None))
+
+
+def test_collision_within_a_level_is_verified(monkeypatch):
+    """a -> 2b and a -> 2c: both successors have the key 2, which no
+    visited state has, so only the check within the level can tell them
+    apart."""
+    monkeypatch.setattr(analysis, "_multipliers", all_ones)
+    net = Net()
+    net.add_place("a", tokens=1)
+    net.add_place("b")
+    net.add_place("c")
+    net.add_transition("tb", pre={"a": 1}, post={"b": 2})
+    net.add_transition("tc", pre={"a": 1}, post={"c": 2})
+    with pytest.raises(ExplorationError, match="collided"):
+        explore_markings(net)
+
+
+def test_hit_on_visited_state_is_verified(monkeypatch):
+    """(1,0) -> (0,1): one successor per level, so only the check against
+    visited states can see that both share the key 1."""
+    monkeypatch.setattr(analysis, "_multipliers", all_ones)
+    net = Net()
+    net.add_place("a", tokens=1)
+    net.add_place("b")
+    net.add_transition("move", pre={"a": 1}, post={"b": 1})
+    with pytest.raises(ExplorationError, match="collided"):
+        explore_markings(net)
+
+
+def generator_net(start):
+    """gen: q -> q + p, with p starting at ``start``."""
+    net = Net("generator")
+    net.add_place("q", tokens=1)
+    net.add_place("p", tokens=start)
+    net.add_transition("gen", pre={"q": 1}, post={"q": 1, "p": 1})
+    return net
+
+
+def test_token_overflow_refused():
+    """p used to wrap to -32768 in a graph reported complete, whose
+    check_invariant(p >= 0) witness could not replay."""
+    with pytest.raises(ExplorationError, match="exceeds 32767"):
+        explore_markings(generator_net(32_000), bound=5000)
+    with pytest.raises(ExplorationError, match="exceeds 32767"):
+        explore_markings(generator_net(40_000))
+
+
+def test_token_count_at_int16_max_is_kept():
+    net = Net()
+    net.add_place("q", tokens=1)
+    net.add_place("p", tokens=32_766)
+    net.add_transition("put", pre={"q": 1}, post={"p": 1})
+    g = explore_markings(net)
+    assert g.counts(1) == (0, 32_767)
+
+
 # -- deadlocks ------------------------------------------------------------------
 
 def test_contention_deadlock_found():
@@ -115,6 +282,14 @@ def test_no_transitions_initial_dead():
     net.add_place("p", tokens=1)
     g = explore_markings(net)
     assert find_deadlocks(g) == [{"p": 1}]
+
+
+def test_no_places_single_live_state():
+    net = Net()
+    net.add_transition("tick")
+    g = explore_markings(net)
+    assert g.n_states == 1
+    assert g.dead_ids() == []
 
 
 def test_truncated_graph_refuses_checks():
@@ -187,6 +362,39 @@ def test_goal_initial_trivially_reachable():
     v = check_reachable(g, lambda m: m == {"available": 1})
     assert v.holds
     assert v.witness == []
+
+
+def test_covering_goal_matches_predicate():
+    goals = ({"job_done@J1": 1}, {"job_done@J1": 1, "job_done@J2": 1},
+             {"answered@J1": 2, "answered@J2": 1}, {"answered@J1": 3},
+             {"job_done@J9": 1}, {"job_done@J9": 0}, {})
+    graphs = (explore_markings(contention(3)),
+              explore(build_net(CatalogParams(machine_count=2,
+                                              job_demands=[1, 1]))))
+    for g in graphs:
+        for goal in goals:
+            covered = check_reachable(g, goal)
+            assert covered == check_reachable(g, lambda m: all(
+                m.get(p, 0) >= n for p, n in goal.items())), goal
+
+
+def test_invariant_vector_matches_predicate():
+    net = build_net(CatalogParams(machine_count=2, job_demands=[2, 1],
+                                  failure_detector=True))
+    g = explore_markings(net)
+    outcomes = set()
+    for scale in (1, 70_000):
+        weights = {p: scale * (i % 3 - 1) for i, p in enumerate(net.places)}
+        weights["not-a-place"] = 5
+        for lo, hi in ((-scale, scale), (0, 0), (-9 * scale, 9 * scale)):
+            fast = check_invariant_vector(g, weights, lo, hi)
+            slow = check_invariant(
+                g, lambda m: lo <= sum(weights[p] * n
+                                       for p, n in m.items()) <= hi,
+                name="weighted invariant")
+            assert fast == slow, (scale, lo, hi)
+            outcomes.add(fast.holds)
+    assert outcomes == {True, False}
 
 
 # -- structural invariant -------------------------------------------------------

@@ -1,13 +1,17 @@
 """Command-line behavior: reports, exit statuses, artifact files."""
 
+import re
+
 import pytest
 
-from qurdlab.analysis import replay_labels
-from qurdlab.catalog import build_net
+from qurdlab import cli
+from qurdlab.analysis import explore_markings, replay_labels
+from qurdlab.catalog import CatalogParams, build_net, build_two_clients
 from qurdlab.cli import main
 from qurdlab.conformance import parse_trace
 from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
 from qurdlab.scenario import parse_scenario
+from qurdlab.tpn import Net
 
 CONTENTION = """\
 machines 3
@@ -157,6 +161,19 @@ def test_export_reach_graph_stable(capsys, contention_file):
     assert first == second
 
 
+def test_token_overflow_exits_2(capsys, contention_file, monkeypatch):
+    net = Net("generator")
+    net.add_place("q", tokens=1)
+    net.add_place("p", tokens=32_700)
+    net.add_transition("gen", pre={"q": 1}, post={"q": 1, "p": 1})
+    monkeypatch.setattr(cli, "build_net", lambda params: net)
+    status = main(["analyze", str(contention_file)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert "error: a token count exceeds 32767" in captured.err
+    assert captured.out == ""
+
+
 def test_scenario_error_is_reported(tmp_path, capsys):
     f = tmp_path / "bad.scn"
     f.write_text("machines 0\n")
@@ -168,8 +185,25 @@ def test_scenario_error_is_reported(tmp_path, capsys):
 
 # -- dot internals ----------------------------------------------------------------
 
+def test_reach_dot_edges_fire():
+    """Each edge s_i -t-> s_j fires t from marking i into marking j, and
+    every enabled transition of every state has its edge."""
+    edge = re.compile(r'^  s(\d+) -> s(\d+) \[label="(.*)"\];$')
+    for timeout, count in ((None, 1849), (3, 2089)):
+        net = build_two_clients(CatalogParams(
+            machine_count=3, job_demands=[3, 2], timeout=timeout))
+        g = explore_markings(net)
+        edges = [edge.match(line).groups()
+                 for line in reach_dot(g).splitlines() if " -> " in line]
+        assert len(edges) == count
+        assert count == sum(len(net.enabled(g.marking(i)))
+                            for i in range(g.n_states))
+        for i, j, t in edges:
+            assert net.fire_marking(g.marking(int(i)), t) == \
+                g.marking(int(j))
+
+
 def test_reach_dot_refuses_large_graphs(contention_file):
-    from qurdlab.analysis import explore_markings
     net = build_net(parse_scenario(CONTENTION).params())
     g = explore_markings(net)
     with pytest.raises(GraphTooLarge):
