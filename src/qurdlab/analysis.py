@@ -281,9 +281,6 @@ def _bfs(net, bound, row0, deltas, pre, mult):
     narrow_deltas = deltas.astype(np.int8) \
         if (np.abs(deltas) <= INT8_MAX).all() else None
     top = int(deltas.max(initial=0))
-    grow = np.flatnonzero((deltas > 0).any(axis=0))
-    # a column can overflow only where its frontier maximum is above this
-    headroom = INT16_MAX - deltas.max(axis=0, initial=0)[grow]
 
     frontier = row0[None, :]             # rows of the current level
     columns = frontier.T.copy()          # the same level, one row per place
@@ -325,9 +322,9 @@ def _bfs(net, bound, row0, deltas, pre, mult):
             frontier, step = frontier.astype(np.int16, copy=False), deltas
         succ = np.take(frontier, rows[order], axis=0)
         succ += np.take(step, trans[order], axis=0)
-        if not narrow and grow.size \
-                and (columns[grow].max(axis=1) > headroom).any() \
-                and succ[:, grow].min() < 0:
+        # successors of enabled transitions are >= 0, so a negative count
+        # is one that wrapped past INT16_MAX (int8 levels cannot wrap)
+        if not narrow and succ.min(initial=0) < 0:
             raise ExplorationError(
                 "a token count exceeds %d: the net is unbounded or its "
                 "counts do not fit the int16 marking matrix" % INT16_MAX)
@@ -558,7 +555,7 @@ def _check_covering(g, goal, name):
     if any(n > 0 and p not in pidx for p, n in goal.items()):
         return Verdict(name, False, None, g.n_states)   # place never marked
     cols = [pidx[p] for p in goal if p in pidx]
-    mins = np.array([goal[g.net.places[c]] for c in cols])
+    mins = np.array([n for p, n in goal.items() if p in pidx])
     hits = np.flatnonzero((g.matrix[:, cols] >= mins).all(axis=1))
     if hits.size:
         return Verdict(name, True, g.path_labels(int(hits[0])), g.n_states)
@@ -571,14 +568,14 @@ def check_invariant_vector(g, weights, lo, hi, name="weighted invariant"):
     _require_complete(g)
     pidx = g.net.compiled()[0]
     cols = [pidx[p] for p, x in weights.items() if x and p in pidx]
-    w = np.array([weights[g.net.places[c]] for c in cols], dtype=np.int64)
+    w = np.array([x for p, x in weights.items() if x and p in pidx],
+                 dtype=np.int64)
     # an int32 sum cannot overflow while sum(|w|) * INT16_MAX fits
     wide = np.abs(w).sum() * INT16_MAX > np.iinfo(np.int32).max
     w = w.astype(np.int64 if wide else np.int32)
     sums = np.zeros(g.n_states, dtype=w.dtype)
     for c, x in zip(cols, w):
-        column = g.matrix[:, c]
-        sums += column if x == 1 else column * x
+        sums += g.matrix[:, c] * x
     bad = np.flatnonzero((sums < lo) | (sums > hi))
     if bad.size:
         return Verdict(name, False, g.path_labels(int(bad[0])), g.n_states)
