@@ -364,8 +364,16 @@ def _bfs(net, bound, row0, deltas, pre, mult):
         if not len(frontier):
             break
 
-    # column-major, so that a check reads each place's column contiguously
-    g.matrix = np.concatenate(blocks, axis=1).T
+    # column-major, so that a check reads each place's column contiguously;
+    # each level block is freed once copied, so the levels and the whole
+    # matrix never exist side by side
+    del columns
+    matrix = np.empty((len(net.places), n), dtype=np.int16)
+    blocks.reverse()
+    for start in starts:
+        block = blocks.pop()
+        matrix[:, start:start + block.shape[1]] = block
+    g.matrix = matrix.T
     g.parent = np.concatenate(parents)
     g.via = np.concatenate(vias)
     g.dead = np.concatenate(dead)

@@ -4,8 +4,22 @@ A ``Net`` is a classical P/T net whose transitions carry a static firing
 interval ``(efd, lfd)``: a transition may fire only after being enabled for
 at least ``efd`` time units, and time may not advance past ``lfd`` while it
 is enabled (``lfd = None`` means no upper bound).  Time is discrete: delays
-are nonnegative integers and per-transition clocks are capped at a finite
-``cap`` so the timed state space stays finite.
+are nonnegative integers and each transition's clock is capped so the timed
+state space stays finite.
+
+By default clock ``t`` is capped at ``Net.clock_caps()``: ``lfd(t)`` when it
+is finite, otherwise ``efd(t)``.  A clock is read only by its own
+transition's guard (``c >= efd``) and urgency (``c <= lfd``), so every value
+at or above efd of an unbounded transition behaves alike, and a clock with a
+finite lfd never passes it anyway; this is the per-clock maximal constant of
+region and LU abstraction (Alur & Dill 1994; Behrmann et al. 2004).  The
+uniform cap ``default_cap()`` builds a larger graph that the smaller one
+equals once each clock is clipped to its own cap; tests use it as the
+oracle.
+
+Firing re-tests the enabling of only the transitions whose pre-set meets
+the fired transition's pre- or post-set; every other transition keeps its
+enabling and so its clock.
 
 ``TimedState`` values are immutable and hashable; all operations are pure
 functions that return fresh states, so states can be shared freely across
@@ -52,7 +66,7 @@ class Net:
         self.post = {}              # transition -> {place: weight}
         self.interval = {}          # transition -> (efd, lfd or None)
         self.initial = {}           # place -> token count
-        self._compiled = None
+        self._compiled = None       # with _caps and _touched, see compiled()
 
     # -- construction -----------------------------------------------------
 
@@ -107,7 +121,10 @@ class Net:
         return issues
 
     def default_cap(self):
-        """Smallest sound clock cap: 1 + the largest finite bound in the net."""
+        """Smallest sound uniform clock cap: 1 + the largest finite bound in
+        the net.  States are capped per transition by default
+        (``clock_caps``); an explicit ``cap=net.default_cap()`` rebuilds the
+        larger uniformly capped graph, which tests compare against."""
         bound = 0
         for efd, lfd in self.interval.values():
             bound = max(bound, efd)
@@ -148,8 +165,18 @@ class Net:
             self.compiled()
         return self._tidx[t]
 
+    def clock_caps(self):
+        """Per-transition clock caps: ``lfd(t)`` when finite, else ``efd(t)``.
+        One tuple, cached with ``compiled()``, shared by all states."""
+        self.compiled()
+        return self._caps
+
     def compiled(self):
-        """Index-based arc/interval tables, cached (places/transitions order)."""
+        """Index-based arc/interval tables, cached (places/transitions order).
+
+        Also caches ``clock_caps()`` and, per transition t, the transitions
+        whose pre-set meets pre(t) or post(t), t included: the only ones
+        whose enabling firing t can change."""
         if self._compiled is None:
             self._tidx = {t: i for i, t in enumerate(self.transitions)}
             pidx = {p: i for i, p in enumerate(self.places)}
@@ -163,6 +190,18 @@ class Net:
                 e, l = self.interval[t]
                 efd.append(e)
                 lfd.append(l)
+            self._caps = tuple(e if l is None else l for e, l in zip(efd, lfd))
+            consumers = {}
+            for i, arcs in enumerate(pre):
+                for p, _ in arcs:
+                    consumers.setdefault(p, set()).add(i)
+            touched = []
+            for i in range(len(pre)):
+                near = {i}
+                for p, _ in pre[i] + post[i]:
+                    near |= consumers.get(p, set())
+                touched.append(tuple(sorted(near)))
+            self._touched = tuple(touched)
             self._compiled = (pidx, tuple(pre), tuple(post), tuple(efd), tuple(lfd))
         return self._compiled
 
@@ -179,11 +218,14 @@ class Net:
 
     def initial_state(self, marking=None, cap=None):
         """Timed state for ``marking`` (default: the net's initial marking)
-        with every enabled transition's clock at 0."""
+        with every enabled transition's clock at 0.  Clocks are capped at
+        ``clock_caps()``, or all at ``cap`` when an int is given."""
         if marking is None:
             marking = self.initial
         if cap is None:
-            cap = self.default_cap()
+            cap = self.clock_caps()
+        else:
+            cap = (cap,) * len(self.transitions)
         counts = self.marking_tuple(marking)
         _, pre, _, _, _ = self.compiled()
         clocks = tuple(
@@ -197,16 +239,17 @@ class Net:
 class TimedState:
     """A marking plus one capped integer clock per enabled transition.
 
-    ``counts`` follows the net's place order; ``clocks`` follows the net's
-    transition order with -1 marking disabled transitions.  Equality and
-    hashing ignore the net reference, so states from the same net
-    deduplicate by value.
+    ``counts`` follows the net's place order; ``clocks`` and ``cap`` (the
+    per-transition clock caps) follow the net's transition order, with -1
+    marking disabled transitions.  Equality and hashing ignore the net
+    reference, so states from the same net deduplicate by value; hashing
+    also skips ``cap``, which the states of one exploration share.
     """
 
     net: Net = field(compare=False, repr=False)
     counts: tuple
     clocks: tuple
-    cap: int
+    cap: tuple = field(hash=False)
 
     @property
     def marking(self):
@@ -246,7 +289,7 @@ class TimedState:
             nc = c + d
             if lfd[i] is not None and nc > lfd[i]:
                 raise UrgencyViolation(self.net.transitions[i])
-            clocks[i] = min(nc, cap)
+            clocks[i] = min(nc, cap[i])
         return TimedState(net=self.net, counts=self.counts, clocks=tuple(clocks), cap=cap)
 
     def fire(self, t):
@@ -254,11 +297,14 @@ class TimedState:
 
         Newly-enabled is judged against the intermediate marking
         (marking - pre(t)); the fired transition itself always restarts
-        from 0 when it stays enabled.
+        from 0 when it stays enabled.  Only transitions whose pre-set meets
+        pre(t) or post(t) are re-tested; the rest keep their clocks.
         """
-        ti = self.net.transition_index(t)
-        _, pre, post, efd, _ = self.net.compiled()
-        if self.clocks[ti] < 0 or self.clocks[ti] < efd[ti]:
+        net = self.net
+        ti = net.transition_index(t)
+        _, pre, post, efd, _ = net.compiled()
+        clocks = list(self.clocks)
+        if clocks[ti] < 0 or clocks[ti] < efd[ti]:
             raise NotFireable(t)
         inter = list(self.counts)
         for p, w in pre[ti]:
@@ -266,19 +312,16 @@ class TimedState:
         after = list(inter)
         for p, w in post[ti]:
             after[p] += w
-        clocks = []
-        for i in range(len(self.clocks)):
+        for i in net._touched[ti]:
             if not all(after[p] >= w for p, w in pre[i]):
-                clocks.append(-1)
+                clocks[i] = -1
             elif i == ti or not all(inter[p] >= w for p, w in pre[i]):
-                clocks.append(0)
-            else:
-                clocks.append(self.clocks[i])
-        return TimedState(net=self.net, counts=tuple(after), clocks=tuple(clocks), cap=self.cap)
+                clocks[i] = 0
+        return TimedState(net=net, counts=tuple(after), clocks=tuple(clocks), cap=self.cap)
 
     def max_useful_delay(self):
         """Smallest delay beyond which the capped clock vector stops changing."""
-        gaps = [self.cap - c for c in self.clocks if c >= 0]
+        gaps = [k - c for k, c in zip(self.cap, self.clocks) if c >= 0]
         return max(gaps) if gaps else 0
 
     def successors(self):

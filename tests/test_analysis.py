@@ -80,6 +80,13 @@ def test_marking_explorer_matches_timed_markings():
         assert timed_dead == untimed_dead, params
 
 
+def test_open_intervals_cap_every_clock_at_zero():
+    # every interval is [0, inf), so a timed state is just its marking
+    net = contention(None)
+    assert set(net.clock_caps()) == {0}
+    assert explore(net).n_states == explore_markings(net).n_states == 719
+
+
 def test_marking_explorer_refuses_finite_lfd():
     net = Net()
     net.add_place("p", tokens=1)

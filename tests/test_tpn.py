@@ -1,7 +1,8 @@
 """Core timed-net semantics: validation, enabling, elapse/fire, successors.
 
 Derived expectations are checked against small independent oracles
-(naive dict-based firing rule, brute-force successor enumeration) rather
+(naive dict-based firing rule, from-scratch clock recomputation,
+brute-force successor enumeration, the uniformly capped graph) rather
 than against the implementation itself.
 """
 
@@ -9,6 +10,9 @@ import random
 
 import pytest
 
+from qurdlab.analysis import (DEFAULT_BOUND, explore, pending_deadlocks,
+                              replay_labels)
+from qurdlab.catalog import CatalogParams, build_net
 from qurdlab.tpn import Net, NotFireable, UrgencyViolation
 
 
@@ -47,6 +51,21 @@ def naive_fire_marking(net, marking, t):
     for p, w in net.post[t].items():
         m[p] = m.get(p, 0) + w
     return {p: n for p, n in m.items() if n}
+
+
+def naive_fire_clocks(net, state, t):
+    """Clocks after firing t, every transition re-tested from scratch:
+    -1 if disabled afterwards, 0 if t itself or disabled in the
+    intermediate marking (marking - pre(t)), else the clock it had."""
+    inter = dict(state.marking)
+    for p, w in net.pre[t].items():
+        inter[p] = inter.get(p, 0) - w
+    on_inter = naive_enabled(net, inter)
+    on_after = naive_enabled(net, naive_fire_marking(net, state.marking, t))
+    return tuple(-1 if u not in on_after
+                 else 0 if u == t or u not in on_inter
+                 else state.clock(u)
+                 for u in net.transitions)
 
 
 def random_net(rng, n_places=4, n_transitions=3):
@@ -145,6 +164,23 @@ def test_elapse_caps_clocks():
     assert state.elapse(100).clock("t1") == 10
 
 
+def test_clock_caps_per_transition():
+    # lfd when finite, else efd; an int cap overrides them all
+    net = Net()
+    net.add_place("p", tokens=1)
+    net.add_transition("bounded", pre={"p": 1}, interval=(2, 4))
+    net.add_transition("open", pre={"p": 1}, interval=(3, None))
+    net.add_transition("free", pre={"p": 1}, interval=(0, None))
+    assert net.clock_caps() == (4, 3, 0)
+    assert net.default_cap() == 5
+    state = net.initial_state()
+    assert state.cap is net.clock_caps()
+    assert state.elapse(4).clocks == (4, 3, 0)
+    assert net.initial_state(cap=5).elapse(4).clocks == (4, 4, 4)
+    net.add_transition("late", pre={"p": 1}, interval=(7, None))
+    assert net.clock_caps() == (4, 3, 0, 7)
+
+
 def test_elapse_urgency_violation():
     net = cancel_only_net(interval=(3, 3))
     state = net.initial_state().elapse(2)
@@ -214,6 +250,27 @@ def test_fire_intermediate_marking_rule():
     assert after.clock("u") == 0
 
 
+def test_fire_matches_full_recomputation():
+    # fire re-tests only the transitions whose pre-set meets pre(t) or
+    # post(t); recomputing every transition from scratch must agree
+    rng = random.Random(31)
+    fired = 0
+    for _ in range(60):
+        net = random_net(rng, n_places=6, n_transitions=6)
+        for state in random_walk(rng, net, steps=12):
+            for d in range(state.max_useful_delay() + 1):
+                try:
+                    elapsed = state.elapse(d)
+                except UrgencyViolation:
+                    break
+                for t in net.transitions:
+                    if elapsed.fireable(t):
+                        assert elapsed.fire(t).clocks == \
+                            naive_fire_clocks(net, elapsed, t)
+                        fired += 1
+    assert fired > 1000
+
+
 def test_fire_marking_matches_oracle():
     rng = random.Random(21)
     for _ in range(100):
@@ -249,15 +306,16 @@ def test_successors_sorted_and_deduplicated():
 
 
 def test_successors_against_bruteforce():
-    # Independent enumeration: try every delay up to cap explicitly and
-    # every transition, collect first-label successors.
+    # Independent enumeration: try every delay up to the uniform cap, which
+    # is at least every per-transition cap, and every transition; collect
+    # first-label successors.
     rng = random.Random(99)
     for _ in range(40):
         net = random_net(rng)
         state = net.initial_state()
         expected = []
         seen = set()
-        for d in range(state.cap + 1):
+        for d in range(net.default_cap() + 1):
             try:
                 elapsed = state.elapse(d)
             except UrgencyViolation:
@@ -291,7 +349,9 @@ def test_clock_domain_invariant():
         net = random_net(rng)
         for state in random_walk(rng, net, steps=15):
             assert set(state.clock_map) == naive_enabled(net, state.marking)
-            assert all(0 <= c <= state.cap for c in state.clock_map.values())
+            assert state.cap == net.clock_caps()
+            caps = dict(zip(net.transitions, state.cap))
+            assert all(0 <= c <= caps[t] for t, c in state.clock_map.items())
 
 
 def test_fire_and_elapse_are_pure():
@@ -336,3 +396,51 @@ def test_cap_soundness_on_random_nets():
                     break
             markings.append(reached)
         assert markings[0] == markings[1]
+
+
+def clipped(g, caps):
+    """States, (source, target) edges and dead states of a timed graph, each
+    state as (counts, clocks clipped to caps)."""
+    states = [(s.counts, tuple(min(c, k) for c, k in zip(s.clocks, caps)))
+              for s in g.states]
+    edges = {(states[i], states[j]) for i, out in enumerate(g.edges)
+             for _, j in out}
+    return set(states), edges, {states[i] for i in g.dead_ids()}
+
+
+def assert_caps_match_uniform(net, bound=DEFAULT_BOUND):
+    """The per-transition caps lose nothing: the uniformly capped graph, with
+    each clock clipped to its own cap, is the per-transition graph, with the
+    same dead and pending-deadlock markings, and every dead state's path
+    replays to it.  Returns False, having compared nothing, when the
+    uniformly capped graph hits ``bound``."""
+    g = explore(net, bound=bound)
+    gu = explore(net, bound=bound, cap=net.default_cap())
+    if gu.truncated:
+        return False
+    assert not g.truncated
+    caps = net.clock_caps()
+    assert clipped(gu, caps) == clipped(g, caps)
+    assert {s.counts for s in pending_deadlocks(g)} == \
+        {s.counts for s in pending_deadlocks(gu)}
+    for i in g.dead_ids():
+        assert replay_labels(net, g.path_labels(i)) == g.state(i)
+    return True
+
+
+def test_clock_caps_match_uniform_cap_on_random_nets():
+    rng = random.Random(23)
+    compared = sum(assert_caps_match_uniform(random_net(rng), bound=500)
+                   for _ in range(255))
+    assert compared > 150
+
+
+@pytest.mark.parametrize("params", [
+    CatalogParams(machine_count=3, job_demands=[2, 1], timeout=1),
+    CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None),
+    CatalogParams(machine_count=2, job_demands=[2, 1], timeout=3),
+    CatalogParams(machine_count=2, job_demands=[1, 1], timeout=3,
+                  failure_detector=True),
+], ids=["3m-2-1-t1", "3m-3-2-off", "2m-2-1-t3", "2m-1-1-t3-fd"])
+def test_clock_caps_match_uniform_cap_on_catalog(params):
+    assert assert_caps_match_uniform(build_net(params))
