@@ -1,24 +1,26 @@
-"""Builders for the reservation-model family: single machine, client nets,
-two concurrent clients, Zeroconf and failure-detector extensions, the full
-composed net, and the colored variant.
+"""The reservation model: model parameters, the colored net of launchers
+and machine daemons, and its unfolding into a plain net.
 
-Composed nets use a uniform naming scheme so properties and trace labels
-are unambiguous: per-job places/transitions carry ``@J``, per-machine ones
-``@M`` and per-pair ones ``@(M,J)``.  The standalone machine net keeps the
-plain names.
+The model is defined once, as a colored net (``build_colored``).
+``build_net`` unfolds it over the parameters' machines and jobs; the CLI
+analyses that net and trace conformance replays on the colored one.  The
+Zeroconf and failure-detector layers are optional parts of the same net.
+Unfolded names are unambiguous, so properties and trace labels can use
+them directly: per-job places/transitions carry ``@J``, per-machine ones
+``@M`` and per-pair ones ``@(M,J)``.  The standalone machine net
+(``build_machine``) keeps the plain names.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .colored import JOB, MACHINE, PAIR, ColoredNet, ColorUniverse, Inscription
+from .colored import (FAIL, JOB, MACHINE, PAIR, WAIT, ColoredNet,
+                      ColorUniverse, Inscription, unfold)
 from .tpn import Net
 
 DEFAULT_TIMEOUT = 3
-
-FAIL = "fail"
-WAIT = "wait"
 
 
 @dataclass
@@ -51,19 +53,37 @@ class CatalogParams:
         return self.semantics[index]
 
     def validate(self):
+        """Problems with these parameters, one message each; empty when
+        they describe a model that can be built and simulated."""
         issues = []
+        machines, jobs = self.machines(), self.jobs()
+        n_jobs = len(self.job_demands)
         if self.machine_count < 1:
-            issues.append("at least one machine required")
-        if not self.job_demands:
-            issues.append("at least one job required")
-        for d in self.job_demands:
-            if d < 1:
-                issues.append(f"job demand {d} must be >= 1")
-        for i in range(len(self.job_demands)):
-            if self.semantics_of(i) not in (FAIL, WAIT):
-                issues.append(f"unknown semantics {self.semantics_of(i)!r}")
+            issues.append("machines must be >= 1")
+        if not n_jobs:
+            issues.append("at least one job is required")
+        if len(machines) != self.machine_count:
+            issues.append(f"{len(machines)} machine ids for "
+                          f"{self.machine_count} machines")
+        if len(jobs) != n_jobs:
+            issues.append(f"{len(jobs)} job ids for {n_jobs} jobs")
+        semantics = [self.semantics] * n_jobs \
+            if isinstance(self.semantics, str) else list(self.semantics)
+        if len(semantics) != n_jobs:
+            issues.append(f"{len(semantics)} semantics for {n_jobs} jobs")
+        for j, demand, sem in zip(jobs, self.job_demands, semantics):
+            if demand < 1:
+                issues.append(f"job {j}: demand must be >= 1")
+            if sem not in (FAIL, WAIT):
+                issues.append(f"job {j}: semantics must be fail or wait")
+        for kind, ids in (("machine", machines), ("job", jobs)):
+            issues += [f"duplicate {kind} {i}"
+                       for i, n in Counter(ids).items() if n > 1]
+        taken = set(machines)
+        issues += [f"job id {j} collides with a machine id"
+                   for j in jobs if j in taken]
         if self.timeout is not None and self.timeout < 1:
-            issues.append("timeout must be >= 1 (or None)")
+            issues.append("timeout must be >= 1 or off")
         return issues
 
 
@@ -77,6 +97,26 @@ def jname(base, j):
 
 def pname(base, m, j):
     return f"{base}@({m},{j})"
+
+
+PAIR_BASES = ("reserved", "running", "finished")
+STATE_BASES = PAIR_BASES + ("available", "dead", "not_available")
+
+
+def machine_weights(net, m, bases=STATE_BASES):
+    """Weight 1 on each place of machine m whose base name is in ``bases``.
+
+    Over ``STATE_BASES`` the weighted sum is machine m's one-token state
+    invariant (exactly 1); over ``PAIR_BASES`` it counts the jobs m is
+    reserved for, running or finished for, which mutual exclusion bounds
+    by 1.
+    """
+    weights = {}
+    for p in net.places:
+        base, _, color = p.partition("@")
+        if base in bases and (color == m or color.startswith(f"({m},")):
+            weights[p] = 1
+    return weights
 
 
 def split_pair(name):
@@ -114,185 +154,30 @@ def build_machine(timeout=DEFAULT_TIMEOUT):
 
 
 def build_net(params):
-    """General composition: every machine crossed with every job."""
+    """The reservation model for ``params`` as a plain net: the colored
+    model unfolded over the params' machines and jobs."""
     issues = params.validate()
     if issues:
         raise ValueError("; ".join(issues))
-    machines = params.machines()
-    jobs = params.jobs()
-    net = Net("composed")
-
-    for j in jobs:
-        net.add_place(jname("begin", j), tokens=1)
-        for base in ("get_nodes", "answered", "launching_job",
-                     "job_finished", "job_done"):
-            net.add_place(jname(base, j))
-    for m in machines:
-        net.add_place(mname("available", m), tokens=1)
-        if params.zeroconf:
-            net.add_place(mname("not_available", m))
-    for m in machines:
-        for j in jobs:
-            for base in ("reserved", "running", "finished"):
-                net.add_place(pname(base, m, j))
-    if params.failure_detector:
-        for m in machines:
-            net.add_place(mname("dead", m))
-        for j in jobs:
-            net.add_place(jname("failure_detector", j))
-
-    for j, demand in zip(jobs, params.job_demands):
-        net.add_transition(jname("start_job", j),
-                           pre={jname("begin", j): 1},
-                           post={jname("get_nodes", j): demand})
-        net.add_transition(jname("launch", j),
-                           pre={jname("answered", j): demand},
-                           post={jname("launching_job", j): demand})
-        net.add_transition(jname("t5", j),
-                           pre={jname("job_finished", j): demand},
-                           post={jname("job_done", j): 1})
-    for m in machines:
-        for i, j in enumerate(jobs):
-            net.add_transition(pname("t1", m, j),
-                               pre={mname("available", m): 1,
-                                    jname("get_nodes", j): 1},
-                               post={pname("reserved", m, j): 1,
-                                     jname("answered", j): 1})
-            net.add_transition(pname("t2", m, j),
-                               pre={pname("reserved", m, j): 1,
-                                    jname("launching_job", j): 1},
-                               post={pname("running", m, j): 1})
-            net.add_transition(pname("t3", m, j),
-                               pre={pname("running", m, j): 1},
-                               post={pname("finished", m, j): 1})
-            net.add_transition(pname("t4", m, j),
-                               pre={pname("finished", m, j): 1},
-                               post={mname("available", m): 1,
-                                     jname("job_finished", j): 1})
-            if params.timeout is not None:
-                post = {mname("available", m): 1}
-                if params.semantics_of(i) == WAIT:
-                    post[jname("get_nodes", j)] = 1
-                net.add_transition(pname("cancel", m, j),
-                                   pre={pname("reserved", m, j): 1,
-                                        jname("answered", j): 1},
-                                   post=post,
-                                   interval=(params.timeout, None))
-    if params.zeroconf:
-        for m in machines:
-            net.add_transition(mname("publish", m),
-                               pre={mname("not_available", m): 1},
-                               post={mname("available", m): 1})
-            net.add_transition(mname("unpublish", m),
-                               pre={mname("available", m): 1},
-                               post={mname("not_available", m): 1})
-    if params.failure_detector:
-        for m in machines:
-            for j in jobs:
-                net.add_transition(pname("crash", m, j),
-                                   pre={pname("running", m, j): 1},
-                                   post={mname("dead", m): 1,
-                                         jname("failure_detector", j): 1})
-                net.add_transition(pname("continue", m, j),
-                                   pre={mname("available", m): 1,
-                                        jname("failure_detector", j): 1},
-                                   post={pname("running", m, j): 1})
-    return net
-
-
-def build_client_net(params):
-    """One client against params.machine_count machines."""
-    if len(params.job_demands) != 1:
-        raise ValueError("build_client_net takes exactly one job")
-    return build_net(params)
-
-
-def build_two_clients(params):
-    """Two clients competing for the same machines."""
-    if len(params.job_demands) != 2:
-        raise ValueError("build_two_clients takes exactly two jobs")
-    return build_net(params)
-
-
-def build_full(params=None):
-    """The complete composed model; defaults to 4 machines, one job of 4."""
-    if params is None:
-        params = CatalogParams()
-    return build_net(params)
-
-
-def _copy_net(net, name=None):
-    out = Net(name or net.name)
-    for p in net.places:
-        out.add_place(p, tokens=net.initial.get(p, 0))
-    for t in net.transitions:
-        out.add_transition(t, pre=net.pre[t], post=net.post[t],
-                           interval=net.interval[t])
-    return out
-
-
-def add_zeroconf(net):
-    """Add per-machine not_available with publish/unpublish around available."""
-    out = _copy_net(net, f"{net.name}+zeroconf")
-    targets = [p for p in net.places
-               if p == "available" or p.startswith("available@")]
-    if not targets:
-        raise ValueError("net has no available places")
-    for avail in targets:
-        suffix = avail[len("available"):]
-        out.add_place(f"not_available{suffix}")
-        out.add_transition(f"publish{suffix}",
-                           pre={f"not_available{suffix}": 1},
-                           post={avail: 1})
-        out.add_transition(f"unpublish{suffix}",
-                           pre={avail: 1},
-                           post={f"not_available{suffix}": 1})
-    return out
-
-
-def add_failure_detector(net):
-    """Add crash (running -> dead + detector) and continue (available +
-    detector -> running) around every running place."""
-    out = _copy_net(net, f"{net.name}+fd")
-    targets = [p for p in net.places
-               if p == "running" or p.startswith("running@")]
-    if not targets:
-        raise ValueError("net has no running places")
-    added = set()
-    for run in targets:
-        if run == "running":
-            dead, detector, avail = "dead", "failure_detector", "available"
-            crash, cont = "crash", "continue"
-        else:
-            _, m, j = split_pair(run)
-            dead, detector = mname("dead", m), jname("failure_detector", j)
-            avail = mname("available", m)
-            crash, cont = pname("crash", m, j), pname("continue", m, j)
-        for p in (dead, detector):
-            if p not in added:
-                added.add(p)
-                out.add_place(p)
-        out.add_transition(crash, pre={run: 1},
-                           post={dead: 1, detector: 1})
-        out.add_transition(cont, pre={avail: 1, detector: 1},
-                           post={run: 1})
-    return out
+    return unfold(build_colored(universe_for(params), params))
 
 
 def build_colored(universe, params=None):
     """The colored model over a universe of machines and jobs.
 
-    The continue transition produces a pair token in running (the only
-    sort-correct reading).  With mixed per-job semantics the single
-    colored cancel uses the wait shape (token returned to get_nodes);
-    it drops the token only when every job uses fail semantics.
+    ``params`` supplies the timeout and the optional Zeroconf and
+    failure-detector layers (the defaults of ``CatalogParams`` when
+    omitted); each job's demand and semantics come from the universe.
+    cancel returns the job's token to get_nodes with multiplicity W'(j):
+    a wait job asks again, a fail job does not.  The continue transition
+    produces a pair token in running (the only sort-correct reading).
     """
     if params is None:
-        params = CatalogParams(machine_count=len(universe.machines),
-                               job_demands=[universe.demand[j] for j in universe.jobs])
-    cnet = ColoredNet(universe)
+        params = CatalogParams()
+    cnet = ColoredNet(universe, name="composed")
     m_, j_, mj = Inscription("m"), Inscription("j"), Inscription("mj")
     pj = Inscription("j", per_demand=True)
+    wj = Inscription("j", per_wait=True)
 
     cnet.add_place("begin", JOB, tokens=universe.jobs)
     cnet.add_place("get_nodes", JOB)
@@ -321,13 +206,9 @@ def build_colored(universe, params=None):
     cnet.add_transition("t4", pre={"finished": mj},
                         post={"available": m_, "job_finished": j_})
     if params.timeout is not None:
-        all_fail = all(params.semantics_of(i) == FAIL
-                       for i in range(len(params.job_demands)))
-        post = {"available": m_}
-        if not all_fail:
-            post["get_nodes"] = j_
         cnet.add_transition("cancel", pre={"reserved": mj, "answered": j_},
-                            post=post, interval=(params.timeout, None))
+                            post={"available": m_, "get_nodes": wj},
+                            interval=(params.timeout, None))
     if params.zeroconf:
         cnet.add_transition("publish", pre={"not_available": m_},
                             post={"available": m_})
@@ -344,5 +225,6 @@ def build_colored(universe, params=None):
 def universe_for(params):
     """ColorUniverse matching a CatalogParams instance."""
     jobs = params.jobs()
+    semantics = {j: params.semantics_of(i) for i, j in enumerate(jobs)}
     return ColorUniverse(params.machines(), jobs,
-                         {j: d for j, d in zip(jobs, params.job_demands)})
+                         dict(zip(jobs, params.job_demands)), semantics)

@@ -20,8 +20,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import analysis, conformance, dot
-from .catalog import (CatalogParams, build_machine, build_net,
-                      build_two_clients, jname, mname, split_pair)
+from .catalog import (PAIR_BASES, CatalogParams, build_machine, build_net,
+                      jname, machine_weights)
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulator import run as run_sim
 
@@ -57,30 +57,6 @@ def _load_scenario(path) -> Scenario:
 
 def _digest(sc: Scenario) -> str:
     return hashlib.sha256(sc.render().encode()).hexdigest()[:12]
-
-
-def _machine_places(net, m):
-    """The places that make up machine m's one-token state invariant."""
-    singles = [mname("available", m), mname("dead", m),
-               mname("not_available", m)]
-    weights = {p: 1 for p in singles if p in net.places}
-    for p in net.places:
-        if p.startswith(("reserved@(", "running@(", "finished@(")):
-            _, pm, _ = split_pair(p)
-            if pm == m:
-                weights[p] = 1
-    return weights
-
-
-def _pair_places(net, m):
-    """reserved/running/finished pairs of machine m (mutual exclusion)."""
-    weights = {}
-    for p in net.places:
-        if p.startswith(("reserved@(", "running@(", "finished@(")):
-            _, pm, _ = split_pair(p)
-            if pm == m:
-                weights[p] = 1
-    return weights
 
 
 def _format_witness(labels, marking=None):
@@ -120,7 +96,8 @@ def cmd_analyze(args) -> Report:
             verdict = None
             for m in machines:
                 v = analysis.check_invariant_vector(
-                    g, _pair_places(net, m), 0, 1, name="mutex %s" % m)
+                    g, machine_weights(net, m, PAIR_BASES), 0, 1,
+                    name="mutex %s" % m)
                 if not v.holds:
                     verdict = v
                     break
@@ -134,7 +111,7 @@ def cmd_analyze(args) -> Report:
             verdict = None
             for m in machines:
                 v = analysis.check_invariant_vector(
-                    g, _machine_places(net, m), 1, 1,
+                    g, machine_weights(net, m), 1, 1,
                     name="machine-invariant %s" % m)
                 if not v.holds:
                     verdict = v
@@ -211,7 +188,7 @@ def _selector_net(selector):
     if selector == "client":
         return build_net(CatalogParams(machine_count=1, job_demands=[1]))
     if selector == "two-clients":
-        return build_two_clients(CatalogParams(
+        return build_net(CatalogParams(
             machine_count=3, job_demands=[3, 2], timeout=None))
     if selector == "full":
         return build_net(CatalogParams())

@@ -2,11 +2,13 @@
 
 Places are typed by token sort: job tokens ``j``, machine tokens ``m`` or
 pairs ``(m, j)``.  Arcs carry one inscription each: a pattern over the
-variables m and j, optionally with multiplicity P'(j) (the job's demand).
-Only variable matching is supported; the reservation model needs no
-guards.  ``unfold`` expands a colored net over a finite universe into an
-ordinary place/transition net with one place per (place, color) and one
-transition per (transition, binding).
+variables m and j, optionally with a per-job multiplicity: P'(j), the
+job's demand, or W'(j), 1 for a job with wait semantics and 0 for one
+with fail semantics.  Only variable matching is supported; the
+reservation model needs no guards.  ``unfold`` expands a colored net over
+its finite universe into an ordinary place/transition net with one place
+per (place, color) and one transition per (transition, binding), named
+``base@J``, ``base@M`` and ``base@(M,J)``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,20 @@ JOB = "job"
 MACHINE = "machine"
 PAIR = "pair"
 
+FAIL = "fail"
+WAIT = "wait"
+
 
 class ColorUniverse:
-    """Finite color domains: machine ids, job ids, and per-job demand."""
+    """Finite color domains: machine ids, job ids, and each job's demand and
+    reservation semantics (``WAIT`` unless ``semantics`` names it)."""
 
-    def __init__(self, machines, jobs, demand):
+    def __init__(self, machines, jobs, demand, semantics=None):
         self.machines = tuple(machines)
         self.jobs = tuple(jobs)
         self.demand = dict(demand)
+        self.semantics = {j: WAIT for j in self.jobs}
+        self.semantics.update(semantics or {})
 
     def validate(self):
         issues = []
@@ -41,26 +49,36 @@ class ColorUniverse:
                 issues.append(f"no demand for job {j}")
             elif self.demand[j] < 1:
                 issues.append(f"demand for job {j} must be >= 1")
+            if self.semantics[j] not in (FAIL, WAIT):
+                issues.append(f"unknown semantics {self.semantics[j]!r} "
+                              f"for job {j}")
         return issues
 
     def __repr__(self):
         return (f"ColorUniverse(machines={list(self.machines)}, "
-                f"jobs={list(self.jobs)}, demand={self.demand})")
+                f"jobs={list(self.jobs)}, demand={self.demand}, "
+                f"semantics={self.semantics})")
 
 
 @dataclass(frozen=True)
 class Inscription:
-    """Arc inscription: a variable pattern and an optional P'(j) multiplicity."""
+    """Arc inscription: a variable pattern and an optional per-job
+    multiplicity, P'(j) (``per_demand``) or W'(j) (``per_wait``)."""
 
     pattern: str            # "m", "j" or "mj"
     per_demand: bool = False
+    per_wait: bool = False
 
-    def tokens(self, m, j, demand):
+    def tokens(self, m, j, universe):
         """Instantiated token multiset for a binding, as a list."""
         if self.pattern == "m":
             return [m]
         if self.pattern == "j":
-            return [j] * (demand[j] if self.per_demand else 1)
+            if self.per_demand:
+                return [j] * universe.demand[j]
+            if self.per_wait:
+                return [j] if universe.semantics[j] == WAIT else []
+            return [j]
         return [(m, j)]
 
 
@@ -121,8 +139,9 @@ class ColoredNet:
                         issues.append(
                             f"inscription {ins.pattern!r} does not match sort "
                             f"of place {p} on {t}")
-                    if ins.per_demand and ins.pattern != "j":
-                        issues.append(f"P'(j) multiplicity needs pattern j on {t}->{p}")
+                    if (ins.per_demand or ins.per_wait) and ins.pattern != "j":
+                        issues.append(f"P'(j) or W'(j) multiplicity needs "
+                                      f"pattern j on {t}->{p}")
             efd, lfd = self.interval[t]
             if efd < 0 or (lfd is not None and efd > lfd):
                 issues.append(f"bad interval on {t}")
@@ -175,9 +194,10 @@ def _has_tokens(marking, place, needed):
 
 
 def binding_enabled(cnet, marking, t, binding):
-    demand = cnet.universe.demand
+    universe = cnet.universe
     for p, ins in cnet.pre[t].items():
-        if not _has_tokens(marking, p, ins.tokens(binding.m, binding.j, demand)):
+        if not _has_tokens(marking, p,
+                           ins.tokens(binding.m, binding.j, universe)):
             return False
     return True
 
@@ -197,14 +217,14 @@ def colored_fire(cnet, marking, t, binding):
     """Fire t under binding: remove instantiated inputs, add outputs."""
     if not binding_enabled(cnet, marking, t, binding):
         raise NotFireable((t, binding))
-    demand = cnet.universe.demand
+    universe = cnet.universe
     out = {p: list(toks) for p, toks in marking.items()}
     for p, ins in cnet.pre[t].items():
-        for tok in ins.tokens(binding.m, binding.j, demand):
+        for tok in ins.tokens(binding.m, binding.j, universe):
             out[p].remove(tok)
     for p, ins in cnet.post[t].items():
         toks = out.setdefault(p, [])
-        toks.extend(ins.tokens(binding.m, binding.j, demand))
+        toks.extend(ins.tokens(binding.m, binding.j, universe))
     return {p: tuple(sorted(toks)) for p, toks in out.items()}
 
 
@@ -214,43 +234,43 @@ def token_name(tok):
     return str(tok)
 
 
-def unfold(cnet, universe=None):
-    """Expand over the (finite) universe into a plain timed net.
+def unfold(cnet):
+    """Expand over the net's (finite) universe into a plain timed net.
 
-    Each colored place becomes one place per color of its sort; each
-    transition becomes one copy per binding; P'(j) inscriptions become
-    integer arc weights.  Intervals carry over unchanged.
+    Each colored place becomes one place per color of its sort, and each
+    transition one copy per binding, named ``base@J``, ``base@M`` or
+    ``base@(M,J)`` after the color or binding.  Per-job multiplicities
+    become integer arc weights, and an arc of multiplicity 0 disappears.
+    Intervals carry over unchanged.
     """
-    if universe is None:
-        universe = cnet.universe
-    net = Net(f"{cnet.name}-unfolded")
+    universe = cnet.universe
+    net = Net(cnet.name)
     domains = {
-        JOB: list(universe.jobs),
-        MACHINE: list(universe.machines),
+        JOB: universe.jobs,
+        MACHINE: universe.machines,
         PAIR: [(m, j) for m in universe.machines for j in universe.jobs],
     }
     place_of = {}               # (colored place, token) -> plain place
     for p in cnet.places:
         initial = Counter(cnet.initial.get(p, ()))
         for tok in domains[cnet.sort[p]]:
-            name = f"{p}.{token_name(tok)}"
-            place_of[(p, tok)] = name
+            name = place_of[p, tok] = f"{p}@{token_name(tok)}"
             net.add_place(name, tokens=initial[tok])
-    demand = universe.demand
     for t in cnet.transitions:
+        sides = (cnet.pre[t].items(), cnet.post[t].items())
         for b in cnet.bindings_of(t):
-            pre = Counter()
-            post = Counter()
-            for arcs, acc in ((cnet.pre[t], pre), (cnet.post[t], post)):
-                for p, ins in arcs.items():
-                    for tok in ins.tokens(b.m, b.j, demand):
-                        acc[place_of[(p, tok)]] += 1
-            if b.m is not None and b.j is not None:
-                name = f"{t}.{token_name((b.m, b.j))}"
-            elif b.m is not None or b.j is not None:
-                name = f"{t}.{b.m if b.m is not None else b.j}"
-            else:
+            arcs = ({}, {})
+            for side, weights in zip(sides, arcs):
+                for p, ins in side:
+                    for tok in ins.tokens(b.m, b.j, universe):
+                        q = place_of[p, tok]
+                        weights[q] = weights.get(q, 0) + 1
+            if b.m is None and b.j is None:
                 name = t
-            net.add_transition(name, pre=dict(pre), post=dict(post),
+            elif b.m is None or b.j is None:
+                name = f"{t}@{b.j if b.m is None else b.m}"
+            else:
+                name = f"{t}@{token_name(b)}"
+            net.add_transition(name, pre=arcs[0], post=arcs[1],
                                interval=cnet.interval[t])
     return net

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalog import DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams
+from .catalog import DEFAULT_TIMEOUT, WAIT, CatalogParams
 from .simulator import SimConfig
 
 
@@ -77,30 +77,13 @@ class Scenario:
         )
 
     def validate(self):
-        errors = []
-        if self.machines < 1:
-            errors.append("machines must be >= 1")
-        if not self.jobs:
-            errors.append("at least one job is required")
-        seen = set()
+        errors = self.params().validate()
         names = set(self.machine_names())
-        for j in self.jobs:
-            if j.name in seen:
-                errors.append("duplicate job %s" % j.name)
-            seen.add(j.name)
-            if j.name in names:
-                errors.append("job id %s collides with a machine id" % j.name)
-            if j.demand < 1:
-                errors.append("job %s: demand must be >= 1" % j.name)
-            if j.semantics not in (FAIL, WAIT):
-                errors.append("job %s: semantics must be fail or wait" % j.name)
         for m, t in self.crashes:
             if m not in names:
                 errors.append("unknown machine %s in crash" % m)
             if t < 0:
                 errors.append("crash time must be >= 0")
-        if self.timeout is not None and self.timeout < 1:
-            errors.append("timeout must be >= 1 or off")
         for label, v in (("bus-latency", self.bus_latency),
                          ("msg-latency", self.msg_latency),
                          ("job-duration", self.job_duration)):

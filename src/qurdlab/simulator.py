@@ -292,14 +292,11 @@ class Simulation:
         self.seq = 0
         self.heap = []
         self.trace = []
+        issues = params.validate()
+        if issues:
+            raise InvalidScenario("; ".join(issues))
         machines = params.machines()
         jobs = params.jobs()
-        if len(set(jobs)) != len(jobs):
-            raise InvalidScenario("duplicate job ids")
-        overlap = set(jobs) & set(machines)
-        if overlap:
-            raise InvalidScenario(
-                f"job ids collide with machine ids: {sorted(overlap)}")
         self.daemons = {m: Daemon(self, m) for m in machines}
         self.launchers = {}
         for i, (j, d) in enumerate(zip(jobs, params.job_demands)):
@@ -508,7 +505,4 @@ def run(params, config=None):
     fixed (params, config)."""
     if config is None:
         config = SimConfig()
-    issues = params.validate()
-    if issues:
-        raise InvalidScenario("; ".join(issues))
     return Simulation(params, config).run()

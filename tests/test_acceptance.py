@@ -17,11 +17,10 @@ from qurdlab.analysis import (check_invariant, check_invariant_vector,
                               check_reachable, completion_skip, explore,
                               explore_colored, explore_markings,
                               find_deadlocks, pending_deadlocks)
-from qurdlab.catalog import (CatalogParams, build_colored, build_full,
-                             build_net, jname, mname, split_pair,
-                             universe_for)
+from qurdlab.catalog import (PAIR_BASES, STATE_BASES, CatalogParams,
+                             build_colored, build_net, jname,
+                             machine_weights, universe_for)
 from qurdlab.cli import main as cli_main
-from qurdlab.colored import unfold
 from qurdlab.conformance import DEFAULT_MAPPING, EventMap, fuzz_conformance
 from qurdlab.scenario import parse_scenario
 from qurdlab.simulator import run
@@ -42,29 +41,9 @@ bus-latency 0
 msg-latency 0
 """
 
-PAIR_BASES = ("reserved", "running", "finished")
-STATE_BASES = PAIR_BASES + ("available", "dead", "not_available")
-PAIR_PREFIXES = ("reserved@(", "running@(", "finished@(")
-
-
 def report(capsys, line):
     with capsys.disabled():
         print(f"[acceptance] {line}")
-
-
-def pair_weights(net, m):
-    """1-weights on the reserved/running/finished places of machine m."""
-    return {p: 1 for p in net.places
-            if p.startswith(PAIR_PREFIXES) and split_pair(p)[1] == m}
-
-
-def state_weights(net, m):
-    w = pair_weights(net, m)
-    for base in ("available", "dead", "not_available"):
-        p = mname(base, m)
-        if p in net.places:
-            w[p] = 1
-    return w
 
 
 def colored_load(cm, m, bases):
@@ -74,15 +53,6 @@ def colored_load(cm, m, bases):
         for tok in cm.get(base, ()):
             if tok == m or (isinstance(tok, tuple) and tok[0] == m):
                 total += 1
-    return total
-
-
-def unfolded_load(marking, m, bases):
-    total = 0
-    for p, n in marking.items():
-        base, _, tok = p.partition(".")
-        if base in bases and (tok == m or tok.startswith(f"({m},")):
-            total += n
     return total
 
 
@@ -129,14 +99,14 @@ def test_3_completion_tracks_demand(capsys):
     sizes = []
     for n in (1, 2, 3, 4):
         params = CatalogParams(machine_count=4, job_demands=[n])
-        g = explore_markings(build_full(params))
+        g = explore_markings(build_net(params))
         v = check_reachable(
             g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1)
         assert v.holds, f"demand {n} of 4 machines should complete"
         sizes.append(g.n_states)
     params = CatalogParams(machine_count=4, job_demands=[5],
                            semantics=["fail"])
-    g = explore_markings(build_full(params))
+    g = explore_markings(build_net(params))
     v = check_reachable(g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1)
     assert not v.holds, "demand 5 of 4 machines must never complete"
     report(capsys,
@@ -156,9 +126,10 @@ def test_4_safety_invariants_hold_everywhere(capsys):
         net = build_net(params)
         g = explore_markings(net)
         for m in universe_for(params).machines:
-            mutex = check_invariant_vector(g, pair_weights(net, m), 0, 1,
-                                           name=f"mutex {m}")
-            state = check_invariant_vector(g, state_weights(net, m), 1, 1,
+            mutex = check_invariant_vector(
+                g, machine_weights(net, m, PAIR_BASES), 0, 1,
+                name=f"mutex {m}")
+            state = check_invariant_vector(g, machine_weights(net, m), 1, 1,
                                            name=f"one-state {m}")
             assert mutex.holds, (mc, demands, fd, zc, m)
             assert state.holds, (mc, demands, fd, zc, m)
@@ -194,8 +165,9 @@ def test_6_colored_and_unfolded_agree(capsys):
             params = CatalogParams(machine_count=mc, job_demands=demands,
                                    timeout=timeout)
             cnet = build_colored(universe_for(params), params)
+            net = build_net(params)
             gc = explore_colored(cnet)
-            gu = explore_markings(unfold(cnet))
+            gu = explore_markings(net)
             assert gc.n_states == gu.n_states
             if timeout == 3:
                 assert gc.n_states == expected
@@ -203,18 +175,18 @@ def test_6_colored_and_unfolded_agree(capsys):
             assert len(pending_deadlocks(gc)) == len(pending_deadlocks(gu))
             done_c = check_reachable(gc, lambda cm: all(
                 j in cm.get("job_done", ()) for j in jobs))
-            done_u = check_reachable(gu, lambda mk: all(
-                mk.get(f"job_done.{j}", 0) >= 1 for j in jobs))
+            done_u = check_reachable(gu, {jname("job_done", j): 1
+                                          for j in jobs})
             assert done_c.holds == done_u.holds
             for m in cnet.universe.machines:
                 mu_c = check_invariant(gc, lambda cm, m=m:
                                        colored_load(cm, m, PAIR_BASES) <= 1)
-                mu_u = check_invariant(gu, lambda mk, m=m:
-                                       unfolded_load(mk, m, PAIR_BASES) <= 1)
+                mu_u = check_invariant_vector(
+                    gu, machine_weights(net, m, PAIR_BASES), 0, 1)
                 st_c = check_invariant(gc, lambda cm, m=m:
                                        colored_load(cm, m, STATE_BASES) == 1)
-                st_u = check_invariant(gu, lambda mk, m=m:
-                                       unfolded_load(mk, m, STATE_BASES) == 1)
+                st_u = check_invariant_vector(gu, machine_weights(net, m),
+                                              1, 1)
                 assert mu_c.holds and mu_u.holds
                 assert st_c.holds and st_u.holds
             checked += 1
@@ -263,7 +235,7 @@ def test_8_everything_is_deterministic(capsys):
             g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1,
             name="J1 done")]
         for m in universe_for(params).machines:
-            w = pair_weights(net, m)
+            w = machine_weights(net, m, PAIR_BASES)
             out.append(check_invariant(
                 g, lambda mk, w=w: sum(mk.get(p, 0) * x
                                        for p, x in w.items()) <= 1,

@@ -20,14 +20,13 @@ from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
                               explore_markings, find_deadlocks,
                               pending_deadlocks, replay_labels,
                               timed_witness)
-from qurdlab.catalog import (CatalogParams, build_client_net, build_colored,
-                             build_full, build_machine, build_net,
-                             build_two_clients, universe_for)
+from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
+                             build_net, universe_for)
 from qurdlab.tpn import Net
 
 
 def contention(timeout):
-    return build_two_clients(CatalogParams(
+    return build_net(CatalogParams(
         machine_count=3, job_demands=[3, 2], timeout=timeout))
 
 
@@ -41,7 +40,7 @@ def test_machine_alone_one_state():
 
 def test_client_graph_closed_and_done_reachable():
     p = CatalogParams(machine_count=1, job_demands=[1], timeout=None)
-    g = explore(build_client_net(p))
+    g = explore(build_net(p))
     assert not g.truncated
     assert any(g.marking(i).get("job_done@J1", 0) == 1
                for i in range(g.n_states))
@@ -49,7 +48,7 @@ def test_client_graph_closed_and_done_reachable():
 
 def test_bound_truncates():
     p = CatalogParams(machine_count=1, job_demands=[1], timeout=None)
-    g = explore(build_client_net(p), bound=1)
+    g = explore(build_net(p), bound=1)
     assert g.truncated
 
 
@@ -311,7 +310,7 @@ def test_truncated_graph_refuses_checks():
 
 def test_mutex_single_machine_two_jobs():
     p = CatalogParams(machine_count=1, job_demands=[1, 1], timeout=None)
-    g = explore_markings(build_two_clients(p))
+    g = explore_markings(build_net(p))
     pairs = [q for q in g.net.places
              if q.startswith(("reserved@(", "running@(", "finished@("))]
     v = check_invariant(g, lambda m: sum(m.get(q, 0) for q in pairs) <= 1,
@@ -336,7 +335,7 @@ def test_machine_invariant_on_reachable_states():
 
 def test_invariant_violation_witness_replays():
     p = CatalogParams(machine_count=1, job_demands=[1])
-    net = build_client_net(p)
+    net = build_net(p)
     g = explore_markings(net)
     v = check_invariant(g, lambda m: m.get("answered@J1", 0) < 1)
     assert not v.holds
@@ -348,7 +347,7 @@ def test_invariant_violation_witness_replays():
 # -- reachability -------------------------------------------------------------------
 
 def test_full_demand_met_reachable():
-    g = explore_markings(build_full())
+    g = explore_markings(build_net(CatalogParams()))
     v = check_reachable(g, lambda m: m.get("job_done@J1", 0) >= 1)
     assert v.holds
     end = replay_labels(g.net, v.witness)
@@ -413,7 +412,7 @@ def test_p_invariant_machine_vector():
 
 
 def test_p_invariant_rejects_growing_sum():
-    net = build_client_net(CatalogParams(machine_count=1, job_demands=[1]))
+    net = build_net(CatalogParams(machine_count=1, job_demands=[1]))
     assert not check_p_invariant(net, {"answered@J1": 1})
 
 
@@ -444,10 +443,8 @@ def test_path_labels_replay_everywhere():
 
 def test_colored_counts_match_unfolded():
     p = CatalogParams(machine_count=2, job_demands=[1, 1])
-    cnet = build_colored(universe_for(p), p)
-    from qurdlab.colored import unfold
-    gc = explore_colored(cnet)
-    gu = explore_markings(unfold(cnet))
+    gc = explore_colored(build_colored(universe_for(p), p))
+    gu = explore_markings(build_net(p))
     assert gc.n_states == gu.n_states
     assert len(gc.dead) == len(gu.dead)
 

@@ -1,16 +1,14 @@
 """Builder shapes and the behaviors the composed nets must exhibit."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from qurdlab.analysis import explore_markings
-from qurdlab.catalog import (CatalogParams, add_failure_detector,
-                             add_zeroconf, build_client_net, build_colored,
-                             build_full, build_machine, build_net,
-                             build_two_clients, jname, mname, pname,
+from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
+                             build_net, jname, machine_weights, mname, pname,
                              split_pair, universe_for)
-from qurdlab.colored import unfold
 
 
 def fire_seq(net, marking, transitions):
@@ -28,6 +26,42 @@ def test_params_validate():
     assert CatalogParams(job_demands=[0]).validate()
     assert CatalogParams(timeout=0).validate()
     assert CatalogParams(semantics="sometimes").validate()
+
+
+def rejected(p, message):
+    """validate() names the problem, and build_net refuses the params."""
+    assert any(message in issue for issue in p.validate()), p.validate()
+    with pytest.raises(ValueError, match=message):
+        build_net(p)
+
+
+def test_params_reject_duplicate_job_ids():
+    rejected(CatalogParams(machine_count=2, job_demands=[1, 1],
+                           job_ids=["J1", "J1"]), "duplicate job J1")
+
+
+def test_params_reject_duplicate_machine_ids():
+    rejected(CatalogParams(machine_count=2, job_demands=[1],
+                           machine_ids=["M1", "M1"]), "duplicate machine M1")
+
+
+def test_params_reject_id_count_mismatch():
+    rejected(CatalogParams(machine_count=2, job_demands=[1, 1],
+                           job_ids=["J1"]), "1 job ids for 2 jobs")
+    rejected(CatalogParams(machine_count=3, job_demands=[1],
+                           machine_ids=["M1", "M2"]),
+             "2 machine ids for 3 machines")
+
+
+def test_params_reject_short_semantics_list():
+    rejected(CatalogParams(machine_count=2, job_demands=[1, 1],
+                           semantics=["wait"]), "1 semantics for 2 jobs")
+
+
+def test_params_reject_job_id_equal_to_machine_id():
+    rejected(CatalogParams(machine_count=2, job_demands=[1],
+                           job_ids=["M2"]),
+             "job id M2 collides with a machine id")
 
 
 def test_params_per_job_semantics():
@@ -78,29 +112,24 @@ def test_machine_alone_is_inert():
 
 def test_client_launch_needs_all_answers():
     p = CatalogParams(machine_count=4, job_demands=[4])
-    net = build_client_net(p)
+    net = build_net(p)
     assert net.pre["launch@J1"] == {"answered@J1": 4}
     assert net.post["launch@J1"] == {"launching_job@J1": 4}
 
 
 def test_client_happy_sequence_marks_job_done():
     p = CatalogParams(machine_count=1, job_demands=[1])
-    net = build_client_net(p)
+    net = build_net(p)
     m = fire_seq(net, dict(net.initial),
                  ["start_job@J1", "t1@(M1,J1)", "launch@J1", "t2@(M1,J1)",
                   "t3@(M1,J1)", "t4@(M1,J1)", "t5@J1"])
     assert m["job_done@J1"] == 1
 
 
-def test_client_rejects_multiple_jobs():
-    with pytest.raises(ValueError):
-        build_client_net(CatalogParams(job_demands=[1, 1]))
-
-
 def test_undersupplied_launch_never_fires():
     # demand 2 against a single machine: only one answer can ever exist
     p = CatalogParams(machine_count=1, job_demands=[2], timeout=None)
-    g = explore_markings(build_client_net(p))
+    g = explore_markings(build_net(p))
     launches = [i for i in range(g.n_states)
                 if g.marking(i).get("answered@J1", 0) >= 2]
     assert launches == []
@@ -110,7 +139,7 @@ def test_undersupplied_launch_never_fires():
 
 def test_second_reservation_locked_out():
     p = CatalogParams(machine_count=1, job_demands=[1, 1], timeout=None)
-    net = build_two_clients(p)
+    net = build_net(p)
     m = fire_seq(net, dict(net.initial),
                  ["start_job@J1", "start_job@J2", "t1@(M1,J1)"])
     assert "t1@(M1,J2)" not in net.enabled(m)
@@ -118,7 +147,7 @@ def test_second_reservation_locked_out():
 
 def test_contention_split_reachable_and_dead():
     p = CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None)
-    g = explore_markings(build_two_clients(p))
+    g = explore_markings(build_net(p))
     hit = [i for i in g.dead_ids()
            if g.marking(i).get("answered@J1", 0) == 2
            and g.marking(i).get("answered@J2", 0) == 1]
@@ -127,7 +156,7 @@ def test_contention_split_reachable_and_dead():
 
 def test_timeout_unblocks_the_split():
     p = CatalogParams(machine_count=3, job_demands=[3, 2], timeout=3)
-    net = build_two_clients(p)
+    net = build_net(p)
     g = explore_markings(net)
     for i in range(g.n_states):
         m = g.marking(i)
@@ -136,11 +165,6 @@ def test_timeout_unblocks_the_split():
             break
     else:
         pytest.fail("split marking not reachable")
-
-
-def test_two_clients_needs_two_jobs():
-    with pytest.raises(ValueError):
-        build_two_clients(CatalogParams(job_demands=[1]))
 
 
 # -- zeroconf ----------------------------------------------------------------------
@@ -160,12 +184,6 @@ def test_publish_unpublish_roundtrip():
     m0 = dict(net.initial)
     m = fire_seq(net, m0, ["unpublish@M1", "publish@M1"])
     assert m == m0
-
-
-def test_add_zeroconf_on_plain_machine():
-    net = add_zeroconf(build_machine())
-    assert "not_available" in net.places
-    assert "publish" in net.transitions
 
 
 # -- failure detector ---------------------------------------------------------------
@@ -263,23 +281,17 @@ def test_machine_state_p_invariant_structural():
     for p in catalog_configs():
         net = build_net(p)
         for m in p.machines():
-            weights = {q: 1 for q in net.places
-                       if q in (mname("available", m), mname("dead", m),
-                                mname("not_available", m))
-                       or (q.startswith(("reserved@(", "running@(",
-                                         "finished@("))
-                           and split_pair(q)[1] == m)}
-            assert check_p_invariant(net, weights), (p, m)
+            assert check_p_invariant(net, machine_weights(net, m)), (p, m)
 
 
-def _job_weights(net, j, demand, sep):
+def _job_weights(net, j, demand):
     # each unit of demand is either still sought (get_nodes), held as a
     # pair, parked with the detector, or banked in job_finished; begin
     # and job_done stand for all `demand` units at once.  answered and
     # launching_job are bookkeeping copies and carry weight 0.
     w = {}
     for q in net.places:
-        base, _, tok = q.partition(sep)
+        base, _, tok = q.partition("@")
         if tok == j and base in ("get_nodes", "job_finished",
                                  "failure_detector"):
             w[q] = 1
@@ -295,10 +307,8 @@ def test_job_demand_weighted_conservation():
     from qurdlab.analysis import check_p_invariant
     for p in catalog_configs():
         net = build_net(p)
-        un = unfold(build_colored(universe_for(p), p))
-        for j, n in zip(universe_for(p).jobs, p.job_demands):
-            assert check_p_invariant(net, _job_weights(net, j, n, "@")), (p, j)
-            assert check_p_invariant(un, _job_weights(un, j, n, ".")), (p, j)
+        for j, n in zip(p.jobs(), p.job_demands):
+            assert check_p_invariant(net, _job_weights(net, j, n)), (p, j)
 
 
 def test_job_conservation_needs_the_weights():
@@ -307,7 +317,7 @@ def test_job_conservation_needs_the_weights():
     from qurdlab.analysis import check_p_invariant
     p = CatalogParams(machine_count=2, job_demands=[2])
     net = build_net(p)
-    naive = _job_weights(net, "J1", 2, "@")
+    naive = _job_weights(net, "J1", 2)
     naive[jname("answered", "J1")] = 1
     assert not check_p_invariant(net, naive)
 
@@ -321,6 +331,44 @@ def test_colored_initial_marking_pins():
 
 
 def test_full_defaults():
-    net = build_full()
+    net = build_net(CatalogParams())
     assert "begin@J1" in net.places
     assert sum(1 for p in net.places if p.startswith("available@")) == 4
+
+
+# -- pinned structure -----------------------------------------------------------------
+
+def net_text(net):
+    """Order-free text of a net: places with their initial tokens, then
+    transitions with their pre-set, post-set and interval."""
+    lines = sorted("place %s %d" % (p, net.initial.get(p, 0))
+                   for p in net.places)
+    lines += sorted("transition %s pre %s post %s interval %s"
+                    % (t, sorted(net.pre[t].items()),
+                       sorted(net.post[t].items()), net.interval[t])
+                    for t in net.transitions)
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of net_text over every acceptance-test-4 configuration crossed
+# with wait, fail and mixed semantics and timeout off and 3; a change to
+# the model's places, arcs or intervals changes it
+NET_STRUCTURE_SHA256 = \
+    "57250fdadc3fd5963dc028256a5185241d556e51b87387735cd23a0422106d7e"
+
+
+def test_net_structure_pinned():
+    digest = hashlib.sha256()
+    for mc, demands, fd, zc, sem, timeout in itertools.product(
+            (1, 2, 3), ([1], [2], [3], [1, 1], [2, 1], [2, 2], [3, 1],
+                        [3, 2], [3, 3]),
+            (False, True), (False, True), ("wait", "fail", "mixed"),
+            (None, 3)):
+        semantics = sem if sem != "mixed" else \
+            [("wait", "fail")[i % 2] for i in range(len(demands))]
+        p = CatalogParams(machine_count=mc, job_demands=demands,
+                          semantics=semantics, timeout=timeout,
+                          failure_detector=fd, zeroconf=zc)
+        digest.update(repr((mc, demands, fd, zc, sem, timeout)).encode())
+        digest.update(net_text(build_net(p)).encode())
+    assert digest.hexdigest() == NET_STRUCTURE_SHA256

@@ -6,7 +6,7 @@ import pytest
 
 from qurdlab import cli
 from qurdlab.analysis import explore_markings, replay_labels
-from qurdlab.catalog import CatalogParams, build_net, build_two_clients
+from qurdlab.catalog import CatalogParams, build_net
 from qurdlab.cli import main
 from qurdlab.conformance import parse_trace
 from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
@@ -190,7 +190,7 @@ def test_reach_dot_edges_fire():
     every enabled transition of every state has its edge."""
     edge = re.compile(r'^  s(\d+) -> s(\d+) \[label="(.*)"\];$')
     for timeout, count in ((None, 1849), (3, 2089)):
-        net = build_two_clients(CatalogParams(
+        net = build_net(CatalogParams(
             machine_count=3, job_demands=[3, 2], timeout=timeout))
         g = explore_markings(net)
         edges = [edge.match(line).groups()

@@ -31,6 +31,8 @@ def test_universe_validate():
     assert universe(["m1", "m1"], ["j1"], {"j1": 1}).validate()
     assert universe(["m1"], ["j1"], {}).validate()
     assert universe(["m1"], ["j1"], {"j1": 0}).validate()
+    assert ColorUniverse(["m1"], ["j1"], {"j1": 1},
+                         {"j1": "later"}).validate()
 
 
 def test_sort_mismatch_is_reported():
@@ -59,12 +61,14 @@ def test_initial_token_sort_checked():
 # -- inscriptions and bindings ------------------------------------------------
 
 def test_inscription_tokens():
-    demand = {"j1": 3}
-    assert Inscription("m").tokens("m1", "j1", demand) == ["m1"]
-    assert Inscription("j").tokens("m1", "j1", demand) == ["j1"]
-    assert Inscription("j", per_demand=True).tokens("m1", "j1", demand) == \
+    u = ColorUniverse(["m1"], ["j1", "j2"], {"j1": 3, "j2": 1}, {"j2": "fail"})
+    assert Inscription("m").tokens("m1", "j1", u) == ["m1"]
+    assert Inscription("j").tokens("m1", "j1", u) == ["j1"]
+    assert Inscription("j", per_demand=True).tokens("m1", "j1", u) == \
         ["j1", "j1", "j1"]
-    assert Inscription("mj").tokens("m1", "j1", demand) == [("m1", "j1")]
+    assert Inscription("j", per_wait=True).tokens("m1", "j1", u) == ["j1"]
+    assert Inscription("j", per_wait=True).tokens("m1", "j2", u) == []
+    assert Inscription("mj").tokens("m1", "j1", u) == [("m1", "j1")]
 
 
 def test_binding_order_is_lexicographic():
@@ -168,11 +172,11 @@ def test_token_name():
 def test_unfold_place_and_transition_inventory():
     cnet = build_colored(tiny_universe())
     net = unfold(cnet)
-    assert "available.m1" in net.places
-    assert "reserved.(m1,j1)" in net.places
+    assert "available@m1" in net.places
+    assert "reserved@(m1,j1)" in net.places
     # one copy per binding
-    assert "t1.(m1,j1)" in net.transitions
-    assert "start_job.j1" in net.transitions
+    assert "t1@(m1,j1)" in net.transitions
+    assert "start_job@j1" in net.transitions
     n_bindings = sum(len(cnet.bindings_of(t)) for t in cnet.transitions)
     assert len(net.transitions) == n_bindings
 
@@ -180,54 +184,55 @@ def test_unfold_place_and_transition_inventory():
 def test_unfold_two_machines_t1_twice():
     cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 1}))
     net = unfold(cnet)
-    copies = [t for t in net.transitions if t.startswith("t1.")]
-    assert sorted(copies) == ["t1.(m1,j1)", "t1.(m2,j1)"]
+    copies = [t for t in net.transitions if t.startswith("t1@")]
+    assert sorted(copies) == ["t1@(m1,j1)", "t1@(m2,j1)"]
 
 
 def test_unfold_no_jobs():
     cnet = build_colored(universe(["m1", "m2"], [], {}))
     net = unfold(cnet)
-    assert [p for p in net.places if p.startswith("available.")] == \
-        ["available.m1", "available.m2"]
+    assert [p for p in net.places if p.startswith("available@")] == \
+        ["available@m1", "available@m2"]
     assert all("j" not in t for t in net.transitions)
 
 
 def test_unfold_demand_becomes_weight():
     cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 2}))
     net = unfold(cnet)
-    assert net.post["start_job.j1"] == {"get_nodes.j1": 2}
-    assert net.pre["launch.j1"] == {"answered.j1": 2}
-    assert net.pre["t5.j1"] == {"job_finished.j1": 2}
+    assert net.post["start_job@j1"] == {"get_nodes@j1": 2}
+    assert net.pre["launch@j1"] == {"answered@j1": 2}
+    assert net.pre["t5@j1"] == {"job_finished@j1": 2}
 
 
 def test_unfold_inherits_intervals():
     cnet = build_colored(tiny_universe())
     net = unfold(cnet)
-    assert net.interval["cancel.(m1,j1)"] == (3, None)
-    assert net.interval["t1.(m1,j1)"] == (0, None)
+    assert net.interval["cancel@(m1,j1)"] == (3, None)
+    assert net.interval["t1@(m1,j1)"] == (0, None)
 
 
 def test_unfold_initial_marking():
     cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 1}))
     net = unfold(cnet)
-    assert net.initial == {"available.m1": 1, "available.m2": 1,
-                           "begin.j1": 1}
+    assert net.initial == {"available@m1": 1, "available@m2": 1,
+                           "begin@j1": 1}
 
 
 def _renamed(colored_marking):
     out = {}
     for p, toks in colored_marking.items():
         for tok in toks:
-            key = f"{p}.{token_name(tok)}"
+            key = f"{p}@{token_name(tok)}"
             out[key] = out.get(key, 0) + 1
     return out
 
 
 def test_unfold_random_walk_bisimulation():
-    """Colored firing sequences replay on the unfolded net step for step."""
+    """Colored firing sequences replay on the unfolded net step for step,
+    with a wait job and a fail job."""
     rng = random.Random(11)
-    cnet = build_colored(universe(["m1", "m2"], ["j1", "j2"],
-                                  {"j1": 2, "j2": 1}))
+    cnet = build_colored(ColorUniverse(["m1", "m2"], ["j1", "j2"],
+                                       {"j1": 2, "j2": 1}, {"j2": "fail"}))
     net = unfold(cnet)
     for _ in range(20):
         cm = cnet.initial_marking()
@@ -240,7 +245,7 @@ def test_unfold_random_walk_bisimulation():
             for t, b in fired:
                 suffix = token_name((b.m, b.j)) if b.m and b.j else \
                     token_name(b.m or b.j)
-                named.add(f"{t}.{suffix}")
+                named.add(f"{t}@{suffix}")
             assert named == plain
             if not fired:
                 break
@@ -248,5 +253,5 @@ def test_unfold_random_walk_bisimulation():
             cm = colored_fire(cnet, cm, t, b)
             suffix = token_name((b.m, b.j)) if b.m and b.j else \
                 token_name(b.m or b.j)
-            pm = net.fire_marking(pm, f"{t}.{suffix}")
+            pm = net.fire_marking(pm, f"{t}@{suffix}")
             assert _renamed(cm) == pm

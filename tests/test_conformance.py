@@ -74,6 +74,18 @@ def test_fail_release_maps_to_cancel_even_without_timeout():
     assert report.ok
 
 
+def test_mixed_semantics_fail_cancel_gives_up_the_request():
+    # J2 has fail semantics: once its reservation on M1 is canceled it may
+    # not ask M2, even though J1 (wait) would
+    p = CatalogParams(machine_count=2, job_demands=[1, 1],
+                      semantics=["wait", "fail"], timeout=3)
+    steps = [("start_job", Binding(None, "J2")), ("t1", Binding("M1", "J2")),
+             ("cancel", Binding("M1", "J2")), ("t1", Binding("M2", "J2"))]
+    report = replay(steps, conformance_net(p))
+    assert not report.ok
+    assert report.index == 3
+
+
 def test_conformance_net_grows_detector_for_crashes():
     p = CatalogParams(machine_count=2, job_demands=[1])
     assert "crash" not in conformance_net(p).transitions

@@ -7,7 +7,7 @@ internals, because the trace is the module's actual contract.
 import pytest
 
 from qurdlab.catalog import CatalogParams
-from qurdlab.simulator import InvalidScenario, SimConfig, run
+from qurdlab.simulator import InvalidScenario, SimConfig, Simulation, run
 
 
 def events(result, kind, machine=None, job=None):
@@ -222,3 +222,11 @@ def test_invalid_scenarios_rejected():
                           job_ids=["J1", "J1"]))
     with pytest.raises(InvalidScenario):
         run(CatalogParams(machine_count=0, job_demands=[1]))
+
+
+def test_simulation_checks_params():
+    # a semantics list shorter than the jobs is refused up front instead of
+    # failing with an IndexError while the launchers are set up
+    p = CatalogParams(machine_count=2, job_demands=[1, 1], semantics=["wait"])
+    with pytest.raises(InvalidScenario, match="1 semantics for 2 jobs"):
+        Simulation(p, SimConfig())
