@@ -1,16 +1,19 @@
 """Reachability-graph construction and property checks.
 
-Two explorers are provided.  ``explore`` builds the timed reachability
-graph over TimedState (clock vectors included), exactly as the semantics
-defines it.  ``explore_markings`` is an untimed breadth-first closure over
-markings only, vectorized with numpy; it refuses nets with a finite lfd,
-because dropping clocks is faithful exactly when no upper bound can force
-a firing: with every lfd unbounded, any untimed firing sequence can be
-realized in the timed net by waiting, so the reachable marking sets
-coincide and a marking is dead iff every timed state over it is
-timed-dead.  The catalog nets only ever bound `cancel` from below, so all
-scenario analyses can use the fast explorer; the equivalence is checked
-empirically in the test suite.
+Three explorers build two graph classes.  ``explore`` builds the timed
+reachability graph over TimedState (clock vectors included), exactly as
+the semantics defines it, and ``explore_colored`` the untimed graph of a
+colored net; both are one dict-keyed BFS (``_closure``) into a
+``ReachGraph``.  ``explore_markings`` is an untimed breadth-first closure
+over markings only, vectorized with numpy, into a ``MarkingGraph``.  The
+two untimed explorers refuse nets with a finite lfd, because dropping
+clocks is faithful exactly when no upper bound can force a firing: with
+every lfd unbounded, any untimed firing sequence can be realized in the
+timed net by waiting, so the reachable marking sets coincide and a
+marking is dead iff every timed state over it is timed-dead.  The catalog
+nets only ever bound `cancel` from below, so all scenario analyses can
+use the fast explorer; the equivalence is checked empirically in the test
+suite.
 
 ``explore_markings`` works a whole BFS level at a time.  Every marking
 has a 64-bit key, ``counts . R mod 2**64`` for a fixed vector R of odd
@@ -36,10 +39,12 @@ state: witnesses from marking-level exploration are converted to timed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import colored as cpn
+from .tpn import TimedState
 
 DEFAULT_BOUND = 2_000_000
 
@@ -62,20 +67,22 @@ class Verdict:
 
 
 class ReachGraph:
-    """Deduplicated timed states with labeled successor edges."""
+    """Deduplicated states with labeled successor edges and BFS tree parents.
 
-    def __init__(self, net, bound):
+    ``explore`` fills it with TimedStates of a plain net and
+    ``explore_colored`` with the colored marking dicts of a colored net
+    (``net`` is then the ColoredNet); ``marking_of`` maps a state to its
+    marking.
+    """
+
+    def __init__(self, net, bound, marking_of):
         self.net = net
         self.bound = bound
+        self.marking_of = marking_of
         self.states = []
-        self.index = {}
-        self.edges = []          # per state id: list of ((d, t), succ id)
+        self.edges = []          # per state id: list of (label, succ id)
         self.parent = []         # per state id: (parent id, label) or None
         self.truncated = False
-
-    @property
-    def initial(self):
-        return self.states[0]
 
     @property
     def n_states(self):
@@ -85,13 +92,14 @@ class ReachGraph:
         return self.states[i]
 
     def marking(self, i):
-        return self.states[i].marking
+        return self.marking_of(self.states[i])
 
     def dead_ids(self):
         return [i for i, e in enumerate(self.edges) if not e]
 
     def path_labels(self, i):
-        """(delay, transition) labels along the BFS tree path to state i."""
+        """Labels along the BFS tree path to state i: (delay, transition)
+        in a timed graph, (transition, binding) in a colored one."""
         labels = []
         while self.parent[i] is not None:
             i, label = self.parent[i]
@@ -100,35 +108,56 @@ class ReachGraph:
         return labels
 
 
-def explore(net, bound=DEFAULT_BOUND, marking=None, cap=None):
-    """Breadth-first closure of timed successors, up to ``bound`` states."""
-    g = ReachGraph(net, bound)
-    s0 = net.initial_state(marking=marking, cap=cap)
+def _closure(g, s0, successors, key):
+    """Breadth-first closure of ``successors`` from ``s0`` into ``g``, up to
+    ``g.bound`` states; ``successors(s)`` yields ``(label, state)`` pairs
+    and states with equal ``key`` are one state."""
+    index = {key(s0): 0}
     g.states.append(s0)
-    g.index[s0] = 0
     g.edges.append([])
     g.parent.append(None)
     frontier = [0]
-    while frontier and not g.truncated:
+    while frontier:
         nxt = []
         for i in frontier:
-            for label, s in g.states[i].successors():
-                sid = g.index.get(s)
+            for label, s in successors(g.states[i]):
+                k = key(s)
+                sid = index.get(k)
                 if sid is None:
-                    if g.n_states >= bound:
+                    if len(g.states) >= g.bound:
                         g.truncated = True
-                        break
-                    sid = g.n_states
+                        return g
+                    sid = len(g.states)
+                    index[k] = sid
                     g.states.append(s)
-                    g.index[s] = sid
                     g.edges.append([])
                     g.parent.append((i, label))
                     nxt.append(sid)
                 g.edges[i].append((label, sid))
-            if g.truncated:
-                break
         frontier = nxt
     return g
+
+
+def _identity(s):
+    return s
+
+
+def explore(net, bound=DEFAULT_BOUND, cap=None):
+    """Breadth-first closure of timed successors, up to ``bound`` states.
+    ``cap`` caps every clock at one value instead of ``net.clock_caps()``."""
+    g = ReachGraph(net, bound, attrgetter("marking"))
+    # TimedState.successors is read at call time, so a wrapper installed on
+    # the class (by a profiler, say) sees every call
+    return _closure(g, net.initial_state(cap=cap), TimedState.successors,
+                    _identity)
+
+
+def _require_open_intervals(net):
+    """Untimed exploration is faithful only when no lfd is finite (see the
+    module docstring); refuse a plain or colored net with a finite one."""
+    if any(lfd is not None for _, lfd in net.interval.values()):
+        raise ValueError(
+            "net has a finite lfd; untimed exploration would be unsound")
 
 
 class MarkingGraph:
@@ -223,17 +252,14 @@ def _keys(rows, mult):
     return (rows.astype(np.uint64) * mult).sum(axis=1, dtype=np.uint64)
 
 
-def explore_markings(net, bound=DEFAULT_BOUND, marking=None, force=False):
+def explore_markings(net, bound=DEFAULT_BOUND):
     """Vectorized untimed BFS over markings (see module docstring).
 
-    Raises ValueError for nets with a finite lfd unless ``force`` is set,
-    since untimed closure is only faithful without firing deadlines, and
-    ExplorationError when a token count would leave the int16 range or
-    hash keys keep colliding.
+    Raises ValueError for nets with a finite lfd, since untimed closure is
+    only faithful without firing deadlines, and ExplorationError when a
+    token count would leave the int16 range or hash keys keep colliding.
     """
-    if not force and net.max_finite_lfd() is not None:
-        raise ValueError(
-            "net has a finite lfd; marking-level exploration would be unsound")
+    _require_open_intervals(net)
     _, pre, post, _, _ = net.compiled()
     n_places = len(net.places)
     deltas = np.zeros((len(net.transitions), n_places), dtype=np.int64)
@@ -242,7 +268,7 @@ def explore_markings(net, bound=DEFAULT_BOUND, marking=None, force=False):
             deltas[ti, p] -= w
         for p, w in post[ti]:
             deltas[ti, p] += w
-    row0 = np.array(net.marking_tuple(marking or net.initial), dtype=np.int64)
+    row0 = np.array(net.marking_tuple(net.initial), dtype=np.int64)
     if (np.abs(deltas) > INT16_MAX).any() or (row0 > INT16_MAX).any():
         raise ExplorationError("a token count or arc weight exceeds %d"
                                % INT16_MAX)
@@ -391,91 +417,33 @@ def _gather(blocks, starts, ids):
     return out
 
 
-class ColoredGraph:
-    """Reachable colored markings (untimed) with binding-labeled tree paths."""
-
-    def __init__(self, cnet, bound):
-        self.cnet = cnet
-        self.bound = bound
-        self.states = []         # colored marking dicts
-        self.index = {}          # canonical form -> id
-        self.parent = []         # (parent id, (transition, binding)) or None
-        self.dead = []
-        self.truncated = False
-
-    @property
-    def n_states(self):
-        return len(self.states)
-
-    def state(self, i):
-        return self.states[i]
-
-    def marking(self, i):
-        return self.states[i]
-
-    def dead_ids(self):
-        return list(self.dead)
-
-    def path_labels(self, i):
-        out = []
-        while self.parent[i] is not None:
-            i, label = self.parent[i]
-            out.append(label)
-        out.reverse()
-        return out
-
-
-def explore_colored(cnet, bound=DEFAULT_BOUND, force=False):
+def explore_colored(cnet, bound=DEFAULT_BOUND):
     """Untimed BFS over colored markings via colored_enabled/colored_fire.
 
     About 100 times slower than ``explore_markings`` on the unfolded net,
     which is what ``build_net`` returns; it is kept as the test oracle that
     ``unfold`` plus ``explore_markings`` are checked against.  Same
-    finite-lfd guard as explore_markings.
+    finite-lfd guard as explore_markings.  Edges are labeled
+    ``(transition, binding)``.
     """
-    if not force:
-        for efd, lfd in cnet.interval.values():
-            if lfd is not None:
-                raise ValueError("colored net has a finite lfd; "
-                                 "untimed exploration would be unsound")
-    g = ColoredGraph(cnet, bound)
-    m0 = cnet.initial_marking()
-    g.states.append(m0)
-    g.index[cpn.canonical(m0)] = 0
-    g.parent.append(None)
-    frontier = [0]
-    while frontier and not g.truncated:
-        nxt = []
-        for i in frontier:
-            fired = cpn.colored_enabled(cnet, g.states[i])
-            if not fired:
-                g.dead.append(i)
-                continue
-            for t, b in fired:
-                m = cpn.colored_fire(cnet, g.states[i], t, b)
-                key = cpn.canonical(m)
-                if key not in g.index:
-                    if g.n_states >= bound:
-                        g.truncated = True
-                        break
-                    g.index[key] = g.n_states
-                    g.states.append(m)
-                    g.parent.append((i, (t, b)))
-                    nxt.append(g.n_states - 1)
-            if g.truncated:
-                break
-        frontier = nxt
-    return g
+    _require_open_intervals(cnet)
+
+    def successors(m):
+        for t, b in cpn.colored_enabled(cnet, m):
+            yield (t, b), cpn.colored_fire(cnet, m, t, b)
+
+    return _closure(ReachGraph(cnet, bound, _identity),
+                    cnet.initial_marking(), successors, cpn.canonical)
 
 
 # -- witnesses ----------------------------------------------------------------
 
-def timed_witness(net, transitions, marking=None, cap=None):
+def timed_witness(net, transitions):
     """Lift an untimed firing sequence to (delay, transition) labels by
     waiting out each transition's remaining earliest firing delay.  Only
     valid when no finite lfd can block the wait, which the caller
     guarantees by having used marking-level exploration."""
-    state = net.initial_state(marking=marking, cap=cap)
+    state = net.initial_state()
     efd = net.compiled()[3]
     labels = []
     for t in transitions:
@@ -486,10 +454,10 @@ def timed_witness(net, transitions, marking=None, cap=None):
     return labels
 
 
-def replay_labels(net, labels, marking=None, cap=None):
+def replay_labels(net, labels):
     """Replay (delay, transition) labels from the initial state; returns the
     final TimedState.  Raises if any step is not fireable."""
-    state = net.initial_state(marking=marking, cap=cap)
+    state = net.initial_state()
     for d, t in labels:
         state = state.elapse(d).fire(t)
     return state
@@ -518,8 +486,8 @@ def find_deadlocks(g, skip=None):
 def completion_skip(g):
     """Predicate over markings of ``g``: every job's job_done is populated
     (the regular terminal of a run where every job completed)."""
-    if isinstance(g, ColoredGraph):
-        n_jobs = len(g.cnet.universe.jobs)
+    if isinstance(g.net, cpn.ColoredNet):
+        n_jobs = len(g.net.universe.jobs)
         return lambda cm: len(cm.get("job_done", ())) == n_jobs
     names = [p for p in g.net.places
              if p == "job_done" or p.startswith("job_done@")]

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .colored import (FAIL, JOB, MACHINE, PAIR, WAIT, ColoredNet,
-                      ColorUniverse, Inscription, unfold)
+                      ColorUniverse, Inscription, color_name, unfold)
 from .tpn import Net
 
 DEFAULT_TIMEOUT = 3
@@ -87,16 +87,10 @@ class CatalogParams:
         return issues
 
 
-def mname(base, m):
-    return f"{base}@{m}"
-
-
 def jname(base, j):
-    return f"{base}@{j}"
-
-
-def pname(base, m, j):
-    return f"{base}@({m},{j})"
+    """Name of the per-job place or transition ``base`` of job j in
+    ``build_net``'s unfolding."""
+    return color_name(base, j)
 
 
 PAIR_BASES = ("reserved", "running", "finished")
@@ -117,13 +111,6 @@ def machine_weights(net, m, bases=STATE_BASES):
         if base in bases and (color == m or color.startswith(f"({m},")):
             weights[p] = 1
     return weights
-
-
-def split_pair(name):
-    """Inverse of pname: 'running@(M1,J1)' -> ('running', 'M1', 'J1')."""
-    base, _, suffix = name.partition("@")
-    m, _, j = suffix.strip("()").partition(",")
-    return base, m, j
 
 
 def build_machine(timeout=DEFAULT_TIMEOUT):

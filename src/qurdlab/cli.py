@@ -20,12 +20,18 @@ import sys
 from dataclasses import dataclass, field
 
 from . import analysis, conformance, dot
-from .catalog import (PAIR_BASES, CatalogParams, build_machine, build_net,
-                      jname, machine_weights)
+from .catalog import (PAIR_BASES, STATE_BASES, CatalogParams, build_machine,
+                      build_net, jname, machine_weights)
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulator import run as run_sim
 
 PROPERTIES = ("deadlock", "mutex", "machine-invariant", "job-done-reachable")
+# per-machine weighted sums and their bounds: at most one job holds a
+# machine, and each machine is in exactly one state
+MACHINE_INVARIANTS = {
+    "mutex": (PAIR_BASES, 0, 1),
+    "machine-invariant": (STATE_BASES, 1, 1),
+}
 
 
 @dataclass
@@ -92,37 +98,19 @@ def cmd_analyze(args) -> Report:
                 report.exit_status = 1
             else:
                 report.add("deadlock: none")
-        elif prop == "mutex":
-            verdict = None
+        elif prop in MACHINE_INVARIANTS:
+            bases, lo, hi = MACHINE_INVARIANTS[prop]
             for m in machines:
                 v = analysis.check_invariant_vector(
-                    g, machine_weights(net, m, PAIR_BASES), 0, 1,
-                    name="mutex %s" % m)
+                    g, machine_weights(net, m, bases), lo, hi,
+                    name="%s %s" % (prop, m))
                 if not v.holds:
-                    verdict = v
+                    report.add("%s: VIOLATED (%s)" % (prop, v.property))
+                    witnesses.append((prop, v.witness, None))
+                    report.exit_status = 1
                     break
-            if verdict is None:
-                report.add("mutex: holds")
             else:
-                report.add("mutex: VIOLATED (%s)" % verdict.property)
-                witnesses.append(("mutex", verdict.witness, None))
-                report.exit_status = 1
-        elif prop == "machine-invariant":
-            verdict = None
-            for m in machines:
-                v = analysis.check_invariant_vector(
-                    g, machine_weights(net, m), 1, 1,
-                    name="machine-invariant %s" % m)
-                if not v.holds:
-                    verdict = v
-                    break
-            if verdict is None:
-                report.add("machine-invariant: holds")
-            else:
-                report.add("machine-invariant: VIOLATED (%s)"
-                           % verdict.property)
-                witnesses.append(("machine-invariant", verdict.witness, None))
-                report.exit_status = 1
+                report.add("%s: holds" % prop)
         elif prop == "job-done-reachable":
             done = {jname("job_done", j.name): 1 for j in sc.jobs}
             v = analysis.check_reachable(g, done, name="job-done-reachable")

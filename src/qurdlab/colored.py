@@ -234,6 +234,13 @@ def token_name(tok):
     return str(tok)
 
 
+def color_name(base, color):
+    """Unfolded name of place or transition ``base`` at a color (a token or
+    a binding's machine, job or pair): ``base@J``, ``base@M``,
+    ``base@(M,J)``."""
+    return f"{base}@{token_name(color)}"
+
+
 def unfold(cnet):
     """Expand over the net's (finite) universe into a plain timed net.
 
@@ -254,7 +261,7 @@ def unfold(cnet):
     for p in cnet.places:
         initial = Counter(cnet.initial.get(p, ()))
         for tok in domains[cnet.sort[p]]:
-            name = place_of[p, tok] = f"{p}@{token_name(tok)}"
+            name = place_of[p, tok] = color_name(p, tok)
             net.add_place(name, tokens=initial[tok])
     for t in cnet.transitions:
         sides = (cnet.pre[t].items(), cnet.post[t].items())
@@ -268,9 +275,9 @@ def unfold(cnet):
             if b.m is None and b.j is None:
                 name = t
             elif b.m is None or b.j is None:
-                name = f"{t}@{b.j if b.m is None else b.m}"
+                name = color_name(t, b.j if b.m is None else b.m)
             else:
-                name = f"{t}@{token_name(b)}"
+                name = color_name(t, b)
             net.add_transition(name, pre=arcs[0], post=arcs[1],
                                interval=cnet.interval[t])
     return net

@@ -12,7 +12,7 @@ tokens equals the number of completed jobs in the trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
@@ -81,10 +81,11 @@ def project(trace, event_map=None):
 
 def replay(projected, cnet):
     """Fire the projected sequence from the initial colored marking,
-    untimed; divergences are reported, not raised."""
+    untimed; divergences, including a transition the net lacks, are
+    reported, not raised."""
     marking = cnet.initial_marking()
     for i, (t, b) in enumerate(projected):
-        if not cpn.binding_enabled(cnet, marking, t, b):
+        if t not in cnet.pre or not cpn.binding_enabled(cnet, marking, t, b):
             return ReplayReport(False, index=i, label=(t, b), marking=marking)
         marking = cpn.colored_fire(cnet, marking, t, b)
     return ReplayReport(True, final_marking=marking)
@@ -104,16 +105,8 @@ def conformance_net(params, crashes=()):
     timeout = params.timeout
     if timeout is None and any_fail:
         timeout = DEFAULT_TIMEOUT
-    params = CatalogParams(
-        machine_count=params.machine_count,
-        job_demands=list(params.job_demands),
-        semantics=params.semantics,
-        timeout=timeout,
-        zeroconf=params.zeroconf,
-        failure_detector=params.failure_detector or bool(crashes),
-        machine_ids=params.machine_ids,
-        job_ids=params.job_ids,
-    )
+    params = replace(params, timeout=timeout,
+                     failure_detector=params.failure_detector or bool(crashes))
     return build_colored(universe_for(params), params)
 
 

@@ -77,19 +77,8 @@ class Scenario:
         )
 
     def validate(self):
-        errors = self.params().validate()
-        names = set(self.machine_names())
-        for m, t in self.crashes:
-            if m not in names:
-                errors.append("unknown machine %s in crash" % m)
-            if t < 0:
-                errors.append("crash time must be >= 0")
-        for label, v in (("bus-latency", self.bus_latency),
-                         ("msg-latency", self.msg_latency),
-                         ("job-duration", self.job_duration)):
-            if v < 0:
-                errors.append("%s must be >= 0" % label)
-        return errors
+        """Problems with the model and the run this scenario describes."""
+        return self.config().validate(self.params())
 
     def render(self) -> str:
         """Canonical text form; parse(render(s)) == s."""

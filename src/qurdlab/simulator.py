@@ -51,6 +51,36 @@ class SimConfig:
     horizon: int = 1000              # hard stop for the event loop
     launcher_kills: list = field(default_factory=list)  # (job id, time)
 
+    def validate(self, params):
+        """Problems with simulating ``params`` under this config, the
+        params' own first, each message once; empty when the run can
+        start."""
+        issues = params.validate()
+        # a negative delay or event time would move the clock backwards
+        for label, v in (("bus-latency", self.bus_latency),
+                         ("msg-latency", self.msg_latency),
+                         ("detect-delay", self.detect_delay),
+                         ("horizon", self.horizon)):
+            if v < 0:
+                issues.append(f"{label} must be >= 0")
+        if self.job_duration < 1:
+            issues.append("job duration must be >= 1")
+        if self.timeout is not None and self.timeout < 1:
+            issues.append("timeout must be >= 1 or off")
+        machines, jobs = set(params.machines()), set(params.jobs())
+        for m, t in self.crashes:
+            if m not in machines:
+                issues.append(f"unknown machine {m} in crash")
+            if t < 0:
+                issues.append("crash time must be >= 0")
+        for j, t in self.launcher_kills:
+            if j not in jobs:
+                issues.append(f"unknown job {j} in kill schedule")
+            if t < 0:
+                issues.append("kill time must be >= 0")
+        # a scenario sets both timeouts from one directive: report it once
+        return list(dict.fromkeys(issues))
+
 
 @dataclass
 class TraceEvent:
@@ -292,7 +322,7 @@ class Simulation:
         self.seq = 0
         self.heap = []
         self.trace = []
-        issues = params.validate()
+        issues = config.validate(params)
         if issues:
             raise InvalidScenario("; ".join(issues))
         machines = params.machines()
@@ -303,26 +333,6 @@ class Simulation:
             self.launchers[j] = Launcher(self, j, d, params.semantics_of(i))
         self.machine_order = machines
         self.restart_queue = []      # jobs waiting for a machine to restart on
-        self._check_config()
-
-    def _check_config(self):
-        c = self.config
-        if c.bus_latency < 0 or c.msg_latency < 0:
-            raise InvalidScenario("latencies must be nonnegative")
-        if c.job_duration < 1:
-            raise InvalidScenario("job duration must be >= 1")
-        if c.timeout is not None and c.timeout < 1:
-            raise InvalidScenario("timeout must be >= 1 (or None)")
-        if c.horizon < 0:
-            raise InvalidScenario("horizon must be nonnegative")
-        for m, t in c.crashes:
-            if m not in self.daemons:
-                raise InvalidScenario(f"unknown machine in crash schedule: {m}")
-            if t < 0:
-                raise InvalidScenario("crash times must be nonnegative")
-        for j, t in c.launcher_kills:
-            if j not in self.launchers:
-                raise InvalidScenario(f"unknown job in kill schedule: {j}")
 
     # -- plumbing ---------------------------------------------------------
 

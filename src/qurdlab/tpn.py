@@ -132,11 +132,6 @@ class Net:
                 bound = max(bound, lfd)
         return bound + 1
 
-    def max_finite_lfd(self):
-        """Largest finite lfd in the net, or None if every lfd is unbounded."""
-        finite = [lfd for _, lfd in self.interval.values() if lfd is not None]
-        return max(finite) if finite else None
-
     def enabled(self, marking):
         """Transitions enabled in ``marking``, in declaration order."""
         out = []

@@ -22,6 +22,7 @@ from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
                               timed_witness)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, universe_for)
+from qurdlab.colored import JOB, ColoredNet, ColorUniverse, Inscription
 from qurdlab.tpn import Net
 
 
@@ -83,7 +84,10 @@ def test_open_intervals_cap_every_clock_at_zero():
     # every interval is [0, inf), so a timed state is just its marking
     net = contention(None)
     assert set(net.clock_caps()) == {0}
-    assert explore(net).n_states == explore_markings(net).n_states == 719
+    g = explore(net)
+    assert g.n_states == explore_markings(net).n_states == 719
+    # one edge per enabled transition of each marking, as in the DOT test
+    assert sum(map(len, g.edges)) == 1849
 
 
 def test_marking_explorer_refuses_finite_lfd():
@@ -92,7 +96,12 @@ def test_marking_explorer_refuses_finite_lfd():
     net.add_transition("t", pre={"p": 1}, post={}, interval=(0, 2))
     with pytest.raises(ValueError):
         explore_markings(net)
-    assert explore_markings(net, force=True).n_states == 2
+    cnet = ColoredNet(ColorUniverse(["M1"], ["J1"], {"J1": 1}))
+    cnet.add_place("p", JOB, tokens=["J1"])
+    cnet.add_transition("t", pre={"p": Inscription("j")}, post={},
+                        interval=(0, 2))
+    with pytest.raises(ValueError):
+        explore_colored(cnet)
 
 
 # -- marking explorer against a reference BFS -----------------------------------
@@ -446,7 +455,7 @@ def test_colored_counts_match_unfolded():
     gc = explore_colored(build_colored(universe_for(p), p))
     gu = explore_markings(build_net(p))
     assert gc.n_states == gu.n_states
-    assert len(gc.dead) == len(gu.dead)
+    assert len(gc.dead_ids()) == len(gu.dead_ids())
 
 
 def test_colored_completion_skip():

@@ -7,8 +7,7 @@ import pytest
 
 from qurdlab.analysis import explore_markings
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
-                             build_net, jname, machine_weights, mname, pname,
-                             split_pair, universe_for)
+                             build_net, jname, machine_weights, universe_for)
 
 
 def fire_seq(net, marking, transitions):
@@ -73,10 +72,7 @@ def test_params_per_job_semantics():
 
 
 def test_naming_helpers():
-    assert mname("available", "M2") == "available@M2"
     assert jname("begin", "J1") == "begin@J1"
-    assert pname("t1", "M2", "J1") == "t1@(M2,J1)"
-    assert split_pair("running@(M1,J1)") == ("running", "M1", "J1")
 
 
 # -- single machine -------------------------------------------------------------

@@ -174,6 +174,35 @@ def test_token_overflow_exits_2(capsys, contention_file, monkeypatch):
     assert captured.out == ""
 
 
+def test_violated_invariants_reported(tmp_path, capsys, monkeypatch):
+    # a spare token in reserved@(M1,J2) puts M1 in two states at once, and
+    # once J1 reserves M1 too, M1 has two clients
+    def spare_reservation(params):
+        net = build_net(params)
+        out = Net(net.name)
+        for p in net.places:
+            out.add_place(p, tokens=net.initial.get(p, 0)
+                          + (p == "reserved@(M1,J2)"))
+        for t in net.transitions:
+            out.add_transition(t, pre=net.pre[t], post=net.post[t],
+                               interval=net.interval[t])
+        return out
+
+    monkeypatch.setattr(cli, "build_net", spare_reservation)
+    f = tmp_path / "pair.scn"
+    f.write_text("machines 2\njob J1 demand 1 semantics wait\n"
+                 "job J2 demand 1 semantics wait\ntimeout off\n")
+    witness = tmp_path / "pair.witness"
+    status, out = run_cli(capsys, "analyze", f, "--property", "mutex",
+                          "--property", "machine-invariant", "--out", witness)
+    assert status == 1
+    assert "mutex: VIOLATED (mutex M1)\n" \
+           "machine-invariant: VIOLATED (machine-invariant M1)\n" in out
+    assert witness.read_text() == (
+        "property: mutex\n0 start_job@J1\n0 t1@(M1,J1)\n"
+        "property: machine-invariant\n\n")
+
+
 def test_scenario_error_is_reported(tmp_path, capsys):
     f = tmp_path / "bad.scn"
     f.write_text("machines 0\n")
@@ -181,6 +210,20 @@ def test_scenario_error_is_reported(tmp_path, capsys):
     captured = capsys.readouterr()
     assert status == 2
     assert "machines must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "conformance"])
+def test_run_config_error_is_reported(tmp_path, capsys, command):
+    # the simulator needs a duration of at least one tick; the scenario
+    # parser must refuse 0 too, instead of the run raising mid-command
+    f = tmp_path / "instant.scn"
+    f.write_text("machines 1\njob J1 demand 1 semantics wait\n"
+                 "job-duration 0\n")
+    status = main([command, str(f)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert re.match(r"error: .*job duration must be >= 1", captured.err)
+    assert captured.out == ""
 
 
 # -- dot internals ----------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_conformance_net_grows_detector_for_crashes():
     assert "crash" in conformance_net(p, crashes=[("M1", 2)]).transitions
 
 
+def test_transition_missing_from_net_diverges():
+    # the params turn the timeout off, so the net has no cancel, while the
+    # run's own timeout (SimConfig's default) still cancels reservations
+    p = CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None)
+    _, report = check_run(p, SimConfig(seed=1))
+    assert not report.ok
+    assert report.label[0] == "cancel"
+    assert "cancel" not in conformance_net(p).transitions
+
+
 # -- fuzz -------------------------------------------------------------------------
 
 def test_fuzz_small_batch_conforms():

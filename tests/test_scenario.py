@@ -83,6 +83,9 @@ def test_validation_errors():
         parse_scenario("machines 1\njob J1 demand 1 semantics later\n")
     with pytest.raises(ScenarioError, match="collides"):
         parse_scenario("machines 1\njob M1 demand 1 semantics wait\n")
+    with pytest.raises(ScenarioError, match="job duration must be >= 1"):
+        parse_scenario("machines 1\njob J1 demand 1 semantics wait\n"
+                       "job-duration 0\n")
 
 
 def random_scenario(rng):

@@ -214,6 +214,10 @@ def test_invalid_scenarios_rejected():
         run(good, SimConfig(crashes=[("M9", 1)]))
     with pytest.raises(InvalidScenario):
         run(good, SimConfig(launcher_kills=[("J9", 1)]))
+    with pytest.raises(InvalidScenario, match="kill time must be >= 0"):
+        run(good, SimConfig(launcher_kills=[("J1", -4)]))
+    with pytest.raises(InvalidScenario, match="detect-delay must be >= 0"):
+        run(good, SimConfig(detect_delay=-3))
     with pytest.raises(InvalidScenario):
         run(CatalogParams(machine_count=1, job_demands=[1],
                           job_ids=["M1"]))
