@@ -77,7 +77,8 @@ def cmd_analyze(args) -> Report:
     sc = _load_scenario(args.scenario)
     report = Report("analyze %s" % args.scenario, _digest(sc))
     props = args.properties or list(PROPERTIES)
-    net = build_net(sc.params())
+    params = sc.params()
+    net = build_net(params)
     g = analysis.explore_markings(net, bound=args.bound)
     if g.truncated:
         report.add("truncated: bound of %d states exceeded" % args.bound)
@@ -86,7 +87,6 @@ def cmd_analyze(args) -> Report:
     report.add("states explored: %d" % g.n_states)
 
     witnesses = []
-    machines = sc.machine_names()
     for prop in props:
         if prop == "deadlock":
             skip = analysis.completion_skip(g)
@@ -100,7 +100,7 @@ def cmd_analyze(args) -> Report:
                 report.add("deadlock: none")
         elif prop in MACHINE_INVARIANTS:
             bases, lo, hi = MACHINE_INVARIANTS[prop]
-            for m in machines:
+            for m in params.machines():
                 v = analysis.check_invariant_vector(
                     g, machine_weights(net, m, bases), lo, hi,
                     name="%s %s" % (prop, m))
@@ -164,8 +164,7 @@ def cmd_conformance(args) -> Report:
     if replay.ok:
         report.add("conformance: ok")
     else:
-        report.add("conformance: DIVERGED at step %d: %s"
-                   % (replay.index, replay.label))
+        report.add("conformance: DIVERGED, %s" % replay)
         report.exit_status = 1
     return report
 

@@ -18,6 +18,7 @@ from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
                       build_colored, universe_for)
 from .simulator import SimConfig, TraceEvent, run
+from .tpn import NotFireable
 
 
 class UnknownEvent(Exception):
@@ -57,12 +58,15 @@ class ReplayReport:
     label: tuple = None             # (transition, binding) that failed
     marking: dict = None            # blocking marking
     final_marking: dict = None
+    reason: str = None              # why the step or the run diverged
 
     def __str__(self):
         if self.ok:
             return "replay ok"
-        return (f"divergence at step {self.index}: {self.label[0]}"
-                f"{self.label[1]} not enabled")
+        what = self.reason
+        if self.label is not None:
+            what = f"{self.label[0]} {self.label[1]} {what}"
+        return f"divergence at step {self.index}: {what}"
 
 
 def project(trace, event_map=None):
@@ -85,9 +89,14 @@ def replay(projected, cnet):
     reported, not raised."""
     marking = cnet.initial_marking()
     for i, (t, b) in enumerate(projected):
-        if t not in cnet.pre or not cpn.binding_enabled(cnet, marking, t, b):
-            return ReplayReport(False, index=i, label=(t, b), marking=marking)
-        marking = cpn.colored_fire(cnet, marking, t, b)
+        if t not in cnet.pre:
+            return ReplayReport(False, i, (t, b), marking,
+                                reason="not in the net")
+        try:
+            marking = cpn.colored_fire(cnet, marking, t, b)
+        except NotFireable:
+            return ReplayReport(False, i, (t, b), marking,
+                                reason="not enabled")
     return ReplayReport(True, final_marking=marking)
 
 
@@ -117,14 +126,16 @@ def check_run(params, config, event_map=None):
     number of completed jobs in the trace."""
     result = run(params, config)
     cnet = conformance_net(params, config.crashes)
-    report = replay(project(result.trace, event_map), cnet)
+    steps = project(result.trace, event_map)
+    report = replay(steps, cnet)
     if report.ok:
         done_events = sum(1 for e in result.trace if e.kind == "job-done")
         done_tokens = len(report.final_marking.get("job_done", ()))
         if done_tokens != done_events:
-            report = ReplayReport(False, index=len(result.trace),
-                                  label=("t5", None),
-                                  marking=report.final_marking)
+            report = ReplayReport(
+                False, index=len(steps), marking=report.final_marking,
+                reason=f"{done_tokens} job_done tokens for {done_events} "
+                       "job-done events")
     return result, report
 
 

@@ -52,9 +52,6 @@ class Scenario:
     job_duration: int = 2
     seed: int = 0
 
-    def machine_names(self):
-        return ["M%d" % i for i in range(1, self.machines + 1)]
-
     def params(self) -> CatalogParams:
         return CatalogParams(
             machine_count=self.machines,

@@ -10,11 +10,15 @@ failure-detector oracle notices a crashed running machine after a
 detection delay and restarts the process on the lowest-id available
 daemon (queueing the request if none is free).
 
-The whole simulation is a pure function of (parameters, config): events
-at equal times are ordered crash < timer < delivery, then by scheduling
-sequence number, and the seed only shuffles job submission order.  The
-result is an outcome per job plus the protocol trace consumed by the
-conformance checker.
+The whole simulation is a pure function of (parameters, config), and the
+seed only shuffles job submission order.  Each queued event names the
+method that handles it.  Events at equal times are ordered crash < timer <
+delivery, then by scheduling sequence number.  One bus event stands for
+all its subscribers, delivered in order: each (launcher, machine) pair is
+handled as if it had its own consecutive sequence number, which is
+exact because bus handlers only schedule later deliveries.  The result is
+an outcome per job plus the protocol trace consumed by the conformance
+checker.
 """
 
 from __future__ import annotations
@@ -110,7 +114,10 @@ class Message:
 
 @dataclass
 class SimResult:
-    outcomes: dict                  # job id -> completed|failed|timed-out|killed
+    # job id -> completed|failed|killed, or for an unfinished job
+    # horizon (the run was cut with events still queued) or stalled (the
+    # event queue emptied first)
+    outcomes: dict
     trace: list
 
     def trace_text(self):
@@ -138,7 +145,7 @@ class Daemon:
                 self.state = "reserved"
                 self.client = msg.job
                 self.epoch += 1
-                sim.bus_unpublish(self)
+                sim.announce(self, False)
                 sim.emit(self.name, "ok-sent", machine=self.name, job=msg.job)
                 sim.send(self.name, msg.src, "OK", msg.job)
                 if sim.config.timeout is not None:
@@ -147,8 +154,7 @@ class Daemon:
                     # deadline still lands before the daemon gives up
                     self.expiry_at = (sim.now + sim.config.timeout
                                       + 2 * sim.config.msg_latency)
-                    sim.timer(self.expiry_at,
-                              ("daemon-expiry", self.name, self.epoch))
+                    sim.timer(self.expiry_at, self.expire, self.epoch)
             else:
                 sim.emit(self.name, "ko-sent", machine=self.name, job=msg.job)
                 sim.send(self.name, msg.src, "KO", msg.job)
@@ -158,24 +164,24 @@ class Daemon:
                 self.epoch += 1
                 sim.emit(self.name, "job-accepted", machine=self.name, job=msg.job)
                 sim.timer(sim.now + sim.config.job_duration,
-                          ("complete", self.name, self.epoch))
+                          self.complete, self.epoch)
             else:
                 sim.emit(self.name, "refused", machine=self.name, job=msg.job)
         elif msg.kind == "RELEASE":
             # only the reserving client may free the machine; a stale
             # RELEASE after re-reservation must not evict a third party
             if self.state == "reserved" and msg.job == self.client:
-                job = self.client
-                # cancel first: becoming available may immediately hand the
-                # machine to a failure-detector restart
-                sim.emit(self.name, "canceled", machine=self.name, job=job)
-                self.become_available()
+                self.cancel()
 
     def expire(self, epoch):
         if self.crashed or self.state != "reserved" or epoch != self.epoch:
             return
-        job = self.client
-        self.sim.emit(self.name, "canceled", machine=self.name, job=job)
+        self.cancel()
+
+    def cancel(self):
+        # cancel first: becoming available may immediately hand the
+        # machine to a failure-detector restart
+        self.sim.emit(self.name, "canceled", machine=self.name, job=self.client)
         self.become_available()
 
     def expire_doomed(self, epoch):
@@ -200,7 +206,7 @@ class Daemon:
         self.state = "available"
         self.client = None
         self.epoch += 1
-        self.sim.bus_publish(self)
+        self.sim.announce(self, True)
         self.sim.detector_offer(self)
 
 
@@ -213,7 +219,7 @@ class Launcher:
         self.needed = needed
         self.semantics = semantics
         self.phase = DISCOVERING
-        self.discovered = []        # believed-published machines, arrival order
+        self.discovered = {}        # believed-published machines, arrival order
         self.contacted = set()
         self.pending = set()        # machines with a RESERVE awaiting reply
         self.machines = []          # reserved machines
@@ -222,17 +228,15 @@ class Launcher:
         self.done_count = 0
         self.dead = False
 
-    def on_bus(self, op, machine):
-        if op == "add":
-            if machine not in self.discovered:
-                self.discovered.append(machine)
+    def on_bus(self, machine, published):
+        if published:
+            self.discovered.setdefault(machine)
             if self.semantics == "wait":
                 # a fresh publish makes the machine worth re-contacting;
                 # fail semantics keeps its single pass over each machine
                 self.contacted.discard(machine)
         else:
-            if machine in self.discovered:
-                self.discovered.remove(machine)
+            self.discovered.pop(machine, None)
 
     def on_message(self, msg):
         sim = self.sim
@@ -244,9 +248,8 @@ class Launcher:
             self.machines.append(msg.src)
             self.res_epoch[msg.src] = self.res_epoch.get(msg.src, 0) + 1
             if sim.config.timeout is not None:
-                sim.timer(sim.now + sim.config.timeout,
-                          ("launcher-timeout", self.job, msg.src,
-                           self.res_epoch[msg.src]))
+                sim.timer(sim.now + sim.config.timeout, self.unbook,
+                          msg.src, self.res_epoch[msg.src])
             if len(self.machines) == self.needed:
                 self.phase = LAUNCHING
                 sim.emit(self.job, "launch", job=self.job)
@@ -325,46 +328,49 @@ class Simulation:
         issues = config.validate(params)
         if issues:
             raise InvalidScenario("; ".join(issues))
-        machines = params.machines()
-        jobs = params.jobs()
-        self.daemons = {m: Daemon(self, m) for m in machines}
+        self.daemons = {m: Daemon(self, m) for m in params.machines()}
         self.launchers = {}
-        for i, (j, d) in enumerate(zip(jobs, params.job_demands)):
+        for i, (j, d) in enumerate(zip(params.jobs(), params.job_demands)):
             self.launchers[j] = Launcher(self, j, d, params.semantics_of(i))
-        self.machine_order = machines
         self.restart_queue = []      # jobs waiting for a machine to restart on
 
     # -- plumbing ---------------------------------------------------------
 
-    def schedule(self, time, prio, payload):
-        heapq.heappush(self.heap, (time, prio, self.seq, payload))
+    def schedule(self, time, prio, handler, *args):
+        heapq.heappush(self.heap, (time, prio, self.seq, handler, args))
         self.seq += 1
 
-    def timer(self, time, payload):
-        self.schedule(time, TIMER_PRIO, payload)
+    def timer(self, time, handler, *args):
+        self.schedule(time, TIMER_PRIO, handler, *args)
 
     def send(self, src, dst, kind, job, delay=None, suspected=False):
         if delay is None:
             delay = self.config.msg_latency
-        self.schedule(self.now + delay, DELIVER_PRIO,
-                      ("msg", Message(kind, src, dst, job, suspected)))
+        self.schedule(self.now + delay, DELIVER_PRIO, self.deliver,
+                      Message(kind, src, dst, job, suspected))
 
     def emit(self, actor, kind, machine=None, job=None):
         self.trace.append(TraceEvent(self.now, actor, kind, machine, job))
 
-    def bus_publish(self, daemon):
-        daemon.published = True
-        self.emit(daemon.name, "published", machine=daemon.name)
-        for j in self.launchers:
-            self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
-                          ("bus", "add", daemon.name, j))
+    def announce(self, daemon, published):
+        """Publish or unpublish a daemon on the bus; every launcher hears
+        of it one bus latency later."""
+        daemon.published = published
+        self.emit(daemon.name, "published" if published else "unpublished",
+                  machine=daemon.name)
+        self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
+                      self.notify, self.launchers.values(),
+                      [daemon.name], published)
 
-    def bus_unpublish(self, daemon):
-        daemon.published = False
-        self.emit(daemon.name, "unpublished", machine=daemon.name)
-        for j in self.launchers:
-            self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
-                          ("bus", "remove", daemon.name, j))
+    def notify(self, launchers, machines, published):
+        """Hand one bus event to each live subscriber in turn, machine by
+        machine, as if each pair were its own event."""
+        for launcher in launchers:
+            if launcher.dead:
+                continue
+            for m in machines:
+                launcher.on_bus(m, published)
+                launcher.step()
 
     def all_discovered_by(self, launcher):
         """No published machine remains unknown to the launcher, so fail
@@ -375,8 +381,7 @@ class Simulation:
     # -- failure detector ---------------------------------------------------
 
     def detect(self, job):
-        for m in self.machine_order:
-            d = self.daemons[m]
+        for d in self.daemons.values():
             if not d.crashed and d.state == "available":
                 self.restart_on(d, job)
                 return
@@ -387,10 +392,10 @@ class Simulation:
         daemon.state = "running"
         daemon.client = job
         daemon.epoch += 1
-        self.bus_unpublish(daemon)
+        self.announce(daemon, False)
         self.emit("detector", "restarted", machine=daemon.name, job=job)
         self.timer(self.now + self.config.job_duration,
-                   ("complete", daemon.name, daemon.epoch))
+                   daemon.complete, daemon.epoch)
 
     def detector_offer(self, daemon):
         """A machine just became available; serve a queued restart if any."""
@@ -400,67 +405,42 @@ class Simulation:
 
     # -- event handlers -----------------------------------------------------
 
-    def handle(self, payload):
-        kind = payload[0]
-        if kind == "msg":
-            msg = payload[1]
-            if msg.dst in self.daemons:
-                d = self.daemons[msg.dst]
-                if d.crashed:
-                    if msg.kind == "RESERVE":
-                        # the eventually-perfect detector answers for the
-                        # dead machine so the launcher is not stuck forever
-                        self.send(msg.dst, msg.src, "KO", msg.job,
-                                  delay=self.config.detect_delay +
-                                  self.config.msg_latency,
-                                  suspected=True)
-                    elif msg.kind == "JOB" and msg.job == d.doomed:
-                        # the launch beat the reservation deadline, so the
-                        # reservation was consumed, not canceled
-                        d.doomed = None
-                    return
-                d.on_message(msg)
-            else:
-                launcher = self.launchers[msg.dst]
-                if launcher.dead:
-                    return
-                launcher.on_message(msg)
-                launcher.step()
-        elif kind == "bus":
-            _, op, machine, j = payload
-            launcher = self.launchers[j]
+    def deliver(self, msg):
+        if msg.dst in self.daemons:
+            d = self.daemons[msg.dst]
+            if d.crashed:
+                if msg.kind == "RESERVE":
+                    # the eventually-perfect detector answers for the
+                    # dead machine so the launcher is not stuck forever
+                    self.send(msg.dst, msg.src, "KO", msg.job,
+                              delay=self.config.detect_delay +
+                              self.config.msg_latency,
+                              suspected=True)
+                elif msg.kind == "JOB" and msg.job == d.doomed:
+                    # the launch beat the reservation deadline, so the
+                    # reservation was consumed, not canceled
+                    d.doomed = None
+                return
+            d.on_message(msg)
+        else:
+            launcher = self.launchers[msg.dst]
             if launcher.dead:
                 return
-            launcher.on_bus(op, machine)
+            launcher.on_message(msg)
             launcher.step()
-        elif kind == "submit":
-            job = payload[1]
-            self.emit(job, "job-submitted", job=job)
-            for m in self.machine_order:
-                if self.daemons[m].published:
-                    self.schedule(self.now + self.config.bus_latency,
-                                  DELIVER_PRIO, ("bus", "add", m, job))
-            self.launchers[job].step()
-        elif kind == "daemon-expiry":
-            _, m, epoch = payload
-            self.daemons[m].expire(epoch)
-        elif kind == "doomed-expiry":
-            _, m, epoch = payload
-            self.daemons[m].expire_doomed(epoch)
-        elif kind == "complete":
-            _, m, epoch = payload
-            self.daemons[m].complete(epoch)
-        elif kind == "launcher-timeout":
-            _, j, m, epoch = payload
-            self.launchers[j].unbook(m, epoch)
-        elif kind == "detect":
-            self.detect(payload[1])
-        elif kind == "crash":
-            self.crash(payload[1])
-        elif kind == "kill":
-            job = payload[1]
-            self.launchers[job].dead = True
-            self.emit(job, "killed", job=job)
+
+    def submit(self, job):
+        self.emit(job, "job-submitted", job=job)
+        launcher = self.launchers[job]
+        published = [m for m, d in self.daemons.items() if d.published]
+        if published:
+            self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
+                          self.notify, [launcher], published, True)
+        launcher.step()
+
+    def kill(self, job):
+        self.launchers[job].dead = True
+        self.emit(job, "killed", job=job)
 
     def crash(self, name):
         d = self.daemons[name]
@@ -470,15 +450,16 @@ class Simulation:
         was, job = d.state, d.client
         d.epoch += 1
         if d.published:
-            self.bus_unpublish(d)
+            self.announce(d, False)
         if was == "running":
             self.emit(name, "crashed", machine=name, job=job)
             if self.params.failure_detector:
-                self.timer(self.now + self.config.detect_delay, ("detect", job))
+                self.timer(self.now + self.config.detect_delay,
+                           self.detect, job)
         else:
             if was == "reserved" and d.expiry_at is not None:
                 d.doomed = job
-                self.timer(d.expiry_at, ("doomed-expiry", name, d.epoch))
+                self.timer(d.expiry_at, d.expire_doomed, d.epoch)
             self.emit(name, "crashed-idle", machine=name)
 
     def run(self):
@@ -486,17 +467,19 @@ class Simulation:
         order = list(self.launchers)
         rng.shuffle(order)
         for j in order:
-            self.schedule(0, DELIVER_PRIO, ("submit", j))
+            self.schedule(0, DELIVER_PRIO, self.submit, j)
         for m, t in self.config.crashes:
-            self.schedule(t, CRASH_PRIO, ("crash", m))
+            self.schedule(t, CRASH_PRIO, self.crash, m)
         for j, t in self.config.launcher_kills:
-            self.schedule(t, CRASH_PRIO, ("kill", j))
+            self.schedule(t, CRASH_PRIO, self.kill, j)
+        unfinished = "stalled"
         while self.heap:
-            time, _, _, payload = heapq.heappop(self.heap)
+            time, _, _, handler, args = heapq.heappop(self.heap)
             if time > self.config.horizon:
+                unfinished = "horizon"
                 break
             self.now = time
-            self.handle(payload)
+            handler(*args)
         outcomes = {}
         for j, launcher in self.launchers.items():
             if launcher.phase == DONE:
@@ -506,7 +489,7 @@ class Simulation:
             elif launcher.dead:
                 outcomes[j] = "killed"
             else:
-                outcomes[j] = "timed-out"
+                outcomes[j] = unfinished
         return SimResult(outcomes, self.trace)
 
 

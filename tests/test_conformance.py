@@ -4,10 +4,10 @@ import pytest
 
 from qurdlab.catalog import CatalogParams
 from qurdlab.colored import Binding
-from qurdlab.conformance import (DEFAULT_MAPPING, EventMap, FuzzSummary,
-                                 UnknownEvent, check_run, conformance_net,
-                                 fuzz_conformance, parse_trace, project,
-                                 replay)
+from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING, EventMap,
+                                 FuzzSummary, UnknownEvent, check_run,
+                                 conformance_net, fuzz_conformance,
+                                 parse_trace, project, replay)
 from qurdlab.simulator import SimConfig, TraceEvent, run
 
 
@@ -100,6 +100,27 @@ def test_transition_missing_from_net_diverges():
     assert not report.ok
     assert report.label[0] == "cancel"
     assert "cancel" not in conformance_net(p).transitions
+
+
+def test_divergence_text_names_the_reason():
+    missing = check_run(CatalogParams(machine_count=3, job_demands=[3, 2],
+                                      timeout=None), SimConfig(seed=1))[1]
+    assert str(missing) == ("divergence at step 12: "
+                            "cancel Binding(m=M3, j=J1) not in the net")
+    blocked = replay([("t2", Binding("M1", "J1"))],
+                     conformance_net(CatalogParams(machine_count=1,
+                                                   job_demands=[1])))
+    assert str(blocked) == ("divergence at step 0: "
+                            "t2 Binding(m=M1, j=J1) not enabled")
+    # job-done declared internal: the run completes but t5 never fires
+    mapping = dict(DEFAULT_MAPPING)
+    del mapping["job-done"]
+    em = EventMap(mapping, DEFAULT_INTERNAL | {"job-done"})
+    unmatched = check_run(CatalogParams(machine_count=1, job_demands=[1]),
+                          SimConfig(), em)[1]
+    # the step after the last of start_job, t1, launch, t2, t3 and t4
+    assert str(unmatched) == ("divergence at step 6: "
+                              "0 job_done tokens for 1 job-done events")
 
 
 # -- fuzz -------------------------------------------------------------------------

@@ -4,9 +4,16 @@ Several assertions scan the emitted trace instead of poking simulator
 internals, because the trace is the module's actual contract.
 """
 
+import hashlib
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qurdlab.catalog import CatalogParams
+from qurdlab.conformance import random_case
 from qurdlab.simulator import InvalidScenario, SimConfig, Simulation, run
 
 
@@ -49,9 +56,10 @@ def test_wait_semantics_shares_one_daemon():
 
 
 def test_oversubscribed_wait_times_out():
+    # the waiting launcher keeps re-reserving the one machine until cut off
     p = CatalogParams(machine_count=1, job_demands=[2], semantics="wait")
     r = run(p, SimConfig(horizon=60))
-    assert r.outcomes == {"J1": "timed-out"}
+    assert r.outcomes == {"J1": "horizon"}
 
 
 # -- trace grammar ---------------------------------------------------------------
@@ -76,6 +84,64 @@ def test_determinism_byte_for_byte():
     a = run(p, c).trace_text()
     b = run(p2, SimConfig(seed=9, crashes=[("M2", 4)])).trace_text()
     assert a == b
+
+
+# Traces pinned byte for byte: any reordering of same-time events shows here.
+PINNED_TRACES = [
+    # 64 machines with the failure detector: a restart, suspected KOs and
+    # reservations of crashed machines canceled at their deadline
+    (CatalogParams(machine_count=64, job_demands=[4] * 16, timeout=3,
+                   failure_detector=True),
+     SimConfig(crashes=[("M%d" % i, 2 + i % 7) for i in range(3, 65, 5)],
+               seed=11),
+     "1fdc5ca4aa99c3a334ffa6220c736aee72bafcce1260790eb82feb6fcf4a4c61"),
+    # zero latencies: replies and bus events land at their sending time
+    (CatalogParams(machine_count=3, job_demands=[2, 1],
+                   semantics=["wait", "fail"]),
+     SimConfig(bus_latency=0, msg_latency=0, seed=5),
+     "059c98cb9f6444c46342966858142ef167d9440bd6a683dd495f41fb6bb1c9ad"),
+    # J1 is killed holding reservations; J2 must still hear their
+    # republication, which the bus delivers to the dead J1 first
+    (CatalogParams(machine_count=3, job_demands=[2, 2]),
+     SimConfig(launcher_kills=[("J1", 3)], seed=0),
+     "2fa7aadd90abd4dd86bc393f838cf87db7e45cdae133b5c7d490b002f90ddfca"),
+    # M1 crashes while reserved and still cancels at the deadline
+    (CatalogParams(machine_count=2, job_demands=[3]),
+     SimConfig(crashes=[("M1", 3)], horizon=40),
+     "231a96567ca036bb5e6b21a7b7963f140738edcaacb81d31672f4eeb6eda2e4e"),
+]
+
+
+@pytest.mark.parametrize("params, config, digest", PINNED_TRACES)
+def test_pinned_trace_digests(params, config, digest):
+    text = run(params, config).trace_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.integers(0, 2**32 - 1), kill=st.none() | st.integers(0, 8))
+def test_random_runs_keep_the_protocol_invariants(case, kill):
+    params, config = random_case(random.Random(case))
+    if kill is not None:
+        config = replace(config, launcher_kills=[(params.jobs()[0], kill)])
+    r = run(params, config)
+    # a machine never has two clients: ok-sent and restarted open a
+    # reservation or run, canceled and done-sent close it
+    holder = {}
+    for e in r.trace:
+        if e.kind in ("ok-sent", "restarted"):
+            assert holder.get(e.machine) is None, (case, e.line())
+            holder[e.machine] = e.job
+        elif e.kind in ("canceled", "done-sent"):
+            assert holder.pop(e.machine) == e.job, (case, e.line())
+    # a job is done only once every machine it needs has reported done
+    demand = dict(zip(params.jobs(), params.job_demands))
+    done_sent = dict.fromkeys(demand, 0)
+    for e in r.trace:
+        if e.kind == "done-sent":
+            done_sent[e.job] += 1
+        elif e.kind == "job-done":
+            assert done_sent[e.job] >= demand[e.job], (case, e.line())
 
 
 def test_seed_changes_submission_order():
@@ -142,7 +208,7 @@ def test_crash_idle_daemon_harmless():
 def test_crash_without_detector_strands_job():
     p = CatalogParams(machine_count=2, job_demands=[1])
     r = run(p, SimConfig(crashes=[("M1", 5)], horizon=80))
-    assert r.outcomes == {"J1": "timed-out"}
+    assert r.outcomes == {"J1": "stalled"}
 
 
 def test_crash_while_reserved_cancels_at_deadline():
@@ -165,14 +231,14 @@ def test_crash_while_reserved_with_job_in_flight_keeps_reservation():
     r = run(p, c)
     assert events(r, "launch")
     assert not events(r, "canceled", machine="M1")
-    assert r.outcomes == {"J1": "timed-out"}
+    assert r.outcomes == {"J1": "stalled"}
 
 
 def test_restart_waits_for_available_machine():
     p = CatalogParams(machine_count=1, job_demands=[1],
                       failure_detector=True)
     r = run(p, SimConfig(crashes=[("M1", 5)], horizon=60))
-    assert r.outcomes == {"J1": "timed-out"}
+    assert r.outcomes == {"J1": "stalled"}
     assert events(r, "restart-waiting")
 
 
