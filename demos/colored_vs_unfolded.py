@@ -10,11 +10,11 @@ makes each a cheap oracle for the other.
 """
 
 from qurdlab.analysis import explore_colored, explore_markings
-from qurdlab.catalog import CatalogParams, build_colored, universe_for
+from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.colored import colored_enabled, colored_fire, unfold
 
 params = CatalogParams(machine_count=2, job_demands=[2, 1])
-cnet = build_colored(universe_for(params), params)
+cnet = build_colored(params)
 
 print("colored net:", len(cnet.places), "places,",
       len(cnet.transitions), "transitions")

@@ -418,7 +418,7 @@ def _gather(blocks, starts, ids):
 
 
 def explore_colored(cnet, bound=DEFAULT_BOUND):
-    """Untimed BFS over colored markings via colored_enabled/colored_fire.
+    """Untimed BFS over colored markings via colored_successors.
 
     About 100 times slower than ``explore_markings`` on the unfolded net,
     which is what ``build_net`` returns; it is kept as the test oracle that
@@ -427,13 +427,9 @@ def explore_colored(cnet, bound=DEFAULT_BOUND):
     ``(transition, binding)``.
     """
     _require_open_intervals(cnet)
-
-    def successors(m):
-        for t, b in cpn.colored_enabled(cnet, m):
-            yield (t, b), cpn.colored_fire(cnet, m, t, b)
-
     return _closure(ReachGraph(cnet, bound, _identity),
-                    cnet.initial_marking(), successors, cpn.canonical)
+                    cnet.initial_marking(),
+                    lambda m: cpn.colored_successors(cnet, m), cpn.canonical)
 
 
 # -- witnesses ----------------------------------------------------------------

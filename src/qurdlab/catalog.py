@@ -1,9 +1,11 @@
 """The reservation model: model parameters, the colored net of launchers
 and machine daemons, and its unfolding into a plain net.
 
-The model is defined once, as a colored net (``build_colored``).
-``build_net`` unfolds it over the parameters' machines and jobs; the CLI
-analyses that net and trace conformance replays on the colored one.  The
+The model is defined once, as a colored net: ``build_colored(params)``
+takes a ``CatalogParams`` and nothing else, and builds the color universe
+from the params' machines, jobs, demands and semantics.  ``build_net``
+validates the params and unfolds that net; the CLI analyses the
+unfolding and trace conformance replays on the colored net.  The
 Zeroconf and failure-detector layers are optional parts of the same net.
 Unfolded names are unambiguous, so properties and trace labels can use
 them directly: per-job places/transitions carry ``@J``, per-machine ones
@@ -146,21 +148,24 @@ def build_net(params):
     issues = params.validate()
     if issues:
         raise ValueError("; ".join(issues))
-    return unfold(build_colored(universe_for(params), params))
+    return unfold(build_colored(params))
 
 
-def build_colored(universe, params=None):
-    """The colored model over a universe of machines and jobs.
+def build_colored(params):
+    """The colored model for ``params``.
 
-    ``params`` supplies the timeout and the optional Zeroconf and
-    failure-detector layers (the defaults of ``CatalogParams`` when
-    omitted); each job's demand and semantics come from the universe.
-    cancel returns the job's token to get_nodes with multiplicity W'(j):
-    a wait job asks again, a fail job does not.  The continue transition
-    produces a pair token in running (the only sort-correct reading).
+    Its universe is the params' machines and jobs with each job's demand
+    and semantics; the params also supply the timeout and the optional
+    Zeroconf and failure-detector layers.  The params are not validated
+    here (``build_net`` does that).  cancel returns the job's token to
+    get_nodes with multiplicity W'(j): a wait job asks again, a fail job
+    does not.  The continue transition produces a pair token in running
+    (the only sort-correct reading).
     """
-    if params is None:
-        params = CatalogParams()
+    jobs = params.jobs()
+    universe = ColorUniverse(
+        params.machines(), jobs, dict(zip(jobs, params.job_demands)),
+        {j: params.semantics_of(i) for i, j in enumerate(jobs)})
     cnet = ColoredNet(universe, name="composed")
     m_, j_, mj = Inscription("m"), Inscription("j"), Inscription("mj")
     pj = Inscription("j", per_demand=True)
@@ -208,10 +213,3 @@ def build_colored(universe, params=None):
                             post={"running": mj})
     return cnet
 
-
-def universe_for(params):
-    """ColorUniverse matching a CatalogParams instance."""
-    jobs = params.jobs()
-    semantics = {j: params.semantics_of(i) for i, j in enumerate(jobs)}
-    return ColorUniverse(params.machines(), jobs,
-                         dict(zip(jobs, params.job_demands)), semantics)

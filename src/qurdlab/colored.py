@@ -5,10 +5,15 @@ pairs ``(m, j)``.  Arcs carry one inscription each: a pattern over the
 variables m and j, optionally with a per-job multiplicity: P'(j), the
 job's demand, or W'(j), 1 for a job with wait semantics and 0 for one
 with fail semantics.  Only variable matching is supported; the
-reservation model needs no guards.  ``unfold`` expands a colored net over
-its finite universe into an ordinary place/transition net with one place
-per (place, color) and one transition per (transition, binding), named
-``base@J``, ``base@M`` and ``base@(M,J)``.
+reservation model needs no guards.  ``colored_fire`` is the one firing
+rule and the one enabling test: a binding is enabled exactly when firing
+it finds every input token.  ``unfold`` expands a colored net over its
+finite universe into an ordinary place/transition net with one place per
+(place, color) and one transition per (transition, binding), named
+``base@J``, ``base@M`` and ``base@(M,J)``.  The universe is not checked
+here (the reservation model builds it from ``CatalogParams``, whose
+``validate`` checks the parameters); ``ColoredNet.validate`` checks sorts,
+inscriptions, intervals and initial tokens.
 """
 
 from __future__ import annotations
@@ -37,22 +42,6 @@ class ColorUniverse:
         self.demand = dict(demand)
         self.semantics = {j: WAIT for j in self.jobs}
         self.semantics.update(semantics or {})
-
-    def validate(self):
-        issues = []
-        if len(set(self.machines)) != len(self.machines):
-            issues.append("duplicate machine ids")
-        if len(set(self.jobs)) != len(self.jobs):
-            issues.append("duplicate job ids")
-        for j in self.jobs:
-            if j not in self.demand:
-                issues.append(f"no demand for job {j}")
-            elif self.demand[j] < 1:
-                issues.append(f"demand for job {j} must be >= 1")
-            if self.semantics[j] not in (FAIL, WAIT):
-                issues.append(f"unknown semantics {self.semantics[j]!r} "
-                              f"for job {j}")
-        return issues
 
     def __repr__(self):
         return (f"ColorUniverse(machines={list(self.machines)}, "
@@ -127,7 +116,7 @@ class ColoredNet:
         return name
 
     def validate(self):
-        issues = list(self.universe.validate())
+        issues = []
         pset = set(self.places)
         for t in self.transitions:
             for side, arcs in (("pre", self.pre[t]), ("post", self.post[t])):
@@ -187,45 +176,46 @@ def canonical(marking):
     return tuple(tuple(sorted(marking.get(p, ()))) for p in sorted(marking))
 
 
-def _has_tokens(marking, place, needed):
-    have = Counter(marking.get(place, ()))
-    need = Counter(needed)
-    return all(have[tok] >= n for tok, n in need.items())
-
-
-def binding_enabled(cnet, marking, t, binding):
-    universe = cnet.universe
-    for p, ins in cnet.pre[t].items():
-        if not _has_tokens(marking, p,
-                           ins.tokens(binding.m, binding.j, universe)):
-            return False
-    return True
-
-
 def colored_enabled(cnet, marking):
     """All (transition, binding) pairs enabled in the marking, in
     declaration order then (machine, job) lexicographic binding order."""
-    out = []
+    return [label for label, _ in colored_successors(cnet, marking)]
+
+
+def colored_successors(cnet, marking):
+    """Each enabled (transition, binding) pair with the marking it leads
+    to, in ``colored_enabled`` order; every binding is fired once."""
     for t in cnet.transitions:
         for b in cnet.bindings_of(t):
-            if binding_enabled(cnet, marking, t, b):
-                out.append((t, b))
-    return out
+            try:
+                after = colored_fire(cnet, marking, t, b)
+            except NotFireable:
+                continue
+            yield (t, b), after
 
 
 def colored_fire(cnet, marking, t, binding):
-    """Fire t under binding: remove instantiated inputs, add outputs."""
-    if not binding_enabled(cnet, marking, t, binding):
-        raise NotFireable((t, binding))
-    universe = cnet.universe
-    out = {p: list(toks) for p, toks in marking.items()}
+    """Fire t under binding, the one enabling test of the colored layer:
+    remove each instantiated input token (NotFireable when one is
+    missing), then add the outputs.  Only the places on t's arcs are
+    copied and re-sorted, so the marking's values must be sorted tuples,
+    as ``initial_marking`` and this function make them."""
+    m, j, universe = binding.m, binding.j, cnet.universe
+    changed = {}
     for p, ins in cnet.pre[t].items():
-        for tok in ins.tokens(binding.m, binding.j, universe):
-            out[p].remove(tok)
+        toks = changed[p] = list(marking.get(p, ()))
+        for tok in ins.tokens(m, j, universe):
+            try:
+                toks.remove(tok)
+            except ValueError:
+                raise NotFireable((t, binding)) from None
     for p, ins in cnet.post[t].items():
-        toks = out.setdefault(p, [])
-        toks.extend(ins.tokens(binding.m, binding.j, universe))
-    return {p: tuple(sorted(toks)) for p, toks in out.items()}
+        changed.setdefault(p, list(marking.get(p, ()))).extend(
+            ins.tokens(m, j, universe))
+    out = dict(marking)
+    for p, toks in changed.items():
+        out[p] = tuple(sorted(toks))
+    return out
 
 
 def token_name(tok):

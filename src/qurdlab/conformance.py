@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
-                      build_colored, universe_for)
+                      build_colored)
 from .simulator import SimConfig, TraceEvent, run
 from .tpn import NotFireable
 
@@ -114,9 +114,9 @@ def conformance_net(params, crashes=()):
     timeout = params.timeout
     if timeout is None and any_fail:
         timeout = DEFAULT_TIMEOUT
-    params = replace(params, timeout=timeout,
-                     failure_detector=params.failure_detector or bool(crashes))
-    return build_colored(universe_for(params), params)
+    return build_colored(replace(
+        params, timeout=timeout,
+        failure_detector=params.failure_detector or bool(crashes)))
 
 
 def check_run(params, config, event_map=None):

@@ -5,9 +5,10 @@ semantics); one daemon actor per machine runs the resource side.  They
 exchange RESERVE/OK/KO/JOB/RELEASE/DONE messages over reliable FIFO links
 with a fixed latency, and discover each other through a virtual service
 bus: daemons publish and unpublish themselves, subscribers hear about it
-one bus latency later.  Crashes silence a daemon; an optional
-failure-detector oracle notices a crashed running machine after a
-detection delay and restarts the process on the lowest-id available
+one bus latency later.  Crashes silence a daemon; a JOB that reaches a
+machine which crashed while reserved for it starts there and is lost
+with it.  An optional failure-detector oracle notices a lost process
+after a detection delay and restarts it on the lowest-id available
 daemon (queueing the request if none is free).
 
 The whole simulation is a pure function of (parameters, config), and the
@@ -418,8 +419,12 @@ class Simulation:
                               suspected=True)
                 elif msg.kind == "JOB" and msg.job == d.doomed:
                     # the launch beat the reservation deadline, so the
-                    # reservation was consumed, not canceled
+                    # reservation was consumed, not canceled: the job
+                    # starts on the dead machine and is lost with it
                     d.doomed = None
+                    self.emit(d.name, "job-accepted", machine=d.name,
+                              job=msg.job)
+                    self.lose_job(d.name, msg.job)
                 return
             d.on_message(msg)
         else:
@@ -452,15 +457,19 @@ class Simulation:
         if d.published:
             self.announce(d, False)
         if was == "running":
-            self.emit(name, "crashed", machine=name, job=job)
-            if self.params.failure_detector:
-                self.timer(self.now + self.config.detect_delay,
-                           self.detect, job)
+            self.lose_job(name, job)
         else:
             if was == "reserved" and d.expiry_at is not None:
                 d.doomed = job
                 self.timer(d.expiry_at, d.expire_doomed, d.epoch)
             self.emit(name, "crashed-idle", machine=name)
+
+    def lose_job(self, name, job):
+        """Crashed machine ``name`` was running ``job``; the detector, if
+        on, restarts the job."""
+        self.emit(name, "crashed", machine=name, job=job)
+        if self.params.failure_detector:
+            self.timer(self.now + self.config.detect_delay, self.detect, job)
 
     def run(self):
         rng = random.Random(self.config.seed)

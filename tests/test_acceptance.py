@@ -19,7 +19,7 @@ from qurdlab.analysis import (check_invariant, check_invariant_vector,
                               find_deadlocks, pending_deadlocks)
 from qurdlab.catalog import (PAIR_BASES, STATE_BASES, CatalogParams,
                              build_colored, build_net, jname,
-                             machine_weights, universe_for)
+                             machine_weights)
 from qurdlab.cli import main as cli_main
 from qurdlab.conformance import DEFAULT_MAPPING, EventMap, fuzz_conformance
 from qurdlab.scenario import parse_scenario
@@ -125,7 +125,7 @@ def test_4_safety_invariants_hold_everywhere(capsys):
                                failure_detector=fd, zeroconf=zc)
         net = build_net(params)
         g = explore_markings(net)
-        for m in universe_for(params).machines:
+        for m in params.machines():
             mutex = check_invariant_vector(
                 g, machine_weights(net, m, PAIR_BASES), 0, 1,
                 name=f"mutex {m}")
@@ -164,7 +164,7 @@ def test_6_colored_and_unfolded_agree(capsys):
         for timeout in (3, None):
             params = CatalogParams(machine_count=mc, job_demands=demands,
                                    timeout=timeout)
-            cnet = build_colored(universe_for(params), params)
+            cnet = build_colored(params)
             net = build_net(params)
             gc = explore_colored(cnet)
             gu = explore_markings(net)
@@ -234,7 +234,7 @@ def test_8_everything_is_deterministic(capsys):
         out = [check_reachable(
             g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1,
             name="J1 done")]
-        for m in universe_for(params).machines:
+        for m in params.machines():
             w = machine_weights(net, m, PAIR_BASES)
             out.append(check_invariant(
                 g, lambda mk, w=w: sum(mk.get(p, 0) * x

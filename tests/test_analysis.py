@@ -20,8 +20,9 @@ from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
                               explore_markings, find_deadlocks,
                               pending_deadlocks, replay_labels,
                               timed_witness)
-from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
-                             build_net, universe_for)
+from qurdlab.catalog import (PAIR_BASES, CatalogParams, build_colored,
+                             build_machine, build_net, jname,
+                             machine_weights)
 from qurdlab.colored import JOB, ColoredNet, ColorUniverse, Inscription
 from qurdlab.tpn import Net
 
@@ -448,11 +449,64 @@ def test_path_labels_replay_everywhere():
         assert end.marking == g.marking(i)
 
 
+# -- both graph classes -----------------------------------------------------------
+
+def _dead_markings(states):
+    """find_deadlocks' states as hashable markings: TimedStates from a
+    ReachGraph, marking dicts from a MarkingGraph."""
+    return {frozenset(getattr(s, "marking", s).items()) for s in states}
+
+
+def _witness_end(g, verdict):
+    """The marking the verdict's witness replays to on the net."""
+    return replay_labels(g.net, verdict.witness).marking
+
+
+@pytest.mark.parametrize("params", [
+    CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None),
+    CatalogParams(machine_count=3, job_demands=[3, 2], timeout=3),
+    CatalogParams(machine_count=2, job_demands=[1], failure_detector=True),
+], ids=["contention-off", "contention-t3", "crash-recovery"])
+def test_reach_and_marking_graphs_answer_alike(params):
+    net = build_net(params)
+    graphs = (explore(net), explore_markings(net))
+    assert type(graphs[0]) is not type(graphs[1])
+    dead = [_dead_markings(find_deadlocks(g)) for g in graphs]
+    pending = [_dead_markings(pending_deadlocks(g)) for g in graphs]
+    assert dead[0] == dead[1] and dead[0]
+    assert pending[0] == pending[1]
+    skips = [completion_skip(g) for g in graphs]
+    for m in dead[0]:
+        assert skips[0](dict(m)) == skips[1](dict(m))
+        assert skips[0](dict(m)) == (m not in pending[0])
+
+    done = {jname("job_done", j): 1 for j in params.jobs()}
+    all_done = lambda m: all(m.get(p, 0) >= n for p, n in done.items())
+    twice = {jname("job_done", params.jobs()[0]): 2}
+    mutex = [machine_weights(net, m, PAIR_BASES) for m in params.machines()]
+    one_client = lambda m: all(
+        sum(m.get(p, 0) for p in w) <= 1 for w in mutex)
+    no_done = lambda m: not any(m.get(p, 0) for p in done)
+    answers = []
+    for g in graphs:
+        invariants = (one_client, no_done)
+        verdicts = [check_invariant(g, p) for p in invariants]
+        for v, p in zip(verdicts, invariants):
+            assert v.holds or not p(_witness_end(g, v))
+        reach = [check_reachable(g, goal) for goal in (all_done, done, twice)]
+        for v in reach:
+            assert not v.holds or all_done(_witness_end(g, v))
+        answers.append([v.holds for v in verdicts + reach])
+        for i in g.dead_ids():
+            assert replay_labels(net, g.path_labels(i)).marking == g.marking(i)
+    assert answers[0] == answers[1] == [True, False, True, True, False]
+
+
 # -- colored exploration ---------------------------------------------------------
 
 def test_colored_counts_match_unfolded():
     p = CatalogParams(machine_count=2, job_demands=[1, 1])
-    gc = explore_colored(build_colored(universe_for(p), p))
+    gc = explore_colored(build_colored(p))
     gu = explore_markings(build_net(p))
     assert gc.n_states == gu.n_states
     assert len(gc.dead_ids()) == len(gu.dead_ids())
@@ -460,6 +514,6 @@ def test_colored_counts_match_unfolded():
 
 def test_colored_completion_skip():
     p = CatalogParams(machine_count=2, job_demands=[1, 1])
-    cnet = build_colored(universe_for(p), p)
+    cnet = build_colored(p)
     g = explore_colored(cnet)
     assert pending_deadlocks(g) == []

@@ -7,7 +7,7 @@ import pytest
 
 from qurdlab.analysis import explore_markings
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
-                             build_net, jname, machine_weights, universe_for)
+                             build_net, jname, machine_weights)
 
 
 def fire_seq(net, marking, transitions):
@@ -270,6 +270,7 @@ def test_every_catalog_net_validates():
     for p in catalog_configs():
         net = build_net(p)
         assert net.validate() == [], p
+        assert build_colored(p).validate() == [], p
 
 
 def test_machine_state_p_invariant_structural():
@@ -319,8 +320,7 @@ def test_job_conservation_needs_the_weights():
 
 
 def test_colored_initial_marking_pins():
-    u = universe_for(CatalogParams(machine_count=2, job_demands=[1, 1]))
-    cnet = build_colored(u)
+    cnet = build_colored(CatalogParams(machine_count=2, job_demands=[1, 1]))
     m0 = cnet.initial_marking()
     assert m0["begin"] == ("J1", "J2")
     assert m0["available"] == ("M1", "M2")

@@ -12,7 +12,7 @@ import pytest
 from qurdlab.colored import (Binding, ColoredNet, ColorUniverse, Inscription,
                              JOB, MACHINE, PAIR, canonical, colored_enabled,
                              colored_fire, token_name, unfold)
-from qurdlab.catalog import build_colored
+from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.tpn import NotFireable
 
 
@@ -20,20 +20,18 @@ def tiny_universe():
     return ColorUniverse(["m1"], ["j1"], {"j1": 1})
 
 
-def universe(machines, jobs, demand):
-    return ColorUniverse(machines, jobs, demand)
+def params(machines, jobs, demands, semantics="wait"):
+    """Catalog parameters with the given machine and job ids."""
+    return CatalogParams(machine_count=len(machines), machine_ids=machines,
+                         job_ids=jobs, job_demands=demands,
+                         semantics=semantics)
 
 
-# -- universe / net validation -----------------------------------------------
+def tiny_params():
+    return params(["m1"], ["j1"], [1])
 
-def test_universe_validate():
-    assert tiny_universe().validate() == []
-    assert universe(["m1", "m1"], ["j1"], {"j1": 1}).validate()
-    assert universe(["m1"], ["j1"], {}).validate()
-    assert universe(["m1"], ["j1"], {"j1": 0}).validate()
-    assert ColorUniverse(["m1"], ["j1"], {"j1": 1},
-                         {"j1": "later"}).validate()
 
+# -- net validation ------------------------------------------------------------
 
 def test_sort_mismatch_is_reported():
     cnet = ColoredNet(tiny_universe())
@@ -72,8 +70,7 @@ def test_inscription_tokens():
 
 
 def test_binding_order_is_lexicographic():
-    cnet = build_colored(universe(["m1", "m2"], ["j1", "j2"],
-                                  {"j1": 1, "j2": 1}))
+    cnet = build_colored(params(["m1", "m2"], ["j1", "j2"], [1, 1]))
     assert cnet.bindings_of("t1") == [
         Binding("m1", "j1"), Binding("m1", "j2"),
         Binding("m2", "j1"), Binding("m2", "j2")]
@@ -85,25 +82,25 @@ def test_binding_order_is_lexicographic():
 # -- enabling / firing ---------------------------------------------------------
 
 def test_initially_only_start_job_enabled():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     fired = colored_enabled(cnet, cnet.initial_marking())
     assert fired == [("start_job", Binding(None, "j1"))]
 
 
 def test_empty_marking_nothing_enabled():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     assert colored_enabled(cnet, {}) == []
 
 
 def test_after_start_job_t1_enabled():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     m = colored_fire(cnet, cnet.initial_marking(), "start_job",
                      Binding(None, "j1"))
     assert ("t1", Binding("m1", "j1")) in colored_enabled(cnet, m)
 
 
 def test_t1_produces_pair_and_answer():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     m = colored_fire(cnet, cnet.initial_marking(), "start_job",
                      Binding(None, "j1"))
     m = colored_fire(cnet, m, "t1", Binding("m1", "j1"))
@@ -113,7 +110,7 @@ def test_t1_produces_pair_and_answer():
 
 
 def test_t5_needs_demand_tokens():
-    cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 2}))
+    cnet = build_colored(params(["m1", "m2"], ["j1"], [2]))
     m = dict(cnet.initial_marking())
     m["job_finished"] = ("j1",)
     with pytest.raises(NotFireable):
@@ -124,7 +121,7 @@ def test_t5_needs_demand_tokens():
 
 
 def test_cancel_returns_machine_and_retry_token():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     m = dict(cnet.initial_marking())
     m.update(available=(), reserved=(("m1", "j1"),), answered=("j1",))
     m2 = colored_fire(cnet, m, "cancel", Binding("m1", "j1"))
@@ -134,13 +131,13 @@ def test_cancel_returns_machine_and_retry_token():
 
 
 def test_fire_checks_enabling():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     with pytest.raises(NotFireable):
         colored_fire(cnet, cnet.initial_marking(), "t1", Binding("m1", "j1"))
 
 
 def test_sort_preserved_by_firing():
-    cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 2}))
+    cnet = build_colored(params(["m1", "m2"], ["j1"], [2]))
     rng = random.Random(5)
     m = cnet.initial_marking()
     for _ in range(40):
@@ -170,7 +167,7 @@ def test_token_name():
 # -- unfolding ------------------------------------------------------------------
 
 def test_unfold_place_and_transition_inventory():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     net = unfold(cnet)
     assert "available@m1" in net.places
     assert "reserved@(m1,j1)" in net.places
@@ -182,14 +179,14 @@ def test_unfold_place_and_transition_inventory():
 
 
 def test_unfold_two_machines_t1_twice():
-    cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 1}))
+    cnet = build_colored(params(["m1", "m2"], ["j1"], [1]))
     net = unfold(cnet)
     copies = [t for t in net.transitions if t.startswith("t1@")]
     assert sorted(copies) == ["t1@(m1,j1)", "t1@(m2,j1)"]
 
 
 def test_unfold_no_jobs():
-    cnet = build_colored(universe(["m1", "m2"], [], {}))
+    cnet = build_colored(params(["m1", "m2"], [], []))
     net = unfold(cnet)
     assert [p for p in net.places if p.startswith("available@")] == \
         ["available@m1", "available@m2"]
@@ -197,7 +194,7 @@ def test_unfold_no_jobs():
 
 
 def test_unfold_demand_becomes_weight():
-    cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 2}))
+    cnet = build_colored(params(["m1", "m2"], ["j1"], [2]))
     net = unfold(cnet)
     assert net.post["start_job@j1"] == {"get_nodes@j1": 2}
     assert net.pre["launch@j1"] == {"answered@j1": 2}
@@ -205,14 +202,14 @@ def test_unfold_demand_becomes_weight():
 
 
 def test_unfold_inherits_intervals():
-    cnet = build_colored(tiny_universe())
+    cnet = build_colored(tiny_params())
     net = unfold(cnet)
     assert net.interval["cancel@(m1,j1)"] == (3, None)
     assert net.interval["t1@(m1,j1)"] == (0, None)
 
 
 def test_unfold_initial_marking():
-    cnet = build_colored(universe(["m1", "m2"], ["j1"], {"j1": 1}))
+    cnet = build_colored(params(["m1", "m2"], ["j1"], [1]))
     net = unfold(cnet)
     assert net.initial == {"available@m1": 1, "available@m2": 1,
                            "begin@j1": 1}
@@ -231,8 +228,8 @@ def test_unfold_random_walk_bisimulation():
     """Colored firing sequences replay on the unfolded net step for step,
     with a wait job and a fail job."""
     rng = random.Random(11)
-    cnet = build_colored(ColorUniverse(["m1", "m2"], ["j1", "j2"],
-                                       {"j1": 2, "j2": 1}, {"j2": "fail"}))
+    cnet = build_colored(params(["m1", "m2"], ["j1", "j2"], [2, 1],
+                                ["wait", "fail"]))
     net = unfold(cnet)
     for _ in range(20):
         cm = cnet.initial_marking()

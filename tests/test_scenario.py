@@ -1,8 +1,10 @@
 """Scenario grammar: parsing, defaults, errors, and render round-trip."""
 
-import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qurdlab.scenario import (JobSpec, Scenario, ScenarioError,
                               parse_scenario)
@@ -88,25 +90,33 @@ def test_validation_errors():
                        "job-duration 0\n")
 
 
-def random_scenario(rng):
-    machines = rng.randint(1, 5)
-    jobs = [JobSpec("J%d" % (i + 1), rng.randint(1, 4),
-                    rng.choice(("fail", "wait")))
-            for i in range(rng.randint(1, 3))]
-    crashes = [("M%d" % rng.randint(1, machines), rng.randint(0, 9))
-               for _ in range(rng.randint(0, 2))]
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: drawn job ids that avoid the machine ids, crashes
+    on existing machines, timeout on or off."""
+    machines = draw(st.integers(1, 6))
+    taken = {"M%d" % (i + 1) for i in range(machines)}
+    names = draw(st.lists(
+        st.text(string.ascii_letters + string.digits + "_-", min_size=1,
+                max_size=5).filter(lambda n: n not in taken),
+        min_size=1, max_size=4, unique=True))
+    jobs = [JobSpec(n, draw(st.integers(1, 5)),
+                    draw(st.sampled_from(("fail", "wait")))) for n in names]
+    crashes = draw(st.lists(st.tuples(st.sampled_from(sorted(taken)),
+                                      st.integers(0, 50)), max_size=3))
     return Scenario(
         machines=machines, jobs=jobs,
-        timeout=rng.choice((None, 1, 3, 7)),
-        zeroconf=rng.random() < 0.5,
-        failure_detector=rng.random() < 0.5,
+        timeout=draw(st.none() | st.integers(1, 10)),
+        zeroconf=draw(st.booleans()),
+        failure_detector=draw(st.booleans()),
         crashes=crashes,
-        bus_latency=rng.randint(0, 3), msg_latency=rng.randint(0, 3),
-        job_duration=rng.randint(1, 4), seed=rng.randint(0, 10**6))
+        bus_latency=draw(st.integers(0, 3)),
+        msg_latency=draw(st.integers(0, 3)),
+        job_duration=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def test_render_parse_round_trip():
-    rng = random.Random(2024)
-    for _ in range(50):
-        sc = random_scenario(rng)
-        assert parse_scenario(sc.render()) == sc
+@settings(max_examples=200, deadline=None)
+@given(sc=scenarios())
+def test_render_parse_round_trip(sc):
+    assert parse_scenario(sc.render()) == sc

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qurdlab.catalog import CatalogParams
-from qurdlab.conformance import random_case
+from qurdlab.conformance import check_run, random_case
 from qurdlab.simulator import InvalidScenario, SimConfig, Simulation, run
 
 
@@ -232,6 +232,20 @@ def test_crash_while_reserved_with_job_in_flight_keeps_reservation():
     assert events(r, "launch")
     assert not events(r, "canceled", machine="M1")
     assert r.outcomes == {"J1": "stalled"}
+
+
+def test_job_reaching_machine_crashed_while_reserved_is_restarted():
+    # the launch consumes the dead machine's reservation: the job starts
+    # there and is lost with it, so the detector restarts it on M2
+    p = CatalogParams(machine_count=2, job_demands=[2],
+                      failure_detector=True)
+    c = SimConfig(crashes=[("M1", 3)], horizon=40)
+    r, report = check_run(p, c)
+    assert r.outcomes == {"J1": "completed"}
+    assert [e.kind for e in r.trace if e.machine == "M1"][-2:] == \
+        ["job-accepted", "crashed"]
+    assert events(r, "restarted", machine="M2", job="J1")
+    assert report.ok, report
 
 
 def test_restart_waits_for_available_machine():
