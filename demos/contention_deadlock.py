@@ -20,11 +20,11 @@ print(f"no timeout: {g.n_states} timed states")
 
 dead = pending_deadlocks(g)
 print(f"{len(dead)} wedged states (dead, but not everyone finished):")
-for s in dead:
-    held = {p: n for p, n in s.marking.items()
-            if p.startswith("reserved@") and n}
-    print("  J1 answered:", s.marking.get(jname("answered", "J1"), 0),
-          " J2 answered:", s.marking.get(jname("answered", "J2"), 0),
+for i in dead:
+    m = g.marking(i)
+    held = {p: n for p, n in m.items() if p.startswith("reserved@") and n}
+    print("  J1 answered:", m.get(jname("answered", "J1"), 0),
+          " J2 answered:", m.get(jname("answered", "J2"), 0),
           " held:", sorted(held))
 
 # a firing sequence into the standoff, with the delay before each step

@@ -28,12 +28,15 @@ would leave that range also raises ``ExplorationError`` instead of
 wrapping.  Ids, BFS parents and dead states are those of a dict-keyed BFS
 that visits each level transition-major.
 
-All checks return a ``Verdict`` whose witness replays from the initial
-state: witnesses from marking-level exploration are converted to timed
-``(delay, transition)`` labels by waiting out each earliest firing delay.
-``check_reachable`` takes a predicate over markings or a covering goal
-``{place: min_count}``; on a marking graph a covering goal and
-``check_invariant_vector`` read only the columns they name.
+The deadlock checks return state ids, so they read only what both graph
+classes offer: ``n_states``, ``marking``, ``dead_ids`` and
+``path_labels``.  The other checks return a ``Verdict`` whose witness
+replays from the initial state: witnesses from marking-level exploration
+are converted to timed ``(delay, transition)`` labels by waiting out each
+earliest firing delay.  ``check_reachable`` takes a predicate over
+markings or a covering goal ``{place: min_count}``; on a marking graph a
+covering goal and ``check_invariant_vector`` read only the columns they
+name.
 """
 
 from __future__ import annotations
@@ -184,9 +187,6 @@ class MarkingGraph:
     @property
     def n_states(self):
         return len(self.parent)
-
-    def state(self, i):
-        return self.marking(i)
 
     def marking(self, i):
         row = self.matrix[i]
@@ -467,16 +467,12 @@ def _require_complete(g):
 
 
 def find_deadlocks(g, skip=None):
-    """States with no successor at all (timed-dead in timed graphs, no
-    enabled transition in marking graphs).  ``skip`` filters out states
-    whose marking is an acceptable terminal (e.g. proper completion)."""
+    """Ids of the states with no successor at all (timed-dead in timed
+    graphs, no enabled transition in marking graphs).  ``skip`` filters out
+    states whose marking is an acceptable terminal (e.g. proper
+    completion)."""
     _require_complete(g)
-    out = []
-    for i in g.dead_ids():
-        if skip is not None and skip(g.marking(i)):
-            continue
-        out.append(g.state(i))
-    return out
+    return [i for i in g.dead_ids() if skip is None or not skip(g.marking(i))]
 
 
 def completion_skip(g):
@@ -485,13 +481,13 @@ def completion_skip(g):
     if isinstance(g.net, cpn.ColoredNet):
         n_jobs = len(g.net.universe.jobs)
         return lambda cm: len(cm.get("job_done", ())) == n_jobs
-    names = [p for p in g.net.places
-             if p == "job_done" or p.startswith("job_done@")]
+    names = [p for p in g.net.places if p.startswith("job_done@")]
     return lambda m: bool(names) and all(m.get(p, 0) >= 1 for p in names)
 
 
 def pending_deadlocks(g):
-    """Deadlocks that are not proper completion: some job never finished."""
+    """Ids of the deadlocks that are not proper completion: some job never
+    finished."""
     return find_deadlocks(g, skip=completion_skip(g))
 
 

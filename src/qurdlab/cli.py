@@ -89,8 +89,7 @@ def cmd_analyze(args) -> Report:
     witnesses = []
     for prop in props:
         if prop == "deadlock":
-            skip = analysis.completion_skip(g)
-            bad = [i for i in g.dead_ids() if not skip(g.marking(i))]
+            bad = analysis.pending_deadlocks(g)
             if bad:
                 report.add("deadlock: FOUND (%d dead states)" % len(bad))
                 witnesses.append(("deadlock", g.path_labels(bad[0]),

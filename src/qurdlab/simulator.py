@@ -2,24 +2,30 @@
 
 One launcher actor per job runs the reservation algorithm (fail or wait
 semantics); one daemon actor per machine runs the resource side.  They
-exchange RESERVE/OK/KO/JOB/RELEASE/DONE messages over reliable FIFO links
-with a fixed latency, and discover each other through a virtual service
-bus: daemons publish and unpublish themselves, subscribers hear about it
-one bus latency later.  Crashes silence a daemon; a JOB that reaches a
-machine which crashed while reserved for it starts there and is lost
-with it.  An optional failure-detector oracle notices a lost process
-after a detection delay and restarts it on the lowest-id available
-daemon (queueing the request if none is free).
+discover each other through a virtual service bus: daemons publish and
+unpublish themselves, subscribers hear about it one bus latency later.
+
+Each queued event names the method that handles it, messages included: a
+message over the reliable FIFO links is a call to the receiver's method
+one link latency after sending.  RESERVE, JOB and RELEASE are
+``Daemon.reserve``, ``start`` and ``release``; OK, KO and DONE are
+``Launcher.ok``, ``ko`` and ``done``, which a killed launcher ignores.
+A crashed daemon sends nothing: a RESERVE gets a suspected KO from the
+failure-detector oracle ``detect_delay + msg_latency`` after it arrives,
+a JOB for the reservation the daemon held when it crashed starts there
+and is lost with it, and any other JOB or RELEASE vanishes without a
+trace event.  An optional failure detector restarts a lost process,
+after a detection delay, on the lowest-id available daemon (queueing the
+request if none is free).
 
 The whole simulation is a pure function of (parameters, config), and the
-seed only shuffles job submission order.  Each queued event names the
-method that handles it.  Events at equal times are ordered crash < timer <
-delivery, then by scheduling sequence number.  One bus event stands for
-all its subscribers, delivered in order: each (launcher, machine) pair is
-handled as if it had its own consecutive sequence number, which is
-exact because bus handlers only schedule later deliveries.  The result is
-an outcome per job plus the protocol trace consumed by the conformance
-checker.
+seed only shuffles job submission order.  Events at equal times are
+ordered crash < timer < delivery, then by scheduling sequence number.
+One bus event stands for all its subscribers, delivered in order: each
+(launcher, machine) pair is handled as if it had its own consecutive
+sequence number, which is exact because bus handlers only schedule later
+deliveries.  The result is an outcome per job plus the protocol trace
+consumed by the conformance checker.
 """
 
 from __future__ import annotations
@@ -70,8 +76,10 @@ class SimConfig:
                 issues.append(f"{label} must be >= 0")
         if self.job_duration < 1:
             issues.append("job duration must be >= 1")
-        if self.timeout is not None and self.timeout < 1:
-            issues.append("timeout must be >= 1 or off")
+        if self.timeout != params.timeout:
+            # daemons cancel on the run's timeout, the replay net on the model's
+            issues.append(f"run timeout {self.timeout} differs from the "
+                          f"model timeout {params.timeout}")
         machines, jobs = set(params.machines()), set(params.jobs())
         for m, t in self.crashes:
             if m not in machines:
@@ -83,7 +91,7 @@ class SimConfig:
                 issues.append(f"unknown job {j} in kill schedule")
             if t < 0:
                 issues.append("kill time must be >= 0")
-        # a scenario sets both timeouts from one directive: report it once
+        # repeated crash or kill entries repeat their problem: report it once
         return list(dict.fromkeys(issues))
 
 
@@ -102,15 +110,6 @@ class TraceEvent:
         if self.job is not None:
             parts.append(f"job={self.job}")
         return " ".join(parts)
-
-
-@dataclass
-class Message:
-    kind: str                       # RESERVE OK KO JOB RELEASE DONE
-    src: str
-    dst: str
-    job: str
-    suspected: bool = False         # synthesized KO from the detector
 
 
 @dataclass
@@ -139,40 +138,57 @@ class Daemon:
         self.expiry_at = None       # deadline of the current reservation
         self.doomed = None          # reservation pending cancel after a crash
 
-    def on_message(self, msg):
+    def reserve(self, launcher):
         sim = self.sim
-        if msg.kind == "RESERVE":
-            if self.state == "available":
-                self.state = "reserved"
-                self.client = msg.job
-                self.epoch += 1
-                sim.announce(self, False)
-                sim.emit(self.name, "ok-sent", machine=self.name, job=msg.job)
-                sim.send(self.name, msg.src, "OK", msg.job)
-                if sim.config.timeout is not None:
-                    # the launcher-side timer runs at ok-receipt + timeout;
-                    # allow one more hop so a JOB sent just before that
-                    # deadline still lands before the daemon gives up
-                    self.expiry_at = (sim.now + sim.config.timeout
-                                      + 2 * sim.config.msg_latency)
-                    sim.timer(self.expiry_at, self.expire, self.epoch)
-            else:
-                sim.emit(self.name, "ko-sent", machine=self.name, job=msg.job)
-                sim.send(self.name, msg.src, "KO", msg.job)
-        elif msg.kind == "JOB":
-            if self.state == "reserved" and msg.job == self.client:
-                self.state = "running"
-                self.epoch += 1
-                sim.emit(self.name, "job-accepted", machine=self.name, job=msg.job)
-                sim.timer(sim.now + sim.config.job_duration,
-                          self.complete, self.epoch)
-            else:
-                sim.emit(self.name, "refused", machine=self.name, job=msg.job)
-        elif msg.kind == "RELEASE":
-            # only the reserving client may free the machine; a stale
-            # RELEASE after re-reservation must not evict a third party
-            if self.state == "reserved" and msg.job == self.client:
-                self.cancel()
+        job = launcher.job
+        if self.crashed:
+            # the eventually-perfect detector answers for the dead machine
+            # so the launcher is not stuck forever
+            sim.schedule(sim.now + sim.config.detect_delay
+                         + sim.config.msg_latency, DELIVER_PRIO,
+                         launcher.receive, launcher.ko, self.name, True)
+        elif self.state == "available":
+            self.state = "reserved"
+            self.client = job
+            self.epoch += 1
+            sim.announce(self, False)
+            sim.emit(self.name, "ok-sent", machine=self.name, job=job)
+            sim.send(launcher.receive, launcher.ok, self.name)
+            if sim.config.timeout is not None:
+                # the launcher-side timer runs at ok-receipt + timeout;
+                # allow one more hop so a JOB sent just before that
+                # deadline still lands before the daemon gives up
+                self.expiry_at = (sim.now + sim.config.timeout
+                                  + 2 * sim.config.msg_latency)
+                sim.timer(self.expiry_at, self.expire, self.epoch)
+        else:
+            sim.emit(self.name, "ko-sent", machine=self.name, job=job)
+            sim.send(launcher.receive, launcher.ko, self.name, False)
+
+    def start(self, job):
+        sim = self.sim
+        if self.crashed:
+            if job == self.doomed:
+                # the launch beat the reservation deadline, so the
+                # reservation was consumed, not canceled: the job starts
+                # on the dead machine and is lost with it
+                self.doomed = None
+                sim.emit(self.name, "job-accepted", machine=self.name, job=job)
+                sim.lose_job(self.name, job)
+        elif self.state == "reserved" and job == self.client:
+            self.state = "running"
+            self.epoch += 1
+            sim.emit(self.name, "job-accepted", machine=self.name, job=job)
+            sim.timer(sim.now + sim.config.job_duration,
+                      self.complete, self.epoch)
+        else:
+            sim.emit(self.name, "refused", machine=self.name, job=job)
+
+    def release(self, job):
+        # only the reserving client may free the machine; a stale
+        # RELEASE after re-reservation must not evict a third party
+        if not self.crashed and self.state == "reserved" and job == self.client:
+            self.cancel()
 
     def expire(self, epoch):
         if self.crashed or self.state != "reserved" or epoch != self.epoch:
@@ -200,7 +216,8 @@ class Daemon:
         job = self.client
         sim.emit(self.name, "process-finished", machine=self.name, job=job)
         sim.emit(self.name, "done-sent", machine=self.name, job=job)
-        sim.send(self.name, job, "DONE", job)
+        launcher = sim.launchers[job]
+        sim.send(launcher.receive, launcher.done)
         self.become_available()
 
     def become_available(self):
@@ -239,34 +256,41 @@ class Launcher:
         else:
             self.discovered.pop(machine, None)
 
-    def on_message(self, msg):
+    def receive(self, handler, *args):
+        """Handle a message unless killed, then contact more machines."""
+        if not self.dead:
+            handler(*args)
+            self.step()
+
+    def ok(self, machine):
         sim = self.sim
-        if msg.kind == "OK":
-            self.pending.discard(msg.src)
-            if self.phase != DISCOVERING:
-                return
-            self.oks += 1
-            self.machines.append(msg.src)
-            self.res_epoch[msg.src] = self.res_epoch.get(msg.src, 0) + 1
-            if sim.config.timeout is not None:
-                sim.timer(sim.now + sim.config.timeout, self.unbook,
-                          msg.src, self.res_epoch[msg.src])
-            if len(self.machines) == self.needed:
-                self.phase = LAUNCHING
-                sim.emit(self.job, "launch", job=self.job)
-                for m in self.machines:
-                    sim.send(self.job, m, "JOB", self.job)
-        elif msg.kind == "KO":
-            if msg.suspected:
-                sim.emit(self.job, "suspected", machine=msg.src, job=self.job)
-            self.pending.discard(msg.src)
-        elif msg.kind == "DONE":
-            if self.phase != LAUNCHING:
-                return
-            self.done_count += 1
-            if self.done_count == self.needed:
-                self.phase = DONE
-                sim.emit(self.job, "job-done", job=self.job)
+        self.pending.discard(machine)
+        if self.phase != DISCOVERING:
+            return
+        self.oks += 1
+        self.machines.append(machine)
+        self.res_epoch[machine] = self.res_epoch.get(machine, 0) + 1
+        if sim.config.timeout is not None:
+            sim.timer(sim.now + sim.config.timeout, self.unbook,
+                      machine, self.res_epoch[machine])
+        if len(self.machines) == self.needed:
+            self.phase = LAUNCHING
+            sim.emit(self.job, "launch", job=self.job)
+            for m in self.machines:
+                sim.send(sim.daemons[m].start, self.job)
+
+    def ko(self, machine, suspected):
+        if suspected:
+            self.sim.emit(self.job, "suspected", machine=machine, job=self.job)
+        self.pending.discard(machine)
+
+    def done(self):
+        if self.phase != LAUNCHING:
+            return
+        self.done_count += 1
+        if self.done_count == self.needed:
+            self.phase = DONE
+            self.sim.emit(self.job, "job-done", job=self.job)
 
     def unbook(self, machine, epoch):
         """Reservation timer: give the machine up if the job has not
@@ -277,7 +301,7 @@ class Launcher:
             return
         self.machines.remove(machine)
         self.sim.emit(self.job, "released", machine=machine, job=self.job)
-        self.sim.send(self.job, machine, "RELEASE", self.job)
+        self.sim.send(self.sim.daemons[machine].release, self.job)
         self.step()
 
     def step(self):
@@ -301,7 +325,7 @@ class Launcher:
                 self.pending.add(m)
                 window -= 1
                 self.sim.emit(self.job, "reserve-sent", machine=m, job=self.job)
-                self.sim.send(self.job, m, "RESERVE", self.job)
+                self.sim.send(self.sim.daemons[m].reserve, self)
         if self.pending or len(self.machines) >= self.needed:
             return
         if self.semantics != "fail":
@@ -312,7 +336,7 @@ class Launcher:
             return
         for m in self.machines:
             self.sim.emit(self.job, "released", machine=m, job=self.job)
-            self.sim.send(self.job, m, "RELEASE", self.job)
+            self.sim.send(self.sim.daemons[m].release, self.job)
         self.machines.clear()
         self.phase = FAILED
         self.sim.emit(self.job, "failed", job=self.job)
@@ -344,11 +368,11 @@ class Simulation:
     def timer(self, time, handler, *args):
         self.schedule(time, TIMER_PRIO, handler, *args)
 
-    def send(self, src, dst, kind, job, delay=None, suspected=False):
-        if delay is None:
-            delay = self.config.msg_latency
-        self.schedule(self.now + delay, DELIVER_PRIO, self.deliver,
-                      Message(kind, src, dst, job, suspected))
+    def send(self, handler, *args):
+        """Send a message: the receiver runs ``handler(*args)`` one link
+        latency from now."""
+        self.schedule(self.now + self.config.msg_latency, DELIVER_PRIO,
+                      handler, *args)
 
     def emit(self, actor, kind, machine=None, job=None):
         self.trace.append(TraceEvent(self.now, actor, kind, machine, job))
@@ -405,34 +429,6 @@ class Simulation:
             self.restart_on(daemon, job)
 
     # -- event handlers -----------------------------------------------------
-
-    def deliver(self, msg):
-        if msg.dst in self.daemons:
-            d = self.daemons[msg.dst]
-            if d.crashed:
-                if msg.kind == "RESERVE":
-                    # the eventually-perfect detector answers for the
-                    # dead machine so the launcher is not stuck forever
-                    self.send(msg.dst, msg.src, "KO", msg.job,
-                              delay=self.config.detect_delay +
-                              self.config.msg_latency,
-                              suspected=True)
-                elif msg.kind == "JOB" and msg.job == d.doomed:
-                    # the launch beat the reservation deadline, so the
-                    # reservation was consumed, not canceled: the job
-                    # starts on the dead machine and is lost with it
-                    d.doomed = None
-                    self.emit(d.name, "job-accepted", machine=d.name,
-                              job=msg.job)
-                    self.lose_job(d.name, msg.job)
-                return
-            d.on_message(msg)
-        else:
-            launcher = self.launchers[msg.dst]
-            if launcher.dead:
-                return
-            launcher.on_message(msg)
-            launcher.step()
 
     def submit(self, job):
         self.emit(job, "job-submitted", job=job)

@@ -66,9 +66,9 @@ def test_1_contention_deadlock_reproduced(capsys, tmp_path):
     assert elapsed < 5.0
     dead = find_deadlocks(g)
     assert len(dead) >= 1
-    split = [s for s in dead
-             if s.marking.get(jname("answered", "J1"), 0) == 2
-             and s.marking.get(jname("answered", "J2"), 0) == 1]
+    split = [i for i in dead
+             if g.marking(i).get(jname("answered", "J1"), 0) == 2
+             and g.marking(i).get(jname("answered", "J2"), 0) == 1]
     assert split, "expected a dead state where J1 holds 2 machines and J2 holds 1"
     scen = tmp_path / "contention.scn"
     scen.write_text(CONTENTION)
@@ -243,8 +243,10 @@ def test_8_everything_is_deterministic(capsys):
         return out
 
     assert verdicts(g1) == verdicts(g2)
-    d1 = [(s.marking, tuple(s.clocks)) for s in find_deadlocks(g1)]
-    d2 = [(s.marking, tuple(s.clocks)) for s in find_deadlocks(g2)]
+    d1 = [(g1.marking(i), tuple(g1.state(i).clocks))
+          for i in find_deadlocks(g1)]
+    d2 = [(g2.marking(i), tuple(g2.state(i).clocks))
+          for i in find_deadlocks(g2)]
     assert d1 == d2
     report(capsys,
            "8 determinism: PASS (byte-identical traces for a fixed seed; "

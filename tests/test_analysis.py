@@ -278,7 +278,7 @@ def test_token_count_at_int16_max_is_kept():
 
 def test_contention_deadlock_found():
     g = explore_markings(contention(None))
-    dead = find_deadlocks(g)
+    dead = [g.marking(i) for i in find_deadlocks(g)]
     assert dead
     assert any(m.get("answered@J1", 0) == 2 and m.get("answered@J2", 0) == 1
                for m in dead)
@@ -297,7 +297,8 @@ def test_no_transitions_initial_dead():
     net = Net()
     net.add_place("p", tokens=1)
     g = explore_markings(net)
-    assert find_deadlocks(g) == [{"p": 1}]
+    assert find_deadlocks(g) == [0]
+    assert g.marking(0) == {"p": 1}
 
 
 def test_no_places_single_live_state():
@@ -451,10 +452,9 @@ def test_path_labels_replay_everywhere():
 
 # -- both graph classes -----------------------------------------------------------
 
-def _dead_markings(states):
-    """find_deadlocks' states as hashable markings: TimedStates from a
-    ReachGraph, marking dicts from a MarkingGraph."""
-    return {frozenset(getattr(s, "marking", s).items()) for s in states}
+def _dead_markings(g, ids):
+    """The markings of states ``ids`` of ``g``, hashable."""
+    return {frozenset(g.marking(i).items()) for i in ids}
 
 
 def _witness_end(g, verdict):
@@ -471,8 +471,8 @@ def test_reach_and_marking_graphs_answer_alike(params):
     net = build_net(params)
     graphs = (explore(net), explore_markings(net))
     assert type(graphs[0]) is not type(graphs[1])
-    dead = [_dead_markings(find_deadlocks(g)) for g in graphs]
-    pending = [_dead_markings(pending_deadlocks(g)) for g in graphs]
+    dead = [_dead_markings(g, find_deadlocks(g)) for g in graphs]
+    pending = [_dead_markings(g, pending_deadlocks(g)) for g in graphs]
     assert dead[0] == dead[1] and dead[0]
     assert pending[0] == pending[1]
     skips = [completion_skip(g) for g in graphs]

@@ -1,5 +1,7 @@
 """Trace-to-net replay: projection, divergences, and the fuzz harness."""
 
+from dataclasses import replace
+
 import pytest
 
 from qurdlab.catalog import CatalogParams
@@ -92,19 +94,24 @@ def test_conformance_net_grows_detector_for_crashes():
     assert "crash" in conformance_net(p, crashes=[("M1", 2)]).transitions
 
 
-def test_transition_missing_from_net_diverges():
-    # the params turn the timeout off, so the net has no cancel, while the
-    # run's own timeout (SimConfig's default) still cancels reservations
+def timeout_off_net_replays_timed_run():
+    """Replay a run with timeout 3 on the net of the same model with the
+    timeout off: that net has no cancel, while the run cancels
+    reservations."""
     p = CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None)
-    _, report = check_run(p, SimConfig(seed=1))
+    trace = run(replace(p, timeout=3), SimConfig(seed=1)).trace
+    return p, replay(project(trace), conformance_net(p))
+
+
+def test_transition_missing_from_net_diverges():
+    p, report = timeout_off_net_replays_timed_run()
     assert not report.ok
     assert report.label[0] == "cancel"
     assert "cancel" not in conformance_net(p).transitions
 
 
 def test_divergence_text_names_the_reason():
-    missing = check_run(CatalogParams(machine_count=3, job_demands=[3, 2],
-                                      timeout=None), SimConfig(seed=1))[1]
+    missing = timeout_off_net_replays_timed_run()[1]
     assert str(missing) == ("divergence at step 12: "
                             "cancel Binding(m=M3, j=J1) not in the net")
     blocked = replay([("t2", Binding("M1", "J1"))],

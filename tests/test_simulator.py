@@ -118,6 +118,16 @@ def test_pinned_trace_digests(params, config, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_fuzz_space_traces_pinned():
+    # the first 1,000 fuzz cases reach every path a crashed daemon takes,
+    # so any change in what they emit or when shows here
+    h = hashlib.sha256()
+    for k in range(1000):
+        h.update(run(*random_case(random.Random(k))).trace_text().encode())
+    assert h.hexdigest() == \
+        "d55c24cd64072a2d06d6957765b205c4ced41048f2af5912c3e7cd3cb2ae1820"
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=st.integers(0, 2**32 - 1), kill=st.none() | st.integers(0, 8))
 def test_random_runs_keep_the_protocol_invariants(case, kill):
@@ -248,6 +258,68 @@ def test_job_reaching_machine_crashed_while_reserved_is_restarted():
     assert report.ok, report
 
 
+# A crashed daemon sends nothing itself.  random_case seeds 16, 12, 24 and
+# 18 are the first fuzz cases to reach its RESERVE, doomed-JOB, other-JOB
+# and RELEASE rules; the scenarios below reach each on one machine, where
+# J1 hears of M1 at t=1 and its RESERVE lands at t=2.
+
+def daemon_events(result, machine):
+    return [(e.time, e.kind) for e in result.trace if e.actor == machine]
+
+
+def test_reserve_to_crashed_daemon_gets_suspected_ko():
+    p = CatalogParams(machine_count=1, job_demands=[1])
+    c = SimConfig(crashes=[("M1", 2)], detect_delay=2)
+    r = run(p, c)
+    arrival = events(r, "reserve-sent", machine="M1")[0].time + c.msg_latency
+    assert arrival == 2
+    suspected = events(r, "suspected", machine="M1", job="J1")
+    assert [e.time for e in suspected] == \
+        [arrival + c.detect_delay + c.msg_latency]
+    assert daemon_events(r, "M1") == [(2, "unpublished"), (2, "crashed-idle")]
+
+
+def test_job_for_doomed_reservation_starts_and_is_lost():
+    # M1 crashes holding J1's reservation just as J1's JOB lands: the job
+    # is accepted, lost with the machine, and the reservation never canceled
+    p = CatalogParams(machine_count=1, job_demands=[1])
+    r = run(p, SimConfig(crashes=[("M1", 4)]))
+    assert daemon_events(r, "M1") == [
+        (2, "unpublished"), (2, "ok-sent"), (4, "crashed-idle"),
+        (4, "job-accepted"), (4, "crashed")]
+    assert r.outcomes == {"J1": "stalled"}
+
+
+def test_job_to_crashed_daemon_without_deadline_vanishes():
+    # with the timeout off no reservation is doomed: the JOB gets neither
+    # job-accepted nor refused
+    p = CatalogParams(machine_count=1, job_demands=[1], timeout=None)
+    r = run(p, SimConfig(timeout=None, crashes=[("M1", 4)]))
+    assert events(r, "launch")
+    assert daemon_events(r, "M1") == [
+        (2, "unpublished"), (2, "ok-sent"), (4, "crashed-idle")]
+    assert r.outcomes == {"J1": "stalled"}
+
+
+@pytest.mark.parametrize("params, config, m1_events", [
+    # fail semantics gives M1 up as the OK lands, just after the crash
+    (CatalogParams(machine_count=1, job_demands=[2], semantics="fail",
+                   timeout=None),
+     SimConfig(timeout=None, crashes=[("M1", 3)]),
+     [(2, "unpublished"), (2, "ok-sent"), (3, "crashed-idle")]),
+    # the reservation timer gives M1 up; the RELEASE lands at the doomed
+    # reservation's deadline, which alone cancels it
+    (CatalogParams(machine_count=1, job_demands=[2]),
+     SimConfig(crashes=[("M1", 4)], horizon=40),
+     [(2, "unpublished"), (2, "ok-sent"), (4, "crashed-idle"),
+      (7, "canceled")]),
+], ids=["fail-timeout-off", "wait-timeout-3"])
+def test_release_to_crashed_daemon_vanishes(params, config, m1_events):
+    r = run(params, config)
+    assert events(r, "released", machine="M1", job="J1")
+    assert daemon_events(r, "M1") == m1_events
+
+
 def test_restart_waits_for_available_machine():
     p = CatalogParams(machine_count=1, job_demands=[1],
                       failure_detector=True)
@@ -298,6 +370,12 @@ def test_invalid_scenarios_rejected():
         run(good, SimConfig(launcher_kills=[("J1", -4)]))
     with pytest.raises(InvalidScenario, match="detect-delay must be >= 0"):
         run(good, SimConfig(detect_delay=-3))
+    # the run must time reservations out as the model does
+    with pytest.raises(InvalidScenario, match="run timeout None differs "
+                       "from the model timeout 3"):
+        run(good, SimConfig(timeout=None))
+    with pytest.raises(InvalidScenario, match="run timeout 0 differs"):
+        run(good, SimConfig(timeout=0))
     with pytest.raises(InvalidScenario):
         run(CatalogParams(machine_count=1, job_demands=[1],
                           job_ids=["M1"]))

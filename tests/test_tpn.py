@@ -421,8 +421,8 @@ def assert_caps_match_uniform(net, bound=DEFAULT_BOUND):
     assert not g.truncated
     caps = net.clock_caps()
     assert clipped(gu, caps) == clipped(g, caps)
-    assert {s.counts for s in pending_deadlocks(g)} == \
-        {s.counts for s in pending_deadlocks(gu)}
+    assert {g.state(i).counts for i in pending_deadlocks(g)} == \
+        {gu.state(i).counts for i in pending_deadlocks(gu)}
     for i in g.dead_ids():
         assert replay_labels(net, g.path_labels(i)) == g.state(i)
     return True
