@@ -36,12 +36,9 @@ class CatalogParams:
     timeout: object = DEFAULT_TIMEOUT   # None disables cancel entirely
     zeroconf: bool = False
     failure_detector: bool = False
-    machine_ids: list = None
     job_ids: list = None
 
     def machines(self):
-        if self.machine_ids is not None:
-            return list(self.machine_ids)
         return [f"M{i + 1}" for i in range(self.machine_count)]
 
     def jobs(self):
@@ -58,15 +55,12 @@ class CatalogParams:
         """Problems with these parameters, one message each; empty when
         they describe a model that can be built and simulated."""
         issues = []
-        machines, jobs = self.machines(), self.jobs()
+        jobs = self.jobs()
         n_jobs = len(self.job_demands)
         if self.machine_count < 1:
             issues.append("machines must be >= 1")
         if not n_jobs:
             issues.append("at least one job is required")
-        if len(machines) != self.machine_count:
-            issues.append(f"{len(machines)} machine ids for "
-                          f"{self.machine_count} machines")
         if len(jobs) != n_jobs:
             issues.append(f"{len(jobs)} job ids for {n_jobs} jobs")
         semantics = [self.semantics] * n_jobs \
@@ -78,12 +72,11 @@ class CatalogParams:
                 issues.append(f"job {j}: demand must be >= 1")
             if sem not in (FAIL, WAIT):
                 issues.append(f"job {j}: semantics must be fail or wait")
-        for kind, ids in (("machine", machines), ("job", jobs)):
-            issues += [f"duplicate {kind} {i}"
-                       for i, n in Counter(ids).items() if n > 1]
-        taken = set(machines)
+        issues += [f"duplicate job {j}"
+                   for j, n in Counter(jobs).items() if n > 1]
+        machines = set(self.machines())
         issues += [f"job id {j} collides with a machine id"
-                   for j in jobs if j in taken]
+                   for j in jobs if j in machines]
         if self.timeout is not None and self.timeout < 1:
             issues.append("timeout must be >= 1 or off")
         return issues

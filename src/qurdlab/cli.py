@@ -202,6 +202,14 @@ def cmd_export_dot(args) -> Report:
     return report
 
 
+def count(text):
+    """argparse type for a count of traces or states: an int >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qurdlab",
@@ -214,7 +222,7 @@ def build_parser():
     p.add_argument("scenario")
     p.add_argument("--property", dest="properties", action="append",
                    choices=PROPERTIES)
-    p.add_argument("--bound", type=int, default=analysis.DEFAULT_BOUND)
+    p.add_argument("--bound", type=count, default=analysis.DEFAULT_BOUND)
     p.add_argument("--out", help="witness file path")
     p.set_defaults(func=cmd_analyze)
 
@@ -226,7 +234,7 @@ def build_parser():
     p = sub.add_parser("conformance", help="replay traces against the "
                                            "colored model")
     p.add_argument("scenario", nargs="?")
-    p.add_argument("--fuzz", type=int, metavar="COUNT")
+    p.add_argument("--fuzz", type=count, metavar="COUNT")
     p.set_defaults(func=cmd_conformance)
 
     p = sub.add_parser("export-dot", help="emit Graphviz text for a net or "
@@ -236,7 +244,7 @@ def build_parser():
                         "a scenario file")
     p.add_argument("--reach", action="store_true",
                    help="export the reachability graph instead of the net")
-    p.add_argument("--bound", type=int, default=dot.MAX_GRAPH_STATES)
+    p.add_argument("--bound", type=count, default=dot.MAX_GRAPH_STATES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_export_dot)
     return parser

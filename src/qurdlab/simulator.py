@@ -10,13 +10,14 @@ message over the reliable FIFO links is a call to the receiver's method
 one link latency after sending.  RESERVE, JOB and RELEASE are
 ``Daemon.reserve``, ``start`` and ``release``; OK, KO and DONE are
 ``Launcher.ok``, ``ko`` and ``done``, which a killed launcher ignores.
-A crashed daemon sends nothing: a RESERVE gets a suspected KO from the
-failure-detector oracle ``detect_delay + msg_latency`` after it arrives,
-a JOB for the reservation the daemon held when it crashed starts there
-and is lost with it, and any other JOB or RELEASE vanishes without a
-trace event.  An optional failure detector restarts a lost process,
-after a detection delay, on the lowest-id available daemon (queueing the
-request if none is free).
+A crashed daemon sends nothing but keeps its reservation, as the net's
+crash consumes only running: the reservation's own deadline cancels it,
+or else the JOB for it lands, starts there and is lost with the machine.
+A RESERVE to a crashed daemon gets a suspected KO from the
+failure-detector oracle ``detect_delay + msg_latency`` after it arrives;
+any other JOB or RELEASE vanishes without a trace event.  An optional
+failure detector restarts a lost process, after a detection delay, on
+the lowest-id available daemon (queueing the request if none is free).
 
 The whole simulation is a pure function of (parameters, config), and the
 seed only shuffles job submission order.  Events at equal times are
@@ -135,8 +136,6 @@ class Daemon:
         self.published = True
         self.crashed = False
         self.epoch = 0              # bumped on every state change
-        self.expiry_at = None       # deadline of the current reservation
-        self.doomed = None          # reservation pending cancel after a crash
 
     def reserve(self, launcher):
         sim = self.sim
@@ -158,30 +157,27 @@ class Daemon:
                 # the launcher-side timer runs at ok-receipt + timeout;
                 # allow one more hop so a JOB sent just before that
                 # deadline still lands before the daemon gives up
-                self.expiry_at = (sim.now + sim.config.timeout
-                                  + 2 * sim.config.msg_latency)
-                sim.timer(self.expiry_at, self.expire, self.epoch)
+                deadline = (sim.now + sim.config.timeout
+                            + 2 * sim.config.msg_latency)
+                sim.timer(deadline, self.expire, self.epoch)
         else:
             sim.emit(self.name, "ko-sent", machine=self.name, job=job)
             sim.send(launcher.receive, launcher.ko, self.name, False)
 
     def start(self, job):
         sim = self.sim
-        if self.crashed:
-            if job == self.doomed:
-                # the launch beat the reservation deadline, so the
-                # reservation was consumed, not canceled: the job starts
-                # on the dead machine and is lost with it
-                self.doomed = None
-                sim.emit(self.name, "job-accepted", machine=self.name, job=job)
-                sim.lose_job(self.name, job)
-        elif self.state == "reserved" and job == self.client:
+        if self.state == "reserved" and job == self.client:
             self.state = "running"
             self.epoch += 1
             sim.emit(self.name, "job-accepted", machine=self.name, job=job)
-            sim.timer(sim.now + sim.config.job_duration,
-                      self.complete, self.epoch)
-        else:
+            if self.crashed:
+                # the JOB consumes the reservation the crash left in
+                # place: the job starts on the dead machine and is lost
+                sim.lose_job(self.name, job)
+            else:
+                sim.timer(sim.now + sim.config.job_duration,
+                          self.complete, self.epoch)
+        elif not self.crashed:
             sim.emit(self.name, "refused", machine=self.name, job=job)
 
     def release(self, job):
@@ -191,23 +187,15 @@ class Daemon:
             self.cancel()
 
     def expire(self, epoch):
-        if self.crashed or self.state != "reserved" or epoch != self.epoch:
-            return
-        self.cancel()
+        # a crashed daemon loses its reservation at the same deadline
+        if self.state == "reserved" and epoch == self.epoch:
+            self.cancel()
 
     def cancel(self):
         # cancel first: becoming available may immediately hand the
         # machine to a failure-detector restart
         self.sim.emit(self.name, "canceled", machine=self.name, job=self.client)
         self.become_available()
-
-    def expire_doomed(self, epoch):
-        # a machine that died holding a reservation still loses it at the
-        # original deadline; the launcher's books must see the same cancel
-        if epoch != self.epoch or self.doomed is None:
-            return
-        job, self.doomed = self.doomed, None
-        self.sim.emit(self.name, "canceled", machine=self.name, job=job)
 
     def complete(self, epoch):
         if self.crashed or self.state != "running" or epoch != self.epoch:
@@ -224,8 +212,9 @@ class Daemon:
         self.state = "available"
         self.client = None
         self.epoch += 1
-        self.sim.announce(self, True)
-        self.sim.detector_offer(self)
+        if not self.crashed:
+            self.sim.announce(self, True)
+            self.sim.detector_offer(self)
 
 
 class Launcher:
@@ -448,16 +437,11 @@ class Simulation:
         if d.crashed:
             return
         d.crashed = True
-        was, job = d.state, d.client
-        d.epoch += 1
         if d.published:
             self.announce(d, False)
-        if was == "running":
-            self.lose_job(name, job)
+        if d.state == "running":
+            self.lose_job(name, d.client)
         else:
-            if was == "reserved" and d.expiry_at is not None:
-                d.doomed = job
-                self.timer(d.expiry_at, d.expire_doomed, d.epoch)
             self.emit(name, "crashed-idle", machine=name)
 
     def lose_job(self, name, job):
@@ -502,5 +486,5 @@ def run(params, config=None):
     """Simulate the protocol for a model configuration; deterministic for
     fixed (params, config)."""
     if config is None:
-        config = SimConfig()
+        config = SimConfig(timeout=params.timeout)
     return Simulation(params, config).run()

@@ -39,17 +39,9 @@ def test_params_reject_duplicate_job_ids():
                            job_ids=["J1", "J1"]), "duplicate job J1")
 
 
-def test_params_reject_duplicate_machine_ids():
-    rejected(CatalogParams(machine_count=2, job_demands=[1],
-                           machine_ids=["M1", "M1"]), "duplicate machine M1")
-
-
 def test_params_reject_id_count_mismatch():
     rejected(CatalogParams(machine_count=2, job_demands=[1, 1],
                            job_ids=["J1"]), "1 job ids for 2 jobs")
-    rejected(CatalogParams(machine_count=3, job_demands=[1],
-                           machine_ids=["M1", "M2"]),
-             "2 machine ids for 3 machines")
 
 
 def test_params_reject_short_semantics_list():

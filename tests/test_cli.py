@@ -134,6 +134,22 @@ def test_conformance_fuzz(capsys):
     assert "10/10 traces conform" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["conformance", "--fuzz", "-2"], "--fuzz: must be >= 1, got -2"),
+    (["conformance", "--fuzz", "0"], "--fuzz: must be >= 1, got 0"),
+    (["analyze", "any.scn", "--bound", "-5"], "--bound: must be >= 1, got -5"),
+    (["export-dot", "machine", "--reach", "--bound", "0"],
+     "--bound: must be >= 1, got 0"),
+    (["analyze", "any.scn", "--bound", "many"],
+     "--bound: invalid count value: 'many'"),
+])
+def test_counts_below_one_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 # -- export-dot -----------------------------------------------------------------
 
 def test_export_machine_nodes(capsys):

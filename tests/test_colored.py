@@ -20,15 +20,14 @@ def tiny_universe():
     return ColorUniverse(["m1"], ["j1"], {"j1": 1})
 
 
-def params(machines, jobs, demands, semantics="wait"):
-    """Catalog parameters with the given machine and job ids."""
-    return CatalogParams(machine_count=len(machines), machine_ids=machines,
-                         job_ids=jobs, job_demands=demands,
-                         semantics=semantics)
+def params(machine_count, jobs, demands, semantics="wait"):
+    """Catalog parameters with machines M1..Mn and the given job ids."""
+    return CatalogParams(machine_count=machine_count, job_ids=jobs,
+                         job_demands=demands, semantics=semantics)
 
 
 def tiny_params():
-    return params(["m1"], ["j1"], [1])
+    return params(1, ["j1"], [1])
 
 
 # -- net validation ------------------------------------------------------------
@@ -70,10 +69,10 @@ def test_inscription_tokens():
 
 
 def test_binding_order_is_lexicographic():
-    cnet = build_colored(params(["m1", "m2"], ["j1", "j2"], [1, 1]))
+    cnet = build_colored(params(2, ["j1", "j2"], [1, 1]))
     assert cnet.bindings_of("t1") == [
-        Binding("m1", "j1"), Binding("m1", "j2"),
-        Binding("m2", "j1"), Binding("m2", "j2")]
+        Binding("M1", "j1"), Binding("M1", "j2"),
+        Binding("M2", "j1"), Binding("M2", "j2")]
     # start_job only mentions j
     assert cnet.bindings_of("start_job") == [Binding(None, "j1"),
                                              Binding(None, "j2")]
@@ -96,21 +95,21 @@ def test_after_start_job_t1_enabled():
     cnet = build_colored(tiny_params())
     m = colored_fire(cnet, cnet.initial_marking(), "start_job",
                      Binding(None, "j1"))
-    assert ("t1", Binding("m1", "j1")) in colored_enabled(cnet, m)
+    assert ("t1", Binding("M1", "j1")) in colored_enabled(cnet, m)
 
 
 def test_t1_produces_pair_and_answer():
     cnet = build_colored(tiny_params())
     m = colored_fire(cnet, cnet.initial_marking(), "start_job",
                      Binding(None, "j1"))
-    m = colored_fire(cnet, m, "t1", Binding("m1", "j1"))
-    assert m["reserved"] == (("m1", "j1"),)
+    m = colored_fire(cnet, m, "t1", Binding("M1", "j1"))
+    assert m["reserved"] == (("M1", "j1"),)
     assert m["answered"] == ("j1",)
     assert m["available"] == ()
 
 
 def test_t5_needs_demand_tokens():
-    cnet = build_colored(params(["m1", "m2"], ["j1"], [2]))
+    cnet = build_colored(params(2, ["j1"], [2]))
     m = dict(cnet.initial_marking())
     m["job_finished"] = ("j1",)
     with pytest.raises(NotFireable):
@@ -123,9 +122,9 @@ def test_t5_needs_demand_tokens():
 def test_cancel_returns_machine_and_retry_token():
     cnet = build_colored(tiny_params())
     m = dict(cnet.initial_marking())
-    m.update(available=(), reserved=(("m1", "j1"),), answered=("j1",))
-    m2 = colored_fire(cnet, m, "cancel", Binding("m1", "j1"))
-    assert m2["available"] == ("m1",)
+    m.update(available=(), reserved=(("M1", "j1"),), answered=("j1",))
+    m2 = colored_fire(cnet, m, "cancel", Binding("M1", "j1"))
+    assert m2["available"] == ("M1",)
     assert m2["get_nodes"] == ("j1",)
     assert m2["reserved"] == ()
 
@@ -133,11 +132,11 @@ def test_cancel_returns_machine_and_retry_token():
 def test_fire_checks_enabling():
     cnet = build_colored(tiny_params())
     with pytest.raises(NotFireable):
-        colored_fire(cnet, cnet.initial_marking(), "t1", Binding("m1", "j1"))
+        colored_fire(cnet, cnet.initial_marking(), "t1", Binding("M1", "j1"))
 
 
 def test_sort_preserved_by_firing():
-    cnet = build_colored(params(["m1", "m2"], ["j1"], [2]))
+    cnet = build_colored(params(2, ["j1"], [2]))
     rng = random.Random(5)
     m = cnet.initial_marking()
     for _ in range(40):
@@ -169,32 +168,32 @@ def test_token_name():
 def test_unfold_place_and_transition_inventory():
     cnet = build_colored(tiny_params())
     net = unfold(cnet)
-    assert "available@m1" in net.places
-    assert "reserved@(m1,j1)" in net.places
+    assert "available@M1" in net.places
+    assert "reserved@(M1,j1)" in net.places
     # one copy per binding
-    assert "t1@(m1,j1)" in net.transitions
+    assert "t1@(M1,j1)" in net.transitions
     assert "start_job@j1" in net.transitions
     n_bindings = sum(len(cnet.bindings_of(t)) for t in cnet.transitions)
     assert len(net.transitions) == n_bindings
 
 
 def test_unfold_two_machines_t1_twice():
-    cnet = build_colored(params(["m1", "m2"], ["j1"], [1]))
+    cnet = build_colored(params(2, ["j1"], [1]))
     net = unfold(cnet)
     copies = [t for t in net.transitions if t.startswith("t1@")]
-    assert sorted(copies) == ["t1@(m1,j1)", "t1@(m2,j1)"]
+    assert sorted(copies) == ["t1@(M1,j1)", "t1@(M2,j1)"]
 
 
 def test_unfold_no_jobs():
-    cnet = build_colored(params(["m1", "m2"], [], []))
+    cnet = build_colored(params(2, [], []))
     net = unfold(cnet)
     assert [p for p in net.places if p.startswith("available@")] == \
-        ["available@m1", "available@m2"]
+        ["available@M1", "available@M2"]
     assert all("j" not in t for t in net.transitions)
 
 
 def test_unfold_demand_becomes_weight():
-    cnet = build_colored(params(["m1", "m2"], ["j1"], [2]))
+    cnet = build_colored(params(2, ["j1"], [2]))
     net = unfold(cnet)
     assert net.post["start_job@j1"] == {"get_nodes@j1": 2}
     assert net.pre["launch@j1"] == {"answered@j1": 2}
@@ -204,14 +203,14 @@ def test_unfold_demand_becomes_weight():
 def test_unfold_inherits_intervals():
     cnet = build_colored(tiny_params())
     net = unfold(cnet)
-    assert net.interval["cancel@(m1,j1)"] == (3, None)
-    assert net.interval["t1@(m1,j1)"] == (0, None)
+    assert net.interval["cancel@(M1,j1)"] == (3, None)
+    assert net.interval["t1@(M1,j1)"] == (0, None)
 
 
 def test_unfold_initial_marking():
-    cnet = build_colored(params(["m1", "m2"], ["j1"], [1]))
+    cnet = build_colored(params(2, ["j1"], [1]))
     net = unfold(cnet)
-    assert net.initial == {"available@m1": 1, "available@m2": 1,
+    assert net.initial == {"available@M1": 1, "available@M2": 1,
                            "begin@j1": 1}
 
 
@@ -228,7 +227,7 @@ def test_unfold_random_walk_bisimulation():
     """Colored firing sequences replay on the unfolded net step for step,
     with a wait job and a fail job."""
     rng = random.Random(11)
-    cnet = build_colored(params(["m1", "m2"], ["j1", "j2"], [2, 1],
+    cnet = build_colored(params(2, ["j1", "j2"], [2, 1],
                                 ["wait", "fail"]))
     net = unfold(cnet)
     for _ in range(20):

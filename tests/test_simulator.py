@@ -6,6 +6,7 @@ internals, because the trace is the module's actual contract.
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,6 +32,23 @@ def test_happy_path_four_daemons():
     assert r.outcomes == {"J1": "completed"}
     done = [e.kind for e in r.trace if e.kind in ("done-sent", "job-done")]
     assert done == ["done-sent"] * 4 + ["job-done"]
+
+
+def test_run_without_config_simulates_timeout_off():
+    off = CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None)
+    r = run(off)
+    assert r.outcomes == {"J1": "completed", "J2": "completed"}
+    assert r.trace == run(off, SimConfig(timeout=None)).trace
+
+
+def test_run_without_config_simulates_timeout_5():
+    # demand 3 on 2 machines never launches: M1 is given up at
+    # ok + timeout + 2 link latencies
+    five = CatalogParams(machine_count=2, job_demands=[3], timeout=5)
+    r = run(five)
+    assert r.trace == run(five, SimConfig(timeout=5)).trace
+    ok = events(r, "ok-sent", machine="M1")[0]
+    assert events(r, "canceled", machine="M1")[0].time == ok.time + 5 + 2
 
 
 def test_fail_semantics_gives_up():
@@ -105,10 +123,11 @@ PINNED_TRACES = [
     (CatalogParams(machine_count=3, job_demands=[2, 2]),
      SimConfig(launcher_kills=[("J1", 3)], seed=0),
      "2fa7aadd90abd4dd86bc393f838cf87db7e45cdae133b5c7d490b002f90ddfca"),
-    # M1 crashes while reserved and still cancels at the deadline
+    # M1 crashes while reserved and still cancels at its deadline, before
+    # M2 in reservation order
     (CatalogParams(machine_count=2, job_demands=[3]),
      SimConfig(crashes=[("M1", 3)], horizon=40),
-     "231a96567ca036bb5e6b21a7b7963f140738edcaacb81d31672f4eeb6eda2e4e"),
+     "5b740cfbf84fcefc513c519fc6d61fe26973129cad8d539cd290fce88ee0b4bb"),
 ]
 
 
@@ -120,12 +139,18 @@ def test_pinned_trace_digests(params, config, digest):
 
 def test_fuzz_space_traces_pinned():
     # the first 1,000 fuzz cases reach every path a crashed daemon takes,
-    # so any change in what they emit or when shows here
+    # so any change in what they emit or when shows here; the outcome
+    # tally says whether such a change moves any outcome
     h = hashlib.sha256()
+    tally = Counter()
     for k in range(1000):
-        h.update(run(*random_case(random.Random(k))).trace_text().encode())
+        r = run(*random_case(random.Random(k)))
+        h.update(r.trace_text().encode())
+        tally.update(r.outcomes.values())
+    assert tally == {"completed": 857, "failed": 343, "stalled": 223,
+                     "horizon": 82}
     assert h.hexdigest() == \
-        "d55c24cd64072a2d06d6957765b205c4ced41048f2af5912c3e7cd3cb2ae1820"
+        "5ba2bbd3f13fa085ce77956e5ca243b59ae9b823ad3ff79f7fa49375a3ad3a86"
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,10 +283,11 @@ def test_job_reaching_machine_crashed_while_reserved_is_restarted():
     assert report.ok, report
 
 
-# A crashed daemon sends nothing itself.  random_case seeds 16, 12, 24 and
-# 18 are the first fuzz cases to reach its RESERVE, doomed-JOB, other-JOB
-# and RELEASE rules; the scenarios below reach each on one machine, where
-# J1 hears of M1 at t=1 and its RESERVE lands at t=2.
+# A crashed daemon sends nothing itself but keeps its reservation.
+# random_case seeds 16, 12, 24 and 18 are the first fuzz cases to reach
+# its RESERVE rule, its JOB rule with the timeout on and off, and its
+# RELEASE rule; the scenarios below reach each on one machine, where J1
+# hears of M1 at t=1 and its RESERVE lands at t=2.
 
 def daemon_events(result, machine):
     return [(e.time, e.kind) for e in result.trace if e.actor == machine]
@@ -290,15 +316,39 @@ def test_job_for_doomed_reservation_starts_and_is_lost():
     assert r.outcomes == {"J1": "stalled"}
 
 
-def test_job_to_crashed_daemon_without_deadline_vanishes():
-    # with the timeout off no reservation is doomed: the JOB gets neither
-    # job-accepted nor refused
+def test_job_for_kept_reservation_without_deadline_starts_and_is_lost():
+    # with the timeout off nothing cancels the reservation, so the JOB
+    # still consumes it: the job starts on the dead machine and is lost
     p = CatalogParams(machine_count=1, job_demands=[1], timeout=None)
     r = run(p, SimConfig(timeout=None, crashes=[("M1", 4)]))
     assert events(r, "launch")
     assert daemon_events(r, "M1") == [
-        (2, "unpublished"), (2, "ok-sent"), (4, "crashed-idle")]
+        (2, "unpublished"), (2, "ok-sent"), (4, "crashed-idle"),
+        (4, "job-accepted"), (4, "crashed")]
     assert r.outcomes == {"J1": "stalled"}
+
+
+def test_job_lost_without_deadline_is_restarted():
+    p = CatalogParams(machine_count=2, job_demands=[1],
+                      failure_detector=True, timeout=None)
+    c = SimConfig(timeout=None, crashes=[("M1", 4)], horizon=60)
+    r, report = check_run(p, c)
+    assert r.outcomes == {"J1": "completed"}
+    assert events(r, "restarted", machine="M2", job="J1")
+    assert report.ok, report
+
+
+def test_stray_job_refused_only_by_live_daemon():
+    # no run sends a JOB to a daemon that is not reserved for it (the
+    # launcher always gives a machine up before the daemon's deadline),
+    # so the handler is driven directly
+    sim = Simulation(CatalogParams(machine_count=2, job_demands=[1]),
+                     SimConfig())
+    sim.crash("M1")
+    sim.daemons["M1"].start("J1")
+    sim.daemons["M2"].start("J1")
+    assert [(e.actor, e.kind) for e in sim.trace] == [
+        ("M1", "unpublished"), ("M1", "crashed-idle"), ("M2", "refused")]
 
 
 @pytest.mark.parametrize("params, config, m1_events", [
@@ -307,8 +357,8 @@ def test_job_to_crashed_daemon_without_deadline_vanishes():
                    timeout=None),
      SimConfig(timeout=None, crashes=[("M1", 3)]),
      [(2, "unpublished"), (2, "ok-sent"), (3, "crashed-idle")]),
-    # the reservation timer gives M1 up; the RELEASE lands at the doomed
-    # reservation's deadline, which alone cancels it
+    # the launcher's timer gives M1 up; its RELEASE lands on the crashed
+    # daemon at the reservation's deadline, and only that deadline cancels
     (CatalogParams(machine_count=1, job_demands=[2]),
      SimConfig(crashes=[("M1", 4)], horizon=40),
      [(2, "unpublished"), (2, "ok-sent"), (4, "crashed-idle"),
