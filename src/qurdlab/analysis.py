@@ -35,8 +35,7 @@ replays from the initial state: witnesses from marking-level exploration
 are converted to timed ``(delay, transition)`` labels by waiting out each
 earliest firing delay.  ``check_reachable`` takes a predicate over
 markings or a covering goal ``{place: min_count}``; on a marking graph a
-covering goal and ``check_invariant_vector`` read only the columns they
-name.
+covering goal reads only the columns it names.
 """
 
 from __future__ import annotations
@@ -260,14 +259,7 @@ def explore_markings(net, bound=DEFAULT_BOUND):
     token count would leave the int16 range or hash keys keep colliding.
     """
     _require_open_intervals(net)
-    _, pre, post, _, _ = net.compiled()
-    n_places = len(net.places)
-    deltas = np.zeros((len(net.transitions), n_places), dtype=np.int64)
-    for ti in range(len(net.transitions)):
-        for p, w in pre[ti]:
-            deltas[ti, p] -= w
-        for p, w in post[ti]:
-            deltas[ti, p] += w
+    deltas = _incidence(net)
     row0 = np.array(net.marking_tuple(net.initial), dtype=np.int64)
     if (np.abs(deltas) > INT16_MAX).any() or (row0 > INT16_MAX).any():
         raise ExplorationError("a token count or arc weight exceeds %d"
@@ -275,12 +267,24 @@ def explore_markings(net, bound=DEFAULT_BOUND):
     for attempt in range(KEY_ATTEMPTS):
         try:
             return _bfs(net, bound, row0.astype(np.int16),
-                        deltas.astype(np.int16), pre,
-                        _multipliers(n_places, attempt))
+                        deltas.astype(np.int16), net.compiled()[1],
+                        _multipliers(len(net.places), attempt))
         except _Collision:
             continue
     raise ExplorationError("marking hash keys collided with %d sets of "
                            "multipliers" % KEY_ATTEMPTS)
+
+
+def _incidence(net):
+    """Token change of each firing, one int64 row per transition."""
+    _, pre, post, _, _ = net.compiled()
+    deltas = np.zeros((len(net.transitions), len(net.places)), dtype=np.int64)
+    for ti, (consumed, produced) in enumerate(zip(pre, post)):
+        for p, w in consumed:
+            deltas[ti, p] -= w
+        for p, w in produced:
+            deltas[ti, p] += w
+    return deltas
 
 
 def _bfs(net, bound, row0, deltas, pre, mult):
@@ -533,37 +537,7 @@ def _check_covering(g, goal, name):
     return Verdict(name, False, None, g.n_states)
 
 
-def check_invariant_vector(g, weights, lo, hi, name="weighted invariant"):
-    """Fast path for marking graphs: lo <= weights . counts <= hi for every
-    reachable marking, summed over the weighted columns only."""
-    _require_complete(g)
-    pidx = g.net.compiled()[0]
-    cols = [pidx[p] for p, x in weights.items() if x and p in pidx]
-    w = np.array([x for p, x in weights.items() if x and p in pidx],
-                 dtype=np.int64)
-    # an int32 sum cannot overflow while sum(|w|) * INT16_MAX fits
-    wide = np.abs(w).sum() * INT16_MAX > np.iinfo(np.int32).max
-    w = w.astype(np.int64 if wide else np.int32)
-    sums = np.zeros(g.n_states, dtype=w.dtype)
-    for c, x in zip(cols, w):
-        sums += g.matrix[:, c] * x
-    bad = np.flatnonzero((sums < lo) | (sums > hi))
-    if bad.size:
-        return Verdict(name, False, g.path_labels(int(bad[0])), g.n_states)
-    return Verdict(name, True, None, g.n_states)
-
-
 def check_p_invariant(net, weights):
     """Structural invariance: the weighted token sum is unchanged by every
     transition (incidence-column test; no exploration)."""
-    pidx = net.compiled()[0]
-    w = np.zeros(len(net.places), dtype=np.int64)
-    for p, x in weights.items():
-        w[pidx[p]] = x
-    incidence = np.zeros((len(net.places), len(net.transitions)), dtype=np.int64)
-    for ti, t in enumerate(net.transitions):
-        for p, x in net.pre[t].items():
-            incidence[pidx[p], ti] -= x
-        for p, x in net.post[t].items():
-            incidence[pidx[p], ti] += x
-    return bool((w @ incidence == 0).all())
+    return bool((_incidence(net) @ net.marking_tuple(weights) == 0).all())

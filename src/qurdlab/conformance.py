@@ -40,8 +40,7 @@ DEFAULT_MAPPING = {
 
 DEFAULT_INTERNAL = frozenset({
     "published", "unpublished", "reserve-sent", "ko-sent", "released",
-    "refused", "suspected", "failed", "crashed-idle", "restart-waiting",
-    "killed",
+    "suspected", "failed", "crashed-idle", "restart-waiting", "killed",
 })
 
 

@@ -6,6 +6,8 @@ same net or graph always serializes to the same bytes.
 
 from __future__ import annotations
 
+from .colored import token_name
+
 MAX_GRAPH_STATES = 10_000
 
 
@@ -53,16 +55,18 @@ def net_dot(net, name="net") -> str:
 
 
 def _marking_label(marking):
-    if not marking:
-        return "(empty)"
-    return "\n".join("%s=%d" % (p, n) for p, n in sorted(marking.items()))
+    # a plain marking maps places to counts, a colored one to token tuples
+    entries = ["%s=%s" % (p, ",".join(map(token_name, n))
+                          if isinstance(n, tuple) else n)
+               for p, n in sorted(marking.items()) if n]
+    return "\n".join(entries) or "(empty)"
 
 
 def reach_dot(graph, name="reach", limit=MAX_GRAPH_STATES) -> str:
     """Reachability graph as DOT; refuses graphs above ``limit`` states.
 
-    Works for both timed graphs (edges labeled ``delay/transition``) and
-    marking graphs (edges labeled with the transition alone).
+    Edges read ``delay/transition`` (timed graphs), ``transition/binding``
+    (colored graphs) or ``transition`` (marking graphs).
     """
     n = graph.n_states
     if n > limit:
@@ -82,10 +86,10 @@ def reach_dot(graph, name="reach", limit=MAX_GRAPH_STATES) -> str:
 
 
 def _edge_iter(graph):
-    if hasattr(graph, "edges"):                    # timed graph, edges stored
+    if hasattr(graph, "edges"):                    # ReachGraph: edges stored
         for i, succs in enumerate(graph.edges):
-            for (d, t), j in succs:
-                yield i, "%d/%s" % (d, t), j
+            for label, j in succs:
+                yield i, "%s/%s" % label, j
         return
     net = graph.net                                # marking graph, recompute
     for i in range(graph.n_states):

@@ -177,8 +177,6 @@ class Daemon:
             else:
                 sim.timer(sim.now + sim.config.job_duration,
                           self.complete, self.epoch)
-        elif not self.crashed:
-            sim.emit(self.name, "refused", machine=self.name, job=job)
 
     def release(self, job):
         # only the reserving client may free the machine; a stale

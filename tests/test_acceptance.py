@@ -13,13 +13,14 @@ deterministic, exploration included.
 import itertools
 import time
 
-from qurdlab.analysis import (check_invariant, check_invariant_vector,
-                              check_reachable, completion_skip, explore,
-                              explore_colored, explore_markings,
-                              find_deadlocks, pending_deadlocks)
+from qurdlab.analysis import (check_invariant, check_reachable,
+                              completion_skip, explore, explore_colored,
+                              explore_markings, find_deadlocks,
+                              pending_deadlocks)
 from qurdlab.catalog import (PAIR_BASES, STATE_BASES, CatalogParams,
                              build_colored, build_net, jname,
                              machine_weights)
+from qurdlab.cli import _unproved
 from qurdlab.cli import main as cli_main
 from qurdlab.conformance import DEFAULT_MAPPING, EventMap, fuzz_conformance
 from qurdlab.scenario import parse_scenario
@@ -115,6 +116,8 @@ def test_3_completion_tracks_demand(capsys):
 
 
 def test_4_safety_invariants_hold_everywhere(capsys):
+    # each machine's one-state P-invariant proves both properties; a scan
+    # of every reachable marking is the oracle for the proof
     demand_lists = ([1], [2], [3], [1, 1], [2, 1], [2, 2],
                     [3, 1], [3, 2], [3, 3])
     configs = 0
@@ -124,21 +127,22 @@ def test_4_safety_invariants_hold_everywhere(capsys):
         params = CatalogParams(machine_count=mc, job_demands=list(demands),
                                failure_detector=fd, zeroconf=zc)
         net = build_net(params)
+        assert _unproved(net, params.machines()) == [], (mc, demands, fd, zc)
+        loads = [(machine_weights(net, m, PAIR_BASES),
+                  machine_weights(net, m)) for m in params.machines()]
         g = explore_markings(net)
-        for m in params.machines():
-            mutex = check_invariant_vector(
-                g, machine_weights(net, m, PAIR_BASES), 0, 1,
-                name=f"mutex {m}")
-            state = check_invariant_vector(g, machine_weights(net, m), 1, 1,
-                                           name=f"one-state {m}")
-            assert mutex.holds, (mc, demands, fd, zc, m)
-            assert state.holds, (mc, demands, fd, zc, m)
+        v = check_invariant(g, lambda mk: all(
+            sum(mk.get(p, 0) for p in pairs) <= 1
+            and sum(mk.get(p, 0) for p in states) == 1
+            for pairs, states in loads))
+        assert v.holds, (mc, demands, fd, zc)
         configs += 1
         total_states += g.n_states
     report(capsys,
            f"4 safety invariants: PASS (mutual exclusion and "
-           f"one-state-per-machine over {configs} configurations, "
-           f"{total_states} states)")
+           f"one-state-per-machine proved from each machine's P-invariant "
+           f"over {configs} configurations; a scan of {total_states} "
+           f"states agrees)")
 
 
 def test_5_crash_recovery_completes(capsys):
@@ -181,14 +185,10 @@ def test_6_colored_and_unfolded_agree(capsys):
             for m in cnet.universe.machines:
                 mu_c = check_invariant(gc, lambda cm, m=m:
                                        colored_load(cm, m, PAIR_BASES) <= 1)
-                mu_u = check_invariant_vector(
-                    gu, machine_weights(net, m, PAIR_BASES), 0, 1)
                 st_c = check_invariant(gc, lambda cm, m=m:
                                        colored_load(cm, m, STATE_BASES) == 1)
-                st_u = check_invariant_vector(gu, machine_weights(net, m),
-                                              1, 1)
-                assert mu_c.holds and mu_u.holds
-                assert st_c.holds and st_u.holds
+                assert mu_c.holds and st_c.holds
+            assert _unproved(net, cnet.universe.machines) == []
             checked += 1
     report(capsys,
            f"6 colored/unfolded oracle: PASS ({checked} universe/timeout "

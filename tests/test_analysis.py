@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from qurdlab import analysis
 from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
-                              check_invariant, check_invariant_vector,
-                              check_p_invariant, check_reachable,
-                              completion_skip, explore, explore_colored,
-                              explore_markings, find_deadlocks,
-                              pending_deadlocks, replay_labels,
-                              timed_witness)
+                              check_invariant, check_p_invariant,
+                              check_reachable, completion_skip, explore,
+                              explore_colored, explore_markings,
+                              find_deadlocks, pending_deadlocks,
+                              replay_labels, timed_witness)
 from qurdlab.catalog import (PAIR_BASES, CatalogParams, build_colored,
                              build_machine, build_net, jname,
                              machine_weights)
@@ -340,7 +339,8 @@ def test_machine_invariant_on_reachable_states():
                    if q.endswith("@%s" % m)
                    or ("@(%s," % m) in q and q.startswith(
                        ("reserved", "running", "finished"))}
-        v = check_invariant_vector(g, weights, 1, 1, name=m)
+        v = check_invariant(
+            g, lambda mk: sum(mk.get(q, 0) for q in weights) == 1, name=m)
         assert v.holds, m
 
 
@@ -393,25 +393,6 @@ def test_covering_goal_matches_predicate():
             covered = check_reachable(g, goal)
             assert covered == check_reachable(g, lambda m: all(
                 m.get(p, 0) >= n for p, n in goal.items())), goal
-
-
-def test_invariant_vector_matches_predicate():
-    net = build_net(CatalogParams(machine_count=2, job_demands=[2, 1],
-                                  failure_detector=True))
-    g = explore_markings(net)
-    outcomes = set()
-    for scale in (1, 70_000):
-        weights = {p: scale * (i % 3 - 1) for i, p in enumerate(net.places)}
-        weights["not-a-place"] = 5
-        for lo, hi in ((-scale, scale), (0, 0), (-9 * scale, 9 * scale)):
-            fast = check_invariant_vector(g, weights, lo, hi)
-            slow = check_invariant(
-                g, lambda m: lo <= sum(weights[p] * n
-                                       for p, n in m.items()) <= hi,
-                name="weighted invariant")
-            assert fast == slow, (scale, lo, hi)
-            outcomes.add(fast.holds)
-    assert outcomes == {True, False}
 
 
 # -- structural invariant -------------------------------------------------------

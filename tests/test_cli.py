@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from qurdlab import cli
-from qurdlab.analysis import explore_markings, replay_labels
-from qurdlab.catalog import CatalogParams, build_net
+from qurdlab import analysis, cli
+from qurdlab.analysis import explore_colored, explore_markings, replay_labels
+from qurdlab.catalog import CatalogParams, build_colored, build_net
 from qurdlab.cli import main
 from qurdlab.conformance import parse_trace
 from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
@@ -91,6 +91,45 @@ def test_analyze_selected_property_only(capsys, contention_file):
     assert status == 0
     assert "mutex: holds" in out
     assert "deadlock" not in out
+
+
+def test_analyze_proves_machines_only_when_asked(capsys, contention_file,
+                                                 monkeypatch):
+    def unasked(net, machines):
+        raise AssertionError("machine proofs ran for deadlock alone")
+
+    monkeypatch.setattr(cli, "_unproved", unasked)
+    status, out = run_cli(capsys, "analyze", contention_file, "--property",
+                          "deadlock", "--out", contention_file.with_suffix(
+                              ".witness"))
+    assert status == 1
+    assert "deadlock: FOUND" in out
+
+
+def test_unproved_names_each_failing_machine():
+    # M1 loses its token when t1 reserves it; M3 starts in two states
+    params = CatalogParams(machine_count=3, job_demands=[1], timeout=None)
+    net = build_net(params)
+    out = Net(net.name)
+    for p in net.places:
+        out.add_place(p, tokens=net.initial.get(p, 0)
+                      + (p == "available@M3"))
+    for t in net.transitions:
+        out.add_transition(t, pre=net.pre[t],
+                           post={} if t == "t1@(M1,J1)" else net.post[t],
+                           interval=net.interval[t])
+    assert cli._unproved(net, params.machines()) == []
+    assert cli._unproved(out, params.machines()) == ["M1", "M3"]
+
+
+def test_analyze_repeated_property_reported_once(capsys, contention_file):
+    witness = contention_file.with_suffix(".witness")
+    status, out = run_cli(capsys, "analyze", contention_file, "--property",
+                          "deadlock", "--property", "deadlock",
+                          "--out", witness)
+    assert status == 1
+    assert out.count("deadlock: FOUND") == 1
+    assert witness.read_text().count("property: deadlock") == 1
 
 
 def test_analyze_bound_exceeded(capsys, contention_file):
@@ -190,6 +229,24 @@ def test_token_overflow_exits_2(capsys, contention_file, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 475. MiB for an array"),
+     "error: Unable to allocate 475. MiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_out_of_memory_exits_2(capsys, contention_file, monkeypatch, exc,
+                               message):
+    def exhausted(net, bound):
+        raise exc
+
+    monkeypatch.setattr(analysis, "explore_markings", exhausted)
+    status = main(["analyze", str(contention_file)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_violated_invariants_reported(tmp_path, capsys, monkeypatch):
     # a spare token in reserved@(M1,J2) puts M1 in two states at once, and
     # once J1 reserves M1 too, M1 has two clients
@@ -260,6 +317,15 @@ def test_reach_dot_edges_fire():
         for i, j, t in edges:
             assert net.fire_marking(g.marking(int(i)), t) == \
                 g.marking(int(j))
+
+
+def test_reach_dot_colored_graph():
+    g = explore_colored(build_colored(CatalogParams(machine_count=1,
+                                                    job_demands=[1])))
+    text = reach_dot(g)
+    assert '  s0 [label="s0\\navailable=M1\\nbegin=J1"];\n' in text
+    assert '  s1 -> s2 [label="t1/Binding(m=M1, j=J1)"];\n' in text
+    assert text.count(" -> ") == sum(len(e) for e in g.edges)
 
 
 def test_reach_dot_refuses_large_graphs(contention_file):

@@ -338,17 +338,18 @@ def test_job_lost_without_deadline_is_restarted():
     assert report.ok, report
 
 
-def test_stray_job_refused_only_by_live_daemon():
+def test_stray_job_emits_nothing():
     # no run sends a JOB to a daemon that is not reserved for it (the
     # launcher always gives a machine up before the daemon's deadline),
-    # so the handler is driven directly
+    # so the handler is driven directly, on a crashed and a live daemon
     sim = Simulation(CatalogParams(machine_count=2, job_demands=[1]),
                      SimConfig())
     sim.crash("M1")
     sim.daemons["M1"].start("J1")
     sim.daemons["M2"].start("J1")
     assert [(e.actor, e.kind) for e in sim.trace] == [
-        ("M1", "unpublished"), ("M1", "crashed-idle"), ("M2", "refused")]
+        ("M1", "unpublished"), ("M1", "crashed-idle")]
+    assert [d.state for d in sim.daemons.values()] == ["available"] * 2
 
 
 @pytest.mark.parametrize("params, config, m1_events", [
