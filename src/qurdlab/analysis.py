@@ -35,11 +35,14 @@ replays from the initial state: witnesses from marking-level exploration
 are converted to timed ``(delay, transition)`` labels by waiting out each
 earliest firing delay.  ``check_reachable`` takes a predicate over
 markings or a covering goal ``{place: min_count}``; on a marking graph a
-covering goal reads only the columns it names.
+covering goal reads only the columns it names.  ``unproved_machines``
+proves mutual exclusion and each machine's one-state invariant on the
+colored net, without exploring anything.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -167,8 +170,7 @@ class MarkingGraph:
 
     State ``i`` is row ``i`` of ``matrix``; ``parent[i]`` and ``via[i]`` are
     the BFS tree edge into it (parent id and transition index, -1 at the
-    root).  ``find`` maps a count vector back to its id through the sorted
-    hash keys the explorer deduplicated with.
+    root).
     """
 
     def __init__(self, net, bound):
@@ -179,9 +181,6 @@ class MarkingGraph:
         self.dead = None         # int64 array: ids with no enabled transition
         self.matrix = None       # n_states x n_places int16
         self.truncated = False
-        self._multipliers = None
-        self._keys = None        # sorted hash keys of every state
-        self._ids = None         # state id of each key
 
     @property
     def n_states(self):
@@ -196,20 +195,6 @@ class MarkingGraph:
 
     def dead_ids(self):
         return self.dead.tolist()
-
-    def find(self, counts):
-        """Id of the state whose counts (in place order) are ``counts``, or
-        None when no reachable state has them."""
-        row = np.asarray(counts, dtype=np.int64)
-        if row.shape != (len(self.net.places),) or (
-                row.size and (row.min() < 0 or row.max() > INT16_MAX)):
-            return None
-        key = _keys(row[None, :], self._multipliers)[0]
-        pos = int(np.searchsorted(self._keys, key))
-        if pos == len(self._keys) or self._keys[pos] != key:
-            return None
-        i = int(self._ids[pos])
-        return i if np.array_equal(self.matrix[i], row) else None
 
     def path_transitions(self, i):
         names = self.net.transitions
@@ -407,7 +392,6 @@ def _bfs(net, bound, row0, deltas, pre, mult):
     g.parent = np.concatenate(parents)
     g.via = np.concatenate(vias)
     g.dead = np.concatenate(dead)
-    g._multipliers, g._keys, g._ids = mult, keys, ids
     return g
 
 
@@ -535,6 +519,34 @@ def _check_covering(g, goal, name):
     if hits.size:
         return Verdict(name, True, g.path_labels(int(hits[0])), g.n_states)
     return Verdict(name, False, None, g.n_states)
+
+
+def unproved_machines(cnet):
+    """The machines of colored net ``cnet``, in universe order, not proved
+    to hold exactly one token across its MACHINE- and PAIR-sort places in
+    every reachable marking; a proved machine is also reserved, running or
+    finished for at most one job.
+
+    The proof is a colored P-invariant whose weight projects a pair (m, j)
+    to m (Jensen, Coloured Petri Nets vol. 2; Murata 1989).  In a
+    sort-correct net every arc of pattern m or mj carries one token of the
+    binding's machine, so a transition with as many such pre arcs as post
+    arcs keeps every machine's count.  If any transition does not, or the
+    net has a sort error, no machine is proved; otherwise a machine is
+    proved exactly when it has one initial token."""
+    machines = cnet.universe.machines
+    if cnet.validate() or not all(
+            sum(ins.pattern != "j" for ins in cnet.pre[t].values())
+            == sum(ins.pattern != "j" for ins in cnet.post[t].values())
+            for t in cnet.transitions):
+        return list(machines)
+    initial = Counter()
+    for p, toks in cnet.initial.items():
+        if cnet.sort[p] == cpn.MACHINE:
+            initial.update(toks)
+        elif cnet.sort[p] == cpn.PAIR:
+            initial.update(tok[0] for tok in toks)
+    return [m for m in machines if initial[m] != 1]
 
 
 def check_p_invariant(net, weights):

@@ -7,9 +7,8 @@ from the params' machines, jobs, demands and semantics.  ``build_net``
 validates the params and unfolds that net; the CLI analyses the
 unfolding and trace conformance replays on the colored net.  The
 Zeroconf and failure-detector layers are optional parts of the same net.
-Unfolded names are unambiguous, so properties and trace labels can use
-them directly: per-job places/transitions carry ``@J``, per-machine ones
-``@M`` and per-pair ones ``@(M,J)``.  The standalone machine net
+Unfolded per-job places/transitions carry ``@J``, per-machine ones ``@M``
+and per-pair ones ``@(M,J)``.  The standalone machine net
 (``build_machine``) keeps the plain names.
 """
 
@@ -86,26 +85,6 @@ def jname(base, j):
     """Name of the per-job place or transition ``base`` of job j in
     ``build_net``'s unfolding."""
     return color_name(base, j)
-
-
-PAIR_BASES = ("reserved", "running", "finished")
-STATE_BASES = PAIR_BASES + ("available", "dead", "not_available")
-
-
-def machine_weights(net, m, bases=STATE_BASES):
-    """Weight 1 on each place of machine m whose base name is in ``bases``.
-
-    Over ``STATE_BASES`` the weighted sum is machine m's one-token state
-    invariant (exactly 1); over ``PAIR_BASES`` it counts the jobs m is
-    reserved for, running or finished for, which mutual exclusion bounds
-    by 1.
-    """
-    weights = {}
-    for p in net.places:
-        base, _, color = p.partition("@")
-        if base in bases and (color == m or color.startswith(f"({m},")):
-            weights[p] = 1
-    return weights
 
 
 def build_machine(timeout=DEFAULT_TIMEOUT):

@@ -20,17 +20,18 @@ import sys
 from dataclasses import dataclass, field
 
 from . import analysis, conformance, dot
-from .catalog import (PAIR_BASES, STATE_BASES, CatalogParams, build_machine,
-                      build_net, jname, machine_weights)
+from .catalog import (CatalogParams, build_colored, build_machine, build_net,
+                      jname)
+from .colored import MACHINE, PAIR, machine_places
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulator import run as run_sim
 
 PROPERTIES = ("deadlock", "mutex", "machine-invariant", "job-done-reachable")
-# per-machine weighted sums and their bounds: at most one job holds a
-# machine, and each machine is in exactly one state
+# per-machine token sums over places of these sorts, and their bounds: at
+# most one job holds a machine, and each machine is in exactly one state
 MACHINE_INVARIANTS = {
-    "mutex": (PAIR_BASES, 0, 1),
-    "machine-invariant": (STATE_BASES, 1, 1),
+    "mutex": ((PAIR,), 0, 1),
+    "machine-invariant": ((MACHINE, PAIR), 1, 1),
 }
 
 
@@ -73,23 +74,6 @@ def _format_witness(labels, marking=None):
     return "\n".join(lines) + "\n"
 
 
-def _unproved(net, machines):
-    """The machines not proved to be in exactly one state in every reachable
-    marking, and so held by at most one job.  A machine is proved when its
-    ``STATE_BASES`` places, a superset of its ``PAIR_BASES`` ones, form a
-    P-invariant (no firing changes their token sum) holding 1 token
-    initially; the incidence matrix is built once for all machines."""
-    deltas = analysis._incidence(net)
-    pidx = net.compiled()[0]
-    unproved = []
-    for m in machines:
-        weights = machine_weights(net, m)
-        change = deltas[:, [pidx[p] for p in weights]] @ list(weights.values())
-        if change.any() or sum(net.initial.get(p, 0) for p in weights) != 1:
-            unproved.append(m)
-    return unproved
-
-
 def cmd_analyze(args) -> Report:
     sc = _load_scenario(args.scenario)
     report = Report("analyze %s" % args.scenario, _digest(sc))
@@ -103,8 +87,12 @@ def cmd_analyze(args) -> Report:
         return report
     report.add("states explored: %d" % g.n_states)
 
-    unproved = (_unproved(net, params.machines())
-                if MACHINE_INVARIANTS.keys() & props else [])
+    # the machine properties are proved on the colored net; only a machine
+    # the proof misses is scanned, on the explored graph
+    unproved = []
+    if MACHINE_INVARIANTS.keys() & props:
+        cnet = build_colored(params)
+        unproved = analysis.unproved_machines(cnet)
     witnesses = []
     for prop in props:
         if prop == "deadlock":
@@ -117,9 +105,9 @@ def cmd_analyze(args) -> Report:
             else:
                 report.add("deadlock: none")
         elif prop in MACHINE_INVARIANTS:
-            bases, lo, hi = MACHINE_INVARIANTS[prop]
+            sorts, lo, hi = MACHINE_INVARIANTS[prop]
             for m in unproved:
-                w = machine_weights(net, m, bases)
+                w = machine_places(cnet, m, sorts)
                 v = analysis.check_invariant(
                     g, lambda mk: lo <= sum(mk.get(p, 0) for p in w) <= hi,
                     name="%s %s" % (prop, m))

@@ -10,7 +10,8 @@ rule and the one enabling test: a binding is enabled exactly when firing
 it finds every input token.  ``unfold`` expands a colored net over its
 finite universe into an ordinary place/transition net with one place per
 (place, color) and one transition per (transition, binding), named
-``base@J``, ``base@M`` and ``base@(M,J)``.  The universe is not checked
+``base@J``, ``base@M`` and ``base@(M,J)``; ``machine_places`` builds the
+unfolded names of one machine's places.  The universe is not checked
 here (the reservation model builds it from ``CatalogParams``, whose
 ``validate`` checks the parameters); ``ColoredNet.validate`` checks sorts,
 inscriptions, intervals and initial tokens.
@@ -229,6 +230,15 @@ def color_name(base, color):
     a binding's machine, job or pair): ``base@J``, ``base@M``,
     ``base@(M,J)``."""
     return f"{base}@{token_name(color)}"
+
+
+def machine_places(cnet, m, sorts):
+    """Unfolded names of machine m's places of the given sorts, in
+    ``unfold``'s place order: ``p@M`` for a MACHINE-sort place p, and
+    ``p@(M,J)`` for each job J of a PAIR-sort one."""
+    colors = {MACHINE: [m], PAIR: [(m, j) for j in cnet.universe.jobs]}
+    return [color_name(p, c) for p in cnet.places if cnet.sort[p] in sorts
+            for c in colors.get(cnet.sort[p], ())]
 
 
 def unfold(cnet):

@@ -92,9 +92,10 @@ def _edge_iter(graph):
                 yield i, "%s/%s" % label, j
         return
     net = graph.net                                # marking graph, recompute
+    ids = {graph.counts(i): i for i in range(graph.n_states)}
     for i in range(graph.n_states):
         m = graph.marking(i)
         for t in net.enabled(m):
-            j = graph.find(net.marking_tuple(net.fire_marking(m, t)))
+            j = ids.get(net.marking_tuple(net.fire_marking(m, t)))
             if j is not None:
                 yield i, t, j

@@ -16,12 +16,10 @@ import time
 from qurdlab.analysis import (check_invariant, check_reachable,
                               completion_skip, explore, explore_colored,
                               explore_markings, find_deadlocks,
-                              pending_deadlocks)
-from qurdlab.catalog import (PAIR_BASES, STATE_BASES, CatalogParams,
-                             build_colored, build_net, jname,
-                             machine_weights)
-from qurdlab.cli import _unproved
+                              pending_deadlocks, unproved_machines)
+from qurdlab.catalog import CatalogParams, build_colored, build_net, jname
 from qurdlab.cli import main as cli_main
+from qurdlab.colored import MACHINE, PAIR, machine_places
 from qurdlab.conformance import DEFAULT_MAPPING, EventMap, fuzz_conformance
 from qurdlab.scenario import parse_scenario
 from qurdlab.simulator import run
@@ -47,14 +45,12 @@ def report(capsys, line):
         print(f"[acceptance] {line}")
 
 
-def colored_load(cm, m, bases):
-    """Tokens belonging to machine m across the given colored places."""
-    total = 0
-    for base in bases:
-        for tok in cm.get(base, ()):
-            if tok == m or (isinstance(tok, tuple) and tok[0] == m):
-                total += 1
-    return total
+def colored_load(cnet, cm, m, sorts):
+    """Tokens of machine m in colored marking cm, across the places of
+    ``cnet`` whose sort is one of ``sorts``."""
+    return sum((tok if cnet.sort[p] == MACHINE else tok[0]) == m
+               for p in cnet.places if cnet.sort[p] in sorts
+               for tok in cm.get(p, ()))
 
 
 def test_1_contention_deadlock_reproduced(capsys, tmp_path):
@@ -116,7 +112,7 @@ def test_3_completion_tracks_demand(capsys):
 
 
 def test_4_safety_invariants_hold_everywhere(capsys):
-    # each machine's one-state P-invariant proves both properties; a scan
+    # the colored net's machine P-invariant proves both properties; a scan
     # of every reachable marking is the oracle for the proof
     demand_lists = ([1], [2], [3], [1, 1], [2, 1], [2, 2],
                     [3, 1], [3, 2], [3, 3])
@@ -126,11 +122,12 @@ def test_4_safety_invariants_hold_everywhere(capsys):
             (1, 2, 3), demand_lists, (False, True), (False, True)):
         params = CatalogParams(machine_count=mc, job_demands=list(demands),
                                failure_detector=fd, zeroconf=zc)
-        net = build_net(params)
-        assert _unproved(net, params.machines()) == [], (mc, demands, fd, zc)
-        loads = [(machine_weights(net, m, PAIR_BASES),
-                  machine_weights(net, m)) for m in params.machines()]
-        g = explore_markings(net)
+        cnet = build_colored(params)
+        assert unproved_machines(cnet) == [], (mc, demands, fd, zc)
+        loads = [(machine_places(cnet, m, (PAIR,)),
+                  machine_places(cnet, m, (MACHINE, PAIR)))
+                 for m in params.machines()]
+        g = explore_markings(build_net(params))
         v = check_invariant(g, lambda mk: all(
             sum(mk.get(p, 0) for p in pairs) <= 1
             and sum(mk.get(p, 0) for p in states) == 1
@@ -140,7 +137,7 @@ def test_4_safety_invariants_hold_everywhere(capsys):
         total_states += g.n_states
     report(capsys,
            f"4 safety invariants: PASS (mutual exclusion and "
-           f"one-state-per-machine proved from each machine's P-invariant "
+           f"one-state-per-machine proved from the colored P-invariant "
            f"over {configs} configurations; a scan of {total_states} "
            f"states agrees)")
 
@@ -183,12 +180,12 @@ def test_6_colored_and_unfolded_agree(capsys):
                                           for j in jobs})
             assert done_c.holds == done_u.holds
             for m in cnet.universe.machines:
-                mu_c = check_invariant(gc, lambda cm, m=m:
-                                       colored_load(cm, m, PAIR_BASES) <= 1)
-                st_c = check_invariant(gc, lambda cm, m=m:
-                                       colored_load(cm, m, STATE_BASES) == 1)
+                mu_c = check_invariant(gc, lambda cm, m=m: colored_load(
+                    cnet, cm, m, (PAIR,)) <= 1)
+                st_c = check_invariant(gc, lambda cm, m=m: colored_load(
+                    cnet, cm, m, (MACHINE, PAIR)) == 1)
                 assert mu_c.holds and st_c.holds
-            assert _unproved(net, cnet.universe.machines) == []
+            assert unproved_machines(cnet) == []
             checked += 1
     report(capsys,
            f"6 colored/unfolded oracle: PASS ({checked} universe/timeout "
@@ -226,6 +223,7 @@ def test_8_everything_is_deterministic(capsys):
 
     params = CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None)
     net = build_net(params)
+    cnet = build_colored(params)
     g1 = explore(net)
     g2 = explore(net)
     assert g1.n_states == g2.n_states
@@ -235,10 +233,9 @@ def test_8_everything_is_deterministic(capsys):
             g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1,
             name="J1 done")]
         for m in params.machines():
-            w = machine_weights(net, m, PAIR_BASES)
+            w = machine_places(cnet, m, (PAIR,))
             out.append(check_invariant(
-                g, lambda mk, w=w: sum(mk.get(p, 0) * x
-                                       for p, x in w.items()) <= 1,
+                g, lambda mk, w=w: sum(mk.get(p, 0) for p in w) <= 1,
                 name=f"mutex {m}"))
         return out
 

@@ -19,10 +19,10 @@ from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
                               explore_colored, explore_markings,
                               find_deadlocks, pending_deadlocks,
                               replay_labels, timed_witness)
-from qurdlab.catalog import (PAIR_BASES, CatalogParams, build_colored,
-                             build_machine, build_net, jname,
-                             machine_weights)
-from qurdlab.colored import JOB, ColoredNet, ColorUniverse, Inscription
+from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
+                             build_net, jname)
+from qurdlab.colored import (JOB, PAIR, ColoredNet, ColorUniverse,
+                             Inscription, machine_places)
 from qurdlab.tpn import Net
 
 
@@ -179,18 +179,6 @@ def random_nets(draw):
 def test_marking_explorer_matches_reference_on_random_nets(net, bound):
     g = explore_markings(net, bound=bound)
     assert_matches_reference(g, net, bound)
-    assert [g.find(g.counts(i)) for i in range(g.n_states)] == \
-        list(range(g.n_states))
-
-
-def test_find_misses_unreachable_counts():
-    g = explore_markings(contention(None))
-    unreachable = list(g.counts(0))
-    unreachable[0] += 5
-    assert g.find(g.counts(7)) == 7
-    assert g.find(unreachable) is None
-    assert g.find(g.counts(0)[:-1]) is None
-    assert g.find([-1] * len(g.net.places)) is None
 
 
 def all_ones(n_places, attempt):
@@ -464,7 +452,8 @@ def test_reach_and_marking_graphs_answer_alike(params):
     done = {jname("job_done", j): 1 for j in params.jobs()}
     all_done = lambda m: all(m.get(p, 0) >= n for p, n in done.items())
     twice = {jname("job_done", params.jobs()[0]): 2}
-    mutex = [machine_weights(net, m, PAIR_BASES) for m in params.machines()]
+    cnet = build_colored(params)
+    mutex = [machine_places(cnet, m, (PAIR,)) for m in params.machines()]
     one_client = lambda m: all(
         sum(m.get(p, 0) for p in w) <= 1 for w in mutex)
     no_done = lambda m: not any(m.get(p, 0) for p in done)

@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from qurdlab.analysis import explore_markings
+from qurdlab import catalog, colored
+from qurdlab.analysis import explore_markings, unproved_machines
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, jname)
+from qurdlab.colored import JOB, MACHINE, PAIR, color_name, machine_places
 
 
 def fire_seq(net, marking, transitions):
@@ -280,13 +282,39 @@ def machine_grid():
 
 
 def test_machine_state_p_invariant_structural():
-    # the proof `analyze` relies on instead of a scan: each machine's
-    # state places form a P-invariant that holds 1 token initially
-    from qurdlab.cli import _unproved
+    # the proof `analyze` relies on instead of a scan: the colored net's
+    # machine and pair places form a P-invariant with 1 token per machine
     configs = list(machine_grid())
     assert len(configs) == 416
     for p in configs:
-        assert _unproved(build_net(p), p.machines()) == [], p
+        assert unproved_machines(build_colored(p)) == [], p
+
+
+def test_machine_proof_never_unfolds(monkeypatch):
+    def unfolded(cnet):
+        raise AssertionError("the machine proof unfolded the net")
+
+    monkeypatch.setattr(colored, "unfold", unfolded)
+    monkeypatch.setattr(catalog, "unfold", unfolded)
+    p = CatalogParams(machine_count=512, job_demands=[4] * 128,
+                      zeroconf=True, failure_detector=True)
+    assert unproved_machines(build_colored(p)) == []
+
+
+def test_machine_places_partition_the_machine_places():
+    configs = list(machine_grid())
+    for p in configs[::37]:
+        net, cnet = build_net(p), build_colored(p)
+        jobs = {color_name(q, j) for q in cnet.places if cnet.sort[q] == JOB
+                for j in p.jobs()}
+        owned = [machine_places(cnet, m, (MACHINE, PAIR))
+                 for m in p.machines()]
+        flat = [q for places in owned for q in places]
+        assert len(flat) == len(set(flat)), p
+        assert set(flat) == set(net.places) - jobs, p
+        for places in owned:
+            mine = set(places)
+            assert places == [q for q in net.places if q in mine], p
 
 
 def _job_weights(net, j, demand):

@@ -8,6 +8,7 @@ from qurdlab import analysis, cli
 from qurdlab.analysis import explore_colored, explore_markings, replay_labels
 from qurdlab.catalog import CatalogParams, build_colored, build_net
 from qurdlab.cli import main
+from qurdlab.colored import Inscription, unfold
 from qurdlab.conformance import parse_trace
 from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
 from qurdlab.scenario import parse_scenario
@@ -95,10 +96,10 @@ def test_analyze_selected_property_only(capsys, contention_file):
 
 def test_analyze_proves_machines_only_when_asked(capsys, contention_file,
                                                  monkeypatch):
-    def unasked(net, machines):
+    def unasked(cnet):
         raise AssertionError("machine proofs ran for deadlock alone")
 
-    monkeypatch.setattr(cli, "_unproved", unasked)
+    monkeypatch.setattr(analysis, "unproved_machines", unasked)
     status, out = run_cli(capsys, "analyze", contention_file, "--property",
                           "deadlock", "--out", contention_file.with_suffix(
                               ".witness"))
@@ -107,19 +108,28 @@ def test_analyze_proves_machines_only_when_asked(capsys, contention_file,
 
 
 def test_unproved_names_each_failing_machine():
-    # M1 loses its token when t1 reserves it; M3 starts in two states
+    # a colored transition acts alike on every machine, so a transition
+    # that loses or mints a machine token unproves them all; an initial
+    # marking fault unproves only the machine it touches
     params = CatalogParams(machine_count=3, job_demands=[1], timeout=None)
-    net = build_net(params)
-    out = Net(net.name)
-    for p in net.places:
-        out.add_place(p, tokens=net.initial.get(p, 0)
-                      + (p == "available@M3"))
-    for t in net.transitions:
-        out.add_transition(t, pre=net.pre[t],
-                           post={} if t == "t1@(M1,J1)" else net.post[t],
-                           interval=net.interval[t])
-    assert cli._unproved(net, params.machines()) == []
-    assert cli._unproved(out, params.machines()) == ["M1", "M3"]
+
+    def unproved(change):
+        cnet = build_colored(params)
+        change(cnet)
+        return analysis.unproved_machines(cnet)
+
+    every = ["M1", "M2", "M3"]
+    assert unproved(lambda c: None) == []
+    assert unproved(lambda c: c.post["t1"].pop("reserved")) == every
+    assert unproved(lambda c: c.post["t3"].update(
+        available=Inscription("m"))) == every
+    assert unproved(lambda c: c.initial.update(
+        available=("M1", "M2", "M3", "M3"))) == ["M3"]
+    assert unproved(lambda c: c.initial.update(
+        available=("M1", "M3"))) == ["M2"]
+    # balanced, but a machine pattern on a pair place
+    assert unproved(lambda c: c.pre["t3"].update(
+        running=Inscription("m"))) == every
 
 
 def test_analyze_repeated_property_reported_once(capsys, contention_file):
@@ -248,20 +258,16 @@ def test_out_of_memory_exits_2(capsys, contention_file, monkeypatch, exc,
 
 
 def test_violated_invariants_reported(tmp_path, capsys, monkeypatch):
-    # a spare token in reserved@(M1,J2) puts M1 in two states at once, and
+    # a spare (M1,J2) token in reserved puts M1 in two states at once, and
     # once J1 reserves M1 too, M1 has two clients
     def spare_reservation(params):
-        net = build_net(params)
-        out = Net(net.name)
-        for p in net.places:
-            out.add_place(p, tokens=net.initial.get(p, 0)
-                          + (p == "reserved@(M1,J2)"))
-        for t in net.transitions:
-            out.add_transition(t, pre=net.pre[t], post=net.post[t],
-                               interval=net.interval[t])
-        return out
+        cnet = build_colored(params)
+        cnet.initial["reserved"] = (("M1", "J2"),)
+        return cnet
 
-    monkeypatch.setattr(cli, "build_net", spare_reservation)
+    monkeypatch.setattr(cli, "build_colored", spare_reservation)
+    monkeypatch.setattr(cli, "build_net",
+                        lambda params: unfold(spare_reservation(params)))
     f = tmp_path / "pair.scn"
     f.write_text("machines 2\njob J1 demand 1 semantics wait\n"
                  "job J2 demand 1 semantics wait\ntimeout off\n")
