@@ -38,6 +38,13 @@ markings or a covering goal ``{place: min_count}``; on a marking graph a
 covering goal reads only the columns it names.  ``unproved_machines``
 proves mutual exclusion and each machine's one-state invariant on the
 colored net, without exploring anything.
+
+None of this knows about machine symmetry: ``qurdlab analyze`` hands
+``explore_markings`` the unfolding of ``colored.fold_machines(cnet)``,
+whose places count the machines in each local state, and the checks read
+that graph unchanged.  Its states are then orbits of the full graph's
+under machine permutations, and a folded path is lifted to a path of the
+full net (``colored.lift_machines``) before ``timed_witness`` times it.
 """
 
 from __future__ import annotations
@@ -536,8 +543,7 @@ def unproved_machines(cnet):
     proved exactly when it has one initial token."""
     machines = cnet.universe.machines
     if cnet.validate() or not all(
-            sum(ins.pattern != "j" for ins in cnet.pre[t].values())
-            == sum(ins.pattern != "j" for ins in cnet.post[t].values())
+            cpn.machine_arcs(cnet.pre[t]) == cpn.machine_arcs(cnet.post[t])
             for t in cnet.transitions):
         return list(machines)
     initial = Counter()

@@ -4,8 +4,11 @@ and machine daemons, and its unfolding into a plain net.
 The model is defined once, as a colored net: ``build_colored(params)``
 takes a ``CatalogParams`` and nothing else, and builds the color universe
 from the params' machines, jobs, demands and semantics.  ``build_net``
-validates the params and unfolds that net; the CLI analyses the
-unfolding and trace conformance replays on the colored net.  The
+validates the params and unfolds that net.  The CLI analyses the
+unfolding of the net's machine-folded copy (``colored.fold_machines``),
+whose size does not grow with the machine count, wherever that fold is
+exact, and ``build_net`` otherwise; witnesses are always paths of
+``build_net``.  Trace conformance replays on the colored net.  The
 Zeroconf and failure-detector layers are optional parts of the same net.
 Unfolded per-job places/transitions carry ``@J``, per-machine ones ``@M``
 and per-pair ones ``@(M,J)``.  The standalone machine net

@@ -7,6 +7,12 @@ Four subcommands::
     qurdlab conformance (<scenario> | --fuzz N)
     qurdlab export-dot <selector> [--reach] [--bound N] [--out FILE]
 
+``analyze`` explores the scenario's net with its machines folded into
+counters (``colored.fold_machines``) whenever the fold is exact, and says
+so on its ``symmetry:`` line, or why not; ``states explored`` and the
+dead-state count then count machine orbits.  Witness files always hold
+concrete paths of the full net.
+
 Scenario files use the grammar in :mod:`qurdlab.scenario`.  Exit status is
 0 exactly when every checked property holds (analyze), every job completes
 (simulate), or every replayed trace conforms (conformance).
@@ -22,7 +28,8 @@ from dataclasses import dataclass, field
 from . import analysis, conformance, dot
 from .catalog import (CatalogParams, build_colored, build_machine, build_net,
                       jname)
-from .colored import MACHINE, PAIR, machine_places
+from .colored import (MACHINE, PAIR, color_name, fold_machines, fold_refusal,
+                      lift_machines, machine_places, unfold)
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulator import run as run_sim
 
@@ -74,33 +81,75 @@ def _format_witness(labels, marking=None):
     return "\n".join(lines) + "\n"
 
 
+def _machine_list(machines):
+    return ",".join(map(str, machines))
+
+
+def _holdings(cnet, marking):
+    """Which machines each job holds in a marking of ``unfold(cnet)``, as
+    ``J1 holds M1,M2 (needs 3)`` joined by ``; ``; a machine is held while
+    it is reserved, running or finished for the job."""
+    u = cnet.universe
+    pairs = [p for p in cnet.places if cnet.sort[p] == PAIR]
+    held = []
+    for j in u.jobs:
+        ms = [m for m in u.machines
+              if any(marking.get(color_name(p, (m, j))) for p in pairs)]
+        if ms:
+            held.append("%s holds %s (needs %d)"
+                        % (j, _machine_list(ms), u.demand[j]))
+    return "; ".join(held) or "no job holds a machine"
+
+
 def cmd_analyze(args) -> Report:
     sc = _load_scenario(args.scenario)
     report = Report("analyze %s" % args.scenario, _digest(sc))
     props = list(dict.fromkeys(args.properties or PROPERTIES))
     params = sc.params()
-    net = build_net(params)
+
+    # the machine properties are proved on the colored net; only a machine
+    # the proof misses is scanned, on the explored graph, which then needs
+    # every machine's own places
+    cnet = build_colored(params)
+    unproved = []
+    if MACHINE_INVARIANTS.keys() & props:
+        unproved = analysis.unproved_machines(cnet)
+    refusal = fold_refusal(cnet)
+    if refusal is None and unproved:
+        refusal = "machine%s %s unproved" % ("s" * (len(unproved) > 1),
+                                             _machine_list(unproved))
+    if refusal is None:
+        n = len(cnet.universe.machines)
+        symmetry = "%d machine%s folded into counters" % (n, "s" * (n > 1))
+        net = unfold(fold_machines(cnet))
+    else:
+        symmetry = "off (%s)" % refusal
+        net = build_net(params)
     g = analysis.explore_markings(net, bound=args.bound)
     if g.truncated:
         report.add("truncated: bound of %d states exceeded" % args.bound)
+        report.add("symmetry: %s" % symmetry)
         report.exit_status = 2
         return report
     report.add("states explored: %d" % g.n_states)
+    report.add("symmetry: %s" % symmetry)
 
-    # the machine properties are proved on the colored net; only a machine
-    # the proof misses is scanned, on the explored graph
-    unproved = []
-    if MACHINE_INVARIANTS.keys() & props:
-        cnet = build_colored(params)
-        unproved = analysis.unproved_machines(cnet)
     witnesses = []
     for prop in props:
         if prop == "deadlock":
             bad = analysis.pending_deadlocks(g)
             if bad:
                 report.add("deadlock: FOUND (%d dead states)" % len(bad))
-                witnesses.append(("deadlock", g.path_labels(bad[0]),
-                                  g.marking(bad[0])))
+                if refusal is None:
+                    # a concrete path through the first dead orbit
+                    full = build_net(params)
+                    labels = analysis.timed_witness(full, lift_machines(
+                        cnet, g.path_transitions(bad[0])))
+                    dead = analysis.replay_labels(full, labels).marking
+                else:
+                    labels, dead = g.path_labels(bad[0]), g.marking(bad[0])
+                report.add("deadlock witness: %s" % _holdings(cnet, dead))
+                witnesses.append(("deadlock", labels, dead))
                 report.exit_status = 1
             else:
                 report.add("deadlock: none")
@@ -123,18 +172,16 @@ def cmd_analyze(args) -> Report:
             v = analysis.check_reachable(g, done, name="job-done-reachable")
             if v.holds:
                 report.add("job-done-reachable: holds")
-                witnesses.append(("job-done-reachable", v.witness, None))
             else:
                 report.add("job-done-reachable: UNREACHABLE")
                 report.exit_status = 1
         else:
             raise ValueError("unknown property %r" % prop)
 
-    failing = [w for w in witnesses if w[0] != "job-done-reachable"]
-    if failing:
+    if witnesses:
         path = args.out or (args.scenario + ".witness")
         with open(path, "w") as fh:
-            for prop, labels, marking in failing:
+            for prop, labels, marking in witnesses:
                 fh.write("property: %s\n" % prop)
                 fh.write(_format_witness(labels, marking))
         report.witness_path = path

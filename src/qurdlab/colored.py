@@ -10,11 +10,20 @@ rule and the one enabling test: a binding is enabled exactly when firing
 it finds every input token.  ``unfold`` expands a colored net over its
 finite universe into an ordinary place/transition net with one place per
 (place, color) and one transition per (transition, binding), named
-``base@J``, ``base@M`` and ``base@(M,J)``; ``machine_places`` builds the
-unfolded names of one machine's places.  The universe is not checked
-here (the reservation model builds it from ``CatalogParams``, whose
-``validate`` checks the parameters); ``ColoredNet.validate`` checks sorts,
-inscriptions, intervals and initial tokens.
+``base@J``, ``base@M`` and ``base@(M,J)`` (``binding_name``);
+``machine_places`` builds the unfolded names of one machine's places.  The
+universe is not checked here (the reservation model builds it from
+``CatalogParams``, whose ``validate`` checks the parameters);
+``ColoredNet.validate`` checks sorts, inscriptions, intervals and initial
+tokens.
+
+``fold_machines`` merges every machine into the one color ``*``, so that
+its unfolding counts the machines in each local state (counter
+abstraction, Pnueli, Xu & Zuck 2002): ``available@*`` holds N tokens for N
+machines, and ``t1@(*,J)`` moves one of them.  ``fold_refusal`` says when
+that net would not behave as the original up to machine names, and
+``lift_machines`` turns a firing sequence of the folded unfolding back into
+one of the original net's, binding concrete machines.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ PAIR = "pair"
 
 FAIL = "fail"
 WAIT = "wait"
+
+FOLDED = "*"                # the one machine color of a folded net
 
 
 class ColorUniverse:
@@ -125,7 +136,10 @@ class ColoredNet:
                     if p not in pset:
                         issues.append(f"unknown place {p!r} on {side} arc of {t}")
                         continue
-                    if SORT_OF_PATTERN[ins.pattern] != self.sort[p]:
+                    if ins.pattern not in SORT_OF_PATTERN:
+                        issues.append(f"unknown inscription pattern "
+                                      f"{ins.pattern!r} on {t}->{p}")
+                    elif SORT_OF_PATTERN[ins.pattern] != self.sort[p]:
                         issues.append(
                             f"inscription {ins.pattern!r} does not match sort "
                             f"of place {p} on {t}")
@@ -232,6 +246,16 @@ def color_name(base, color):
     return f"{base}@{token_name(color)}"
 
 
+def binding_name(t, b):
+    """Unfolded name of transition t under binding b: ``t`` when b binds
+    nothing, else ``t@J``, ``t@M`` or ``t@(M,J)``."""
+    if b.m is None and b.j is None:
+        return t
+    if b.m is None or b.j is None:
+        return color_name(t, b.j if b.m is None else b.m)
+    return color_name(t, b)
+
+
 def machine_places(cnet, m, sorts):
     """Unfolded names of machine m's places of the given sorts, in
     ``unfold``'s place order: ``p@M`` for a MACHINE-sort place p, and
@@ -272,12 +296,88 @@ def unfold(cnet):
                     for tok in ins.tokens(b.m, b.j, universe):
                         q = place_of[p, tok]
                         weights[q] = weights.get(q, 0) + 1
-            if b.m is None and b.j is None:
-                name = t
-            elif b.m is None or b.j is None:
-                name = color_name(t, b.j if b.m is None else b.m)
-            else:
-                name = color_name(t, b)
-            net.add_transition(name, pre=arcs[0], post=arcs[1],
-                               interval=cnet.interval[t])
+            net.add_transition(binding_name(t, b), pre=arcs[0],
+                               post=arcs[1], interval=cnet.interval[t])
     return net
+
+
+def machine_arcs(arcs):
+    """How many of the arcs carry a machine token (pattern m or mj)."""
+    return sum(ins.pattern != "j" for ins in arcs.values())
+
+
+def fold_refusal(cnet):
+    """Why the unfolding of ``fold_machines(cnet)`` would not behave as
+    cnet's own up to machine names, or None when it would.
+
+    The fold is exact when cnet is sort-correct, every transition consumes
+    at most one machine-carrying token, and each MACHINE- and PAIR-sort
+    place initially holds every machine (per job, for pairs) equally often.
+    A binding's enabling then depends on one machine's local state only,
+    every machine starts alike, and mapping each marking to its per-state
+    machine counts is a bisimulation onto the folded net: a folded firing
+    is enabled exactly when some machine can take it."""
+    if cnet.validate():
+        return "colored net does not validate"
+    if any(machine_arcs(cnet.pre[t]) > 1 for t in cnet.transitions):
+        return "a transition consumes two machine tokens"
+    machines, jobs = cnet.universe.machines, cnet.universe.jobs
+    for p, toks in cnet.initial.items():
+        sort = cnet.sort[p]
+        if sort == JOB:
+            continue
+        held = Counter(toks)
+        for j in (None,) if sort == MACHINE else jobs:
+            if len({held[m if j is None else (m, j)] for m in machines}) > 1:
+                return "initial marking not machine-symmetric"
+    return None
+
+
+def _fold_token(sort, tok):
+    if sort == MACHINE:
+        return FOLDED
+    if sort == PAIR:
+        return (FOLDED, tok[1])
+    return tok
+
+
+def fold_machines(cnet):
+    """A copy of cnet whose universe has the single machine color ``*``,
+    with every machine in a MACHINE- or PAIR-sort initial token replaced by
+    it; exact only where ``fold_refusal(cnet)`` is None."""
+    u = cnet.universe
+    folded = ColoredNet(ColorUniverse((FOLDED,), u.jobs, u.demand, u.semantics),
+                        name=cnet.name)
+    for p in cnet.places:
+        folded.add_place(p, cnet.sort[p], [_fold_token(cnet.sort[p], tok)
+                                           for tok in cnet.initial.get(p, ())])
+    for t in cnet.transitions:
+        folded.add_transition(t, cnet.pre[t], cnet.post[t], cnet.interval[t])
+    return folded
+
+
+def lift_machines(cnet, names):
+    """Lift a firing sequence of ``unfold(fold_machines(cnet))``, given by
+    transition names, to cnet: each step binds the lowest-indexed machine
+    for which it is enabled.  Returns the steps' names in ``unfold(cnet)``.
+
+    Where ``fold_refusal(cnet)`` is None some machine is always enabled,
+    and the lifted sequence reaches a marking whose machine counts are the
+    folded marking; NotFireable is raised otherwise."""
+    folded = fold_machines(cnet)
+    step_of = {binding_name(t, b): (t, b) for t in folded.transitions
+               for b in folded.bindings_of(t)}
+    marking = cnet.initial_marking()
+    lifted = []
+    for name in names:
+        t, b = step_of[name]
+        for m in cnet.universe.machines if b.m == FOLDED else (None,):
+            try:
+                marking = colored_fire(cnet, marking, t, Binding(m, b.j))
+            except NotFireable:
+                continue
+            lifted.append(binding_name(t, Binding(m, b.j)))
+            break
+        else:
+            raise NotFireable((t, b))
+    return lifted

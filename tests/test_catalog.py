@@ -3,13 +3,18 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from qurdlab import catalog, colored
-from qurdlab.analysis import explore_markings, unproved_machines
+from qurdlab.analysis import (check_reachable, completion_skip,
+                              explore_markings, pending_deadlocks,
+                              replay_labels, timed_witness, unproved_machines)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, jname)
-from qurdlab.colored import JOB, MACHINE, PAIR, color_name, machine_places
+from qurdlab.colored import (FOLDED, JOB, MACHINE, PAIR, color_name,
+                             fold_machines, fold_refusal, lift_machines,
+                             machine_places, unfold)
 
 
 def fire_seq(net, marking, transitions):
@@ -315,6 +320,92 @@ def test_machine_places_partition_the_machine_places():
         for places in owned:
             mine = set(places)
             assert places == [q for q in net.places if q in mine], p
+
+
+def safety_grid():
+    """The 108 configurations of acceptance test 4: 1-3 machines, nine
+    demand lists, timeout 3, Zeroconf and the failure detector each on and
+    off."""
+    for mc, demands, fd, zc in itertools.product(
+            (1, 2, 3), ([1], [2], [3], [1, 1], [2, 1], [2, 2], [3, 1],
+                        [3, 2], [3, 3]), (False, True), (False, True)):
+        yield CatalogParams(machine_count=mc, job_demands=demands,
+                            failure_detector=fd, zeroconf=zc)
+
+
+def fold_of(cnet, net):
+    """0/1 matrix mapping each place of ``net = unfold(cnet)`` to its place
+    in ``unfold(fold_machines(cnet))``, whose place list comes second."""
+    folded = unfold(fold_machines(cnet)).places
+    u = cnet.universe
+    target = {}
+    for p in cnet.places:
+        sort = cnet.sort[p]
+        if sort == JOB:
+            target.update({color_name(p, j): color_name(p, j) for j in u.jobs})
+        elif sort == MACHINE:
+            target.update({color_name(p, m): color_name(p, FOLDED)
+                           for m in u.machines})
+        else:
+            target.update({color_name(p, (m, j)): color_name(p, (FOLDED, j))
+                           for m in u.machines for j in u.jobs})
+    proj = np.zeros((len(net.places), len(folded)), dtype=np.int64)
+    for i, q in enumerate(net.places):
+        proj[i, folded.index(target[q])] = 1
+    return proj, folded
+
+
+def row_set(rows):
+    """The distinct rows of an integer matrix, sorted, as one array."""
+    rows = np.ascontiguousarray(rows, dtype=np.int16)
+    return np.unique(rows.view(np.dtype((np.void, rows.strides[0]))))
+
+
+def test_folded_graph_is_the_full_graph_up_to_machine_names():
+    # the oracle for analyze's fold, on every grid configuration:
+    # - the folded graph's markings and dead markings are exactly the
+    #   machine counts of the full graph's, so the verdicts agree, and the
+    #   full graph's scan agrees with the machine proof the fold relies on;
+    # - every pending dead orbit's folded path, lifted to concrete
+    #   machines, replays on build_net to a dead, pending marking that
+    #   folds back onto the folded dead marking
+    lifted = 0
+    for p in itertools.chain(machine_grid(), safety_grid()):
+        cnet, net = build_colored(p), build_net(p)
+        assert fold_refusal(cnet) is None and unproved_machines(cnet) == []
+        full = explore_markings(net)
+        folded = explore_markings(unfold(fold_machines(cnet)))
+        proj, places = fold_of(cnet, net)
+        assert places == folded.net.places
+        image = full.matrix.astype(np.int64) @ proj
+        for rows, mine in ((image, folded.matrix),
+                           (image[full.dead], folded.matrix[folded.dead])):
+            assert np.array_equal(row_set(rows), row_set(mine)), p
+
+        assert bool(pending_deadlocks(full)) == \
+            bool(pending_deadlocks(folded)), p
+        done = {jname("job_done", j): 1 for j in p.jobs()}
+        assert check_reachable(full, done).holds == \
+            check_reachable(folded, done).holds, p
+        pidx = net.compiled()[0]
+        for m in p.machines():
+            pairs = [pidx[q] for q in machine_places(cnet, m, (PAIR,))]
+            states = [pidx[q] for q in machine_places(cnet, m, (MACHINE,
+                                                                PAIR))]
+            assert (full.matrix[:, pairs].sum(axis=1) <= 1).all(), (p, m)
+            assert (full.matrix[:, states].sum(axis=1) == 1).all(), (p, m)
+
+        complete = completion_skip(folded)
+        for i in pending_deadlocks(folded):
+            labels = timed_witness(net, lift_machines(
+                cnet, folded.path_transitions(i)))
+            final = replay_labels(net, labels)
+            assert final.enabled == [], (p, i)
+            assert not complete(final.marking), (p, i)
+            assert tuple(np.array(final.counts) @ proj) == \
+                folded.counts(i), (p, i)
+            lifted += 1
+    assert lifted > 100
 
 
 def _job_weights(net, j, demand):

@@ -57,7 +57,13 @@ def test_analyze_finds_contention_deadlock(capsys, contention_file):
     status, out = run_cli(capsys, "analyze", contention_file,
                           "--out", witness)
     assert status == 1
-    assert "deadlock: FOUND" in out
+    # the folded graph has one dead orbit, the 2+1 standoff; the witness
+    # line reads the lifted concrete dead marking
+    assert "states explored: 202\n" \
+           "symmetry: 3 machines folded into counters\n" \
+           "deadlock: FOUND (1 dead states)\n" \
+           "deadlock witness: J1 holds M2,M3 (needs 3); J2 holds M1 " \
+           "(needs 2)\n" in out
     assert "mutex: holds" in out
     assert "machine-invariant: holds" in out
     assert witness.exists()
@@ -130,6 +136,9 @@ def test_unproved_names_each_failing_machine():
     # balanced, but a machine pattern on a pair place
     assert unproved(lambda c: c.pre["t3"].update(
         running=Inscription("m"))) == every
+    # a pattern the colored layer does not know
+    assert unproved(lambda c: c.pre["t3"].update(
+        running=Inscription("jm"))) == every
 
 
 def test_analyze_repeated_property_reported_once(capsys, contention_file):
@@ -140,6 +149,75 @@ def test_analyze_repeated_property_reported_once(capsys, contention_file):
     assert status == 1
     assert out.count("deadlock: FOUND") == 1
     assert witness.read_text().count("property: deadlock") == 1
+
+
+@pytest.mark.parametrize("machines, demands, timeout, states", [
+    (7, [3, 2, 2], "3", 5850),      # the full graph passes 2 M markings
+    (12, [3, 3, 3], "off", 17576),
+])
+def test_analyze_folds_large_clusters(capsys, tmp_path, machines, demands,
+                                      timeout, states):
+    f = tmp_path / "cluster.scn"
+    f.write_text("machines %d\n%stimeout %s\n" % (machines, "".join(
+        "job J%d demand %d semantics wait\n" % (i + 1, d)
+        for i, d in enumerate(demands)), timeout))
+    status, out = run_cli(capsys, "analyze", f)
+    assert status == 0
+    assert "states explored: %d\n" \
+           "symmetry: %d machines folded into counters\n" \
+           "deadlock: none\nmutex: holds\nmachine-invariant: holds\n" \
+           "job-done-reachable: holds\n" % (states, machines) in out
+
+
+def test_asymmetric_initial_marking_is_not_folded(tmp_path, capsys,
+                                                  monkeypatch, contention_file):
+    # a spare (M1,J2) reservation sets M1 apart from the other machines
+    def spare_reservation(params):
+        cnet = build_colored(params)
+        cnet.initial["reserved"] = (("M1", "J2"),)
+        return cnet
+
+    monkeypatch.setattr(cli, "build_colored", spare_reservation)
+    monkeypatch.setattr(cli, "build_net",
+                        lambda params: unfold(spare_reservation(params)))
+    full = explore_markings(unfold(spare_reservation(
+        parse_scenario(CONTENTION).params())))
+    status, out = run_cli(capsys, "analyze", contention_file, "--property",
+                          "deadlock", "--out", tmp_path / "w.witness")
+    assert status == 1
+    assert "states explored: %d\n" \
+           "symmetry: off (initial marking not machine-symmetric)\n" \
+           "deadlock: FOUND (%d dead states)\n" % (
+               full.n_states, len(analysis.pending_deadlocks(full))) in out
+
+
+def test_unproved_machines_are_not_folded(tmp_path, capsys, monkeypatch):
+    # t3 also returns its machine to available: every machine then goes
+    # unproved, and the scan needs each machine's own places
+    def minting(params):
+        cnet = build_colored(params)
+        cnet.post["t3"]["available"] = Inscription("m")
+        return cnet
+
+    monkeypatch.setattr(cli, "build_colored", minting)
+    monkeypatch.setattr(cli, "build_net",
+                        lambda params: unfold(minting(params)))
+    f = tmp_path / "mint.scn"
+    f.write_text("machines 2\njob J1 demand 1 semantics wait\n"
+                 "timeout off\n")
+    witness = tmp_path / "mint.witness"
+    status, out = run_cli(capsys, "analyze", f, "--out", witness)
+    assert status == 1
+    assert "states explored: 14\n" \
+           "symmetry: off (machines M1,M2 unproved)\n" \
+           "deadlock: none\nmutex: holds\n" \
+           "machine-invariant: VIOLATED (machine-invariant M1)\n" in out
+    assert witness.read_text() == (
+        "property: machine-invariant\n0 start_job@J1\n0 t1@(M1,J1)\n"
+        "0 launch@J1\n0 t2@(M1,J1)\n0 t3@(M1,J1)\n")
+    # deadlock alone needs no machine proof, so the same net is folded
+    status, out = run_cli(capsys, "analyze", f, "--property", "deadlock")
+    assert "symmetry: 2 machines folded into counters\n" in out
 
 
 def test_analyze_bound_exceeded(capsys, contention_file):
@@ -231,6 +309,8 @@ def test_token_overflow_exits_2(capsys, contention_file, monkeypatch):
     net.add_place("q", tokens=1)
     net.add_place("p", tokens=32_700)
     net.add_transition("gen", pre={"q": 1}, post={"q": 1, "p": 1})
+    # whichever net analyze explores, folded or full
+    monkeypatch.setattr(cli, "unfold", lambda cnet: net)
     monkeypatch.setattr(cli, "build_net", lambda params: net)
     status = main(["analyze", str(contention_file)])
     captured = capsys.readouterr()

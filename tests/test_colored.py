@@ -10,8 +10,9 @@ import random
 import pytest
 
 from qurdlab.colored import (Binding, ColoredNet, ColorUniverse, Inscription,
-                             JOB, MACHINE, PAIR, canonical, colored_enabled,
-                             colored_fire, token_name, unfold)
+                             JOB, MACHINE, PAIR, binding_name, canonical,
+                             colored_enabled, colored_fire, fold_machines,
+                             fold_refusal, lift_machines, token_name, unfold)
 from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.tpn import NotFireable
 
@@ -47,6 +48,12 @@ def test_per_demand_needs_job_pattern():
     cnet.add_transition("t", pre={"available": Inscription("m", per_demand=True)},
                         post={})
     assert any("P'(j)" in msg for msg in cnet.validate())
+
+
+def test_unknown_pattern_is_reported():
+    cnet = build_colored(params(2, ["j1"], [1]))
+    cnet.pre["t3"]["running"] = Inscription("jm")
+    assert "unknown inscription pattern 'jm' on t3->running" in cnet.validate()
 
 
 def test_initial_token_sort_checked():
@@ -251,3 +258,64 @@ def test_unfold_random_walk_bisimulation():
                 token_name(b.m or b.j)
             pm = net.fire_marking(pm, f"{t}@{suffix}")
             assert _renamed(cm) == pm
+
+
+# -- folding the machines -------------------------------------------------------
+
+def test_binding_name():
+    assert binding_name("t5", Binding(None, None)) == "t5"
+    assert binding_name("t5", Binding(None, "j1")) == "t5@j1"
+    assert binding_name("publish", Binding("M1", None)) == "publish@M1"
+    assert binding_name("t1", Binding("M1", "j1")) == "t1@(M1,j1)"
+
+
+def test_fold_machines_counts_machines():
+    cnet = build_colored(params(3, ["j1", "j2"], [2, 1]))
+    net = unfold(fold_machines(cnet))
+    assert net.initial == {"available@*": 3, "begin@j1": 1, "begin@j2": 1}
+    assert [p for p in net.places if p.startswith("reserved@")] == \
+        ["reserved@(*,j1)", "reserved@(*,j2)"]
+    assert net.pre["t1@(*,j1)"] == {"available@*": 1, "get_nodes@j1": 1}
+    # the same net at any machine count, and the colored net untouched
+    assert net.transitions == unfold(fold_machines(build_colored(
+        params(7, ["j1", "j2"], [2, 1])))).transitions
+    assert cnet.universe.machines == ("M1", "M2", "M3")
+
+
+def test_fold_refusal_reasons():
+    def refusal(change):
+        cnet = build_colored(params(2, ["j1", "j2"], [1, 1]))
+        change(cnet)
+        return fold_refusal(cnet)
+
+    assert refusal(lambda c: None) is None
+    # every machine equally often, per job for pairs
+    assert refusal(lambda c: c.initial.update(
+        available=("M1", "M1", "M2", "M2"))) is None
+    assert refusal(lambda c: c.initial.update(
+        reserved=(("M1", "j1"), ("M2", "j1")))) is None
+    asymmetric = "initial marking not machine-symmetric"
+    assert refusal(lambda c: c.initial.update(available=("M1",))) == asymmetric
+    assert refusal(lambda c: c.initial.update(
+        reserved=(("M1", "j1"), ("M2", "j2")))) == asymmetric
+    assert refusal(lambda c: c.pre["t2"].update(
+        available=Inscription("m"))) == \
+        "a transition consumes two machine tokens"
+    assert refusal(lambda c: c.pre["t3"].update(
+        running=Inscription("jm"))) == "colored net does not validate"
+
+
+def test_lift_machines_binds_lowest_enabled_machine():
+    cnet = build_colored(params(3, ["j1", "j2"], [2, 1]))
+    lifted = lift_machines(cnet, ["start_job@j2", "t1@(*,j2)", "start_job@j1",
+                                  "t1@(*,j1)", "t1@(*,j1)", "launch@j1",
+                                  "t2@(*,j1)"])
+    assert lifted == ["start_job@j2", "t1@(M1,j2)", "start_job@j1",
+                      "t1@(M2,j1)", "t1@(M3,j1)", "launch@j1", "t2@(M2,j1)"]
+    net = unfold(cnet)
+    marking = dict(net.initial)
+    for t in lifted:                # raises NotFireable on a wrong step
+        marking = net.fire_marking(marking, t)
+    assert marking["running@(M2,j1)"] == 1
+    with pytest.raises(NotFireable):
+        lift_machines(cnet, ["t1@(*,j1)"])
