@@ -28,12 +28,31 @@ would leave that range also raises ``ExplorationError`` instead of
 wrapping.  Ids, BFS parents and dead states are those of a dict-keyed BFS
 that visits each level transition-major.
 
+A level costs a fixed few dozen numpy calls plus work in proportion to
+its size, so a graph hundreds of levels deep but a few states wide is
+still cheap:
+
+1. one comparison of the level's count columns against every pre-arc at
+   once gives the enabled (transition, state) pairs; a state with none is
+   dead, which one mask per level records;
+2. the successors' keys are sorted and grouped, and the rows within each
+   group are checked equal;
+3. the group keys are looked up in the index, one array of the visited
+   states' sorted keys over their ids; a hit's stored row is read back
+   from its level's block (all hits nearly always fall in one level) and
+   compared;
+4. the new keys and their ids are merged into the index in one pass.
+
+A level whose counts fit int8 is computed in int8.  Each level's counts
+are kept as one column block in the dtype they were computed in, and
+copied into the graph's int16 matrix once, at the end.
+
 The deadlock checks return state ids, so they read only what both graph
 classes offer: ``n_states``, ``marking``, ``dead_ids`` and
-``path_labels``.  The other checks return a ``Verdict`` whose witness
-replays from the initial state: witnesses from marking-level exploration
-are converted to timed ``(delay, transition)`` labels by waiting out each
-earliest firing delay.  ``check_reachable`` takes a predicate over
+``path_labels``.  The other checks return a ``Verdict`` whose witness,
+built on its first read, replays from the initial state: witnesses from
+marking-level exploration are converted to timed ``(delay, transition)``
+labels by waiting out each earliest firing delay.  ``check_reachable`` takes a predicate over
 markings or a covering goal ``{place: min_count}``; on a marking graph a
 covering goal reads only the columns it names.  ``unproved_machines``
 proves mutual exclusion and each machine's one-state invariant on the
@@ -49,8 +68,10 @@ full net (``colored.lift_machines``) before ``timed_witness`` times it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -67,10 +88,22 @@ class Truncated(Exception):
 
 @dataclass
 class Verdict:
+    """A checked property.  Its witness is the BFS tree path to state
+    ``state`` of ``graph``, or None without such a state; the path is
+    walked on the first read of ``witness``, so a caller that needs only
+    ``holds`` never pays for it."""
     property: str
     holds: bool
-    witness: object          # list of (delay, transition) labels, or None
     states_explored: int
+    graph: object = field(default=None, repr=False, compare=False)
+    state: int = None
+
+    @cached_property
+    def witness(self):
+        """(delay, transition) labels from the initial state, or None."""
+        if self.state is None:
+            return None
+        return self.graph.path_labels(self.state)
 
     def __str__(self):
         tail = f" witness of length {len(self.witness)}" if self.witness else ""
@@ -219,6 +252,8 @@ class MarkingGraph:
 INT8_MAX = np.iinfo(np.int8).max
 INT16_MAX = np.iinfo(np.int16).max
 KEY_ATTEMPTS = 3
+TRANSPOSE_ROWS = 4096
+MERGE_RUN = 1024
 
 
 class ExplorationError(Exception):
@@ -239,8 +274,11 @@ def _multipliers(n_places, attempt):
 
 
 def _keys(rows, mult):
-    """counts . mult mod 2**64 for each row (negative entries wrap)."""
-    return (rows.astype(np.uint64) * mult).sum(axis=1, dtype=np.uint64)
+    """counts . mult mod 2**64 for each row (negative entries wrap), as
+    int64 so that keys and ids share one index array; keys are only
+    summed, sorted and compared, which the signed view does alike."""
+    return (rows.astype(np.uint64) * mult).sum(
+        axis=1, dtype=np.uint64).view(np.int64)
 
 
 def explore_markings(net, bound=DEFAULT_BOUND):
@@ -288,102 +326,102 @@ def _bfs(net, bound, row0, deltas, pre, mult):
     first-occurrence order, so ids, parents and dead states do not depend on
     the hash."""
     g = MarkingGraph(net, bound)
-    # arc j of every transition as one (place, weight) row each; shorter
-    # pre-sets repeat their first arc, an empty one tests place 0 >= 0
+    n_trans = len(pre)
+    # arc j of transition t is test row j * n_trans + t; shorter pre-sets
+    # repeat their first arc, an empty one tests place 0 >= 0
     width = max((len(arcs) for arcs in pre), default=0)
-    arcs = [[arcs[min(j, len(arcs) - 1)] if arcs else (0, 0)
-             for arcs in pre] for j in range(width)]
-    arc_place = np.array([[p for p, _ in row] for row in arcs],
-                         dtype=np.intp).reshape(width, len(pre))
-    arc_weight = np.array([[w for _, w in row] for row in arcs],
-                          dtype=np.int16).reshape(width, len(pre), 1)
+    arcs = [arcs[min(j, len(arcs) - 1)] if arcs else (0, 0)
+            for j in range(width) for arcs in pre]
+    arc_place = np.array([p for p, _ in arcs], dtype=np.intp)
+    arc_weight = np.array([w for _, w in arcs], dtype=np.int16)[:, None]
     delta_keys = _keys(deltas, mult)
-    # a level whose counts stay within int8 is worked on as int8, which
-    # halves the bytes every gather and comparison moves
+    # a level whose counts stay within int8 is worked on and stored as
+    # int8, which halves the bytes every gather, comparison and block holds
     narrow_deltas = deltas.astype(np.int8) \
         if (np.abs(deltas) <= INT8_MAX).all() else None
     top = int(deltas.max(initial=0))
 
     frontier = row0[None, :]             # rows of the current level
-    columns = frontier.T.copy()          # the same level, one row per place
+    columns = _columns(frontier)         # the same level, one row per place
     blocks = [columns]                   # every level, column-major
     starts = [0]                         # first id of each block
-    keys = _keys(row0[None, :], mult)    # sorted keys of all states
-    ids = np.zeros(1, dtype=np.int64)    # state id of each key
+    frontier_keys = _keys(frontier, mult)
+    # row 0: the keys of all states, sorted; row 1: the id of each
+    index = np.stack([frontier_keys, np.zeros(1, dtype=np.int64)])
     parents = [np.full(1, -1, dtype=np.int64)]
     vias = [np.full(1, -1, dtype=np.int64)]
-    dead = []
+    live = []                            # per level: has an enabled transition
     n = 1
-    frontier_keys = keys
     first_id = 0
 
-    while not g.truncated:
-        enabled = np.ones((len(pre), len(frontier)), dtype=bool)
-        for places, weights in zip(arc_place, arc_weight):
-            enabled &= columns[places] >= weights
-        dead.append(first_id + np.flatnonzero(~enabled.any(axis=0)))
-        trans, rows = np.divmod(np.flatnonzero(enabled), len(frontier))
+    while True:
+        enabled = (columns[arc_place] >= arc_weight).reshape(
+            width, n_trans, len(frontier)).all(axis=0)
+        live.append(enabled.any(axis=0))
+        trans, rows = np.divmod(enabled.ravel().nonzero()[0], len(frontier))
         if not rows.size:
             break
         succ_keys = frontier_keys[rows] + delta_keys[trans]
 
         # Group equal keys.  A group's first occurrence is its smallest
         # index; every member must be the same marking as its neighbour.
-        order = np.argsort(succ_keys)
-        sorted_keys = succ_keys[order]
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        heads = np.flatnonzero(head)
+        order = succ_keys.argsort()
+        succ_keys = succ_keys[order]
+        head = np.empty(len(order), dtype=bool)
+        head[0] = True
+        np.not_equal(succ_keys[1:], succ_keys[:-1], out=head[1:])
+        heads = head.nonzero()[0]
         first = np.minimum.reduceat(order, heads)
-        uniq = sorted_keys[heads]
+        uniq = succ_keys[heads]
         narrow = narrow_deltas is not None \
             and int(columns.max(initial=0)) + top <= INT8_MAX
         if narrow:
             frontier, step = frontier.astype(np.int8, copy=False), narrow_deltas
         else:
             frontier, step = frontier.astype(np.int16, copy=False), deltas
-        succ = np.take(frontier, rows[order], axis=0)
-        succ += np.take(step, trans[order], axis=0)
+        succ = frontier.take(rows[order], axis=0)
+        succ += step.take(trans[order], axis=0)
         # successors of enabled transitions are >= 0, so a negative count
         # is one that wrapped past INT16_MAX (int8 levels cannot wrap)
         if not narrow and succ.min(initial=0) < 0:
             raise ExplorationError(
                 "a token count exceeds %d: the net is unbounded or its "
                 "counts do not fit the int16 marking matrix" % INT16_MAX)
-        if len(heads) < len(order):
-            differ = succ[1:] != succ[:-1]
-            differ[head[1:]] = False
-            if differ.any():
-                raise _Collision()
-
-        # a key already visited must belong to the very same marking
-        pos = np.searchsorted(keys, uniq)
-        hit = keys[np.minimum(pos, len(keys) - 1)] == uniq
-        if hit.any() and not (_gather(blocks, starts, ids[pos[hit]])
-                              == succ[heads[hit]].T).all():
+        # a row that differs from its predecessor must start a group
+        if len(heads) < len(order) and (
+                (succ[1:] != succ[:-1]) > head[1:, None]).any():
             raise _Collision()
 
-        fresh = np.flatnonzero(~hit)
-        fresh = fresh[np.argsort(first[fresh])]
+        # a key already visited must belong to the very same marking; below
+        # the smallest key pos - 1 is -1, which reads the largest key
+        pos = index[0].searchsorted(uniq, "right")
+        hit = index[0][pos - 1] == uniq
+        if hit.any() and (_gather(blocks, starts, index[1][pos[hit] - 1])
+                          != succ[heads[hit]].T).any():
+            raise _Collision()
+
+        new = (~hit).nonzero()[0]        # new groups, in key order
+        by_first = first[new].argsort()
+        fresh = new[by_first]            # the same, in id order
         if n + len(fresh) > bound:
-            g.truncated = True
+            g.truncated = True           # the last level: no more lookups
             fresh = fresh[:max(bound - n, 0)]
-        id_of = np.empty(len(uniq), dtype=np.int64)
-        id_of[fresh] = np.arange(n, n + len(fresh))
-        keep = np.sort(fresh)
-        keys = np.insert(keys, pos[keep], uniq[keep])
-        ids = np.insert(ids, pos[keep], id_of[keep])
+        else:
+            ids = np.empty(len(new), dtype=np.int64)
+            ids[by_first] = np.arange(n, n + len(new))
+            index = _merge(index, pos[new], uniq[new], ids)
 
         frontier = succ[heads[fresh]]
-        columns = frontier.T.astype(np.int16, order="C")
+        columns = _columns(frontier)
         blocks.append(columns)
         starts.append(n)
-        parents.append(first_id + rows[first[fresh]])
-        vias.append(trans[first[fresh]])
+        src = first[fresh]
+        parents.append(first_id + rows[src])
+        vias.append(trans[src])
+        frontier_keys = uniq[fresh]
         first_id = n
         n += len(fresh)
-        frontier_keys = uniq[fresh]
-        if not len(frontier):
+        if g.truncated or not len(fresh):
             break
 
     # column-major, so that a check reads each place's column contiguously;
@@ -398,14 +436,58 @@ def _bfs(net, bound, row0, deltas, pre, mult):
     g.matrix = matrix.T
     g.parent = np.concatenate(parents)
     g.via = np.concatenate(vias)
-    g.dead = np.concatenate(dead)
+    g.dead = (~np.concatenate(live)).nonzero()[0]
     return g
+
+
+def _columns(rows):
+    """``rows`` transposed into columns of the same dtype,
+    ``TRANSPOSE_ROWS`` rows at a time so that the rows being read stay in
+    cache: on a 2-core x86 host one transposing copy of 50,000 int8 rows
+    of 78 places took 15 ms, in 4,096-row slices 4 ms."""
+    out = np.empty((rows.shape[1], len(rows)), dtype=rows.dtype)
+    for start in range(0, len(rows), TRANSPOSE_ROWS):
+        out[:, start:start + TRANSPOSE_ROWS] = \
+            rows[start:start + TRANSPOSE_ROWS].T
+    return out
+
+
+def _merge(index, at, keys, ids):
+    """``index`` with the columns ``(keys, ids)`` inserted before its
+    columns ``at`` (non-decreasing); both rows share the positions.
+
+    The old columns move in runs, one run between two insertion points.
+    Runs averaging ``MERGE_RUN`` columns or more are copied slice by slice;
+    shorter ones by one boolean mask per row, which costs no Python step
+    per run but a few ns per column (np.insert chooses alike, between one
+    insertion and several)."""
+    k = len(at)
+    grown = np.empty((2, index.shape[1] + k), dtype=index.dtype)
+    dest = at + np.arange(k)
+    if index.shape[1] >= MERGE_RUN * k:
+        bounds = [0, *at.tolist(), index.shape[1]]
+        for j in range(k + 1):
+            grown[:, bounds[j] + j:bounds[j + 1] + j] = \
+                index[:, bounds[j]:bounds[j + 1]]
+        old_at = None
+    else:
+        old_at = np.ones(grown.shape[1], dtype=bool)
+        old_at[dest] = False
+    # row by row: 1-D fancy and boolean indexing are numpy's fast paths
+    for row, old, added in zip(grown, index, (keys, ids)):
+        row[dest] = added
+        if old_at is not None:
+            row[old_at] = old
+    return grown
 
 
 def _gather(blocks, starts, ids):
     """Columns ``ids`` of the column-major level ``blocks`` side by side."""
+    lv = bisect_right(starts, int(ids.min())) - 1
+    if int(ids.max()) < starts[lv] + blocks[lv].shape[1]:
+        return blocks[lv][:, ids - starts[lv]]   # the common case: one level
     level = np.searchsorted(starts, ids, side="right") - 1
-    out = np.empty((blocks[0].shape[0], len(ids)), dtype=blocks[0].dtype)
+    out = np.empty((blocks[0].shape[0], len(ids)), dtype=np.int16)
     for lv in np.unique(level):
         sel = np.flatnonzero(level == lv)
         out[:, sel] = blocks[lv][:, ids[sel] - starts[lv]]
@@ -434,6 +516,12 @@ def timed_witness(net, transitions):
     waiting out each transition's remaining earliest firing delay.  Only
     valid when no finite lfd can block the wait, which the caller
     guarantees by having used marking-level exploration."""
+    return timed_walk(net, transitions)[0]
+
+
+def timed_walk(net, transitions):
+    """``timed_witness`` labels and the TimedState they lead to, from one
+    walk."""
     state = net.initial_state()
     efd = net.compiled()[3]
     labels = []
@@ -442,7 +530,7 @@ def timed_witness(net, transitions):
         d = max(0, efd[ti] - state.clocks[ti])
         state = state.elapse(d).fire(t)
         labels.append((d, t))
-    return labels
+    return labels, state
 
 
 def replay_labels(net, labels):
@@ -492,8 +580,8 @@ def check_invariant(g, predicate, name="invariant"):
     _require_complete(g)
     for i in range(g.n_states):
         if not predicate(g.marking(i)):
-            return Verdict(name, False, g.path_labels(i), g.n_states)
-    return Verdict(name, True, None, g.n_states)
+            return Verdict(name, False, g.n_states, g, i)
+    return Verdict(name, True, g.n_states)
 
 
 def check_reachable(g, goal, name="reachable"):
@@ -512,20 +600,20 @@ def check_reachable(g, goal, name="reachable"):
         goal = lambda m: all(m.get(p, 0) >= n for p, n in mins.items())
     for i in range(g.n_states):
         if goal(g.marking(i)):
-            return Verdict(name, True, g.path_labels(i), g.n_states)
-    return Verdict(name, False, None, g.n_states)
+            return Verdict(name, True, g.n_states, g, i)
+    return Verdict(name, False, g.n_states)
 
 
 def _check_covering(g, goal, name):
     pidx = g.net.compiled()[0]
     if any(n > 0 and p not in pidx for p, n in goal.items()):
-        return Verdict(name, False, None, g.n_states)   # place never marked
+        return Verdict(name, False, g.n_states)   # place never marked
     cols = [pidx[p] for p in goal if p in pidx]
     mins = np.array([n for p, n in goal.items() if p in pidx])
     hits = np.flatnonzero((g.matrix[:, cols] >= mins).all(axis=1))
     if hits.size:
-        return Verdict(name, True, g.path_labels(int(hits[0])), g.n_states)
-    return Verdict(name, False, None, g.n_states)
+        return Verdict(name, True, g.n_states, g, int(hits[0]))
+    return Verdict(name, False, g.n_states)
 
 
 def unproved_machines(cnet):

@@ -21,6 +21,7 @@ Scenario files use the grammar in :mod:`qurdlab.scenario`.  Exit status is
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -142,10 +143,10 @@ def cmd_analyze(args) -> Report:
                 report.add("deadlock: FOUND (%d dead states)" % len(bad))
                 if refusal is None:
                     # a concrete path through the first dead orbit
-                    full = build_net(params)
-                    labels = analysis.timed_witness(full, lift_machines(
-                        cnet, g.path_transitions(bad[0])))
-                    dead = analysis.replay_labels(full, labels).marking
+                    labels, end = analysis.timed_walk(
+                        build_net(params),
+                        lift_machines(cnet, g.path_transitions(bad[0])))
+                    dead = end.marking
                 else:
                     labels, dead = g.path_labels(bad[0]), g.marking(bad[0])
                 report.add("deadlock witness: %s" % _holdings(cnet, dead))
@@ -305,8 +306,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built once per process on first use:
+    building it costs more than parsing a command line, and parsing leaves
+    it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "conformance" and (args.scenario is None) == \
             (args.fuzz is None):

@@ -181,6 +181,47 @@ def test_marking_explorer_matches_reference_on_random_nets(net, bound):
     assert_matches_reference(g, net, bound)
 
 
+def test_marking_explorer_matches_reference_on_a_chain():
+    """p -> q with p = 2000: 2,001 levels of one state each."""
+    net = Net("chain")
+    net.add_place("p", tokens=2000)
+    net.add_place("q")
+    net.add_transition("t", pre={"p": 1}, post={"q": 1})
+    g = explore_markings(net)
+    assert g.n_states == 2001
+    assert_matches_reference(g, net)
+
+
+def test_marking_explorer_matches_reference_on_far_revisits():
+    """One token on x0..x11: it steps forward, jumps back to x0 or halves
+    its index, so a level's revisits land in two earlier levels at once,
+    up to eleven levels back."""
+    net = Net("jumps")
+    for i in range(12):
+        net.add_place("x%d" % i, tokens=int(i == 0))
+    for i in range(11):
+        net.add_transition("f%d" % i, pre={"x%d" % i: 1},
+                           post={"x%d" % (i + 1): 1})
+    for i in range(2, 12):
+        net.add_transition("h%d" % i, pre={"x%d" % i: 1},
+                           post={"x%d" % (i // 2): 1})
+        net.add_transition("z%d" % i, pre={"x%d" % i: 1}, post={"x0": 1})
+    assert_matches_reference(explore_markings(net), net)
+
+
+def test_marking_explorer_matches_reference_across_int8():
+    """Counts start inside the int8 range the explorer narrows to and
+    leave it partway through the exploration."""
+    net = Net("swap")
+    net.add_place("a", tokens=100)
+    net.add_place("b", tokens=40)
+    net.add_transition("ab", pre={"a": 1}, post={"b": 1})
+    net.add_transition("ba", pre={"b": 2}, post={"a": 2})
+    g = explore_markings(net)
+    assert g.matrix[0].max() <= np.iinfo(np.int8).max < g.matrix.max()
+    assert_matches_reference(g, net)
+
+
 def all_ones(n_places, attempt):
     """Multipliers that key a marking by its token total."""
     return np.ones(n_places, dtype=np.uint64)
@@ -367,6 +408,23 @@ def test_goal_initial_trivially_reachable():
     v = check_reachable(g, lambda m: m == {"available": 1})
     assert v.holds
     assert v.witness == []
+
+
+def test_witness_is_walked_only_when_read(monkeypatch):
+    g = explore_markings(contention(3))
+    walks = []
+    path_labels = type(g).path_labels
+
+    def counted(self, i):
+        walks.append(i)
+        return path_labels(self, i)
+
+    monkeypatch.setattr(type(g), "path_labels", counted)
+    v = check_reachable(g, {"job_done@J1": 1, "job_done@J2": 1})
+    assert v.holds and walks == []
+    assert replay_labels(g.net, v.witness).marking["job_done@J2"] == 1
+    assert v.witness == path_labels(g, walks[0])
+    assert len(walks) == 1
 
 
 def test_covering_goal_matches_predicate():

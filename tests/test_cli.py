@@ -151,6 +151,32 @@ def test_analyze_repeated_property_reported_once(capsys, contention_file):
     assert witness.read_text().count("property: deadlock") == 1
 
 
+def test_parser_is_built_once_and_runs_stay_apart(capsys, contention_file,
+                                                  monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        runs = [run_cli(capsys, "analyze", contention_file,
+                        "--property", "mutex", "--property", "deadlock"),
+                run_cli(capsys, "analyze", contention_file,
+                        "--property", "job-done-reachable")]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    # each run reports its own --property list and no other's
+    reported = [[line.split(":")[0] for line in out.splitlines()
+                 if line.split(":")[0] in cli.PROPERTIES] for _, out in runs]
+    assert reported == [["mutex", "deadlock"], ["job-done-reachable"]]
+    assert [status for status, _ in runs] == [1, 0]
+
+
 @pytest.mark.parametrize("machines, demands, timeout, states", [
     (7, [3, 2, 2], "3", 5850),      # the full graph passes 2 M markings
     (12, [3, 3, 3], "off", 17576),
