@@ -66,8 +66,13 @@ class Report:
 
 
 def _load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return parse_scenario(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError("%s: not UTF-8 text (byte %d)"
+                                % (path, exc.start)) from None
+    return parse_scenario(text)
 
 
 def _digest(sc: Scenario) -> str:

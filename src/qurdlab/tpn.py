@@ -19,16 +19,19 @@ oracle.
 
 Firing re-tests the enabling of only the transitions whose pre-set meets
 the fired transition's pre- or post-set; every other transition keeps its
-enabling and so its clock.
+enabling and so its clock.  The rule is written once, in ``_firing``: the
+marking it reaches and the clocks it disables or resets do not depend on
+the delay before the firing, so ``TimedState.successors`` computes each
+fireable transition's effect once per state and applies it to the elapsed
+clocks of every delay.
 
-``TimedState`` values are immutable and hashable; all operations are pure
-functions that return fresh states, so states can be shared freely across
-threads and deduplicated by equality.
+``TimedState`` values are immutable and hashable, and each hashes once,
+when it is built; all operations are pure functions that return fresh
+states, so states can be shared freely across threads and deduplicated by
+equality.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 Marking = dict  # place name -> token count (absent = 0)
 
@@ -230,21 +233,84 @@ class Net:
         return TimedState(net=self, counts=counts, clocks=clocks, cap=cap)
 
 
-@dataclass(frozen=True)
+def _firing(net, ti, counts):
+    """The firing rule of transition index ``ti`` from ``counts``, clocks
+    aside: the counts after firing, and the ``(index, clock)`` pairs of the
+    transitions in ``net._touched[ti]`` whose clock firing disables (-1) or
+    resets (0); every other clock is kept.
+
+    Newly enabled is judged against the intermediate marking
+    (counts - pre(t)); the fired transition itself always restarts from 0
+    when it stays enabled.  Neither result depends on the clocks, so one
+    call serves every delay after which ``ti`` is fireable."""
+    _, pre, post, _, _ = net.compiled()
+    inter = list(counts)
+    for p, w in pre[ti]:
+        inter[p] -= w
+    after = inter[:]
+    for p, w in post[ti]:
+        after[p] += w
+    changes = []
+    for i in net._touched[ti]:
+        arcs = pre[i]
+        for p, w in arcs:
+            if after[p] < w:
+                changes.append((i, -1))
+                break
+        else:
+            if i == ti:
+                changes.append((i, 0))
+                continue
+            for p, w in arcs:
+                if inter[p] < w:
+                    changes.append((i, 0))
+                    break
+    return tuple(after), changes
+
+
 class TimedState:
     """A marking plus one capped integer clock per enabled transition.
 
     ``counts`` follows the net's place order; ``clocks`` and ``cap`` (the
     per-transition clock caps) follow the net's transition order, with -1
-    marking disabled transitions.  Equality and hashing ignore the net
-    reference, so states from the same net deduplicate by value; hashing
-    also skips ``cap``, which the states of one exploration share.
+    marking disabled transitions; no clock exceeds its cap.  Equality
+    ignores the net reference, so states from the same net deduplicate by
+    value.  The hash covers ``counts`` and ``clocks`` only, since the
+    states of one exploration share ``cap``, and is computed once, when the
+    state is built: a set or dict probe reads it instead of hashing the
+    tuples again.
     """
 
-    net: Net = field(compare=False, repr=False)
-    counts: tuple
-    clocks: tuple
-    cap: tuple = field(hash=False)
+    __slots__ = ("net", "counts", "clocks", "cap", "_hash")
+
+    def __init__(self, net, counts, clocks, cap):
+        _set_net(self, net)
+        _set_counts(self, counts)
+        _set_clocks(self, clocks)
+        _set_cap(self, cap)
+        _set_hash(self, hash((counts, clocks)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TimedState is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TimedState is immutable; cannot delete {name!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.counts == other.counts and self.clocks == other.clocks
+                and self.cap == other.cap)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(counts={self.counts!r}, "
+                f"clocks={self.clocks!r}, cap={self.cap!r})")
+
+    def __reduce__(self):
+        return type(self), (self.net, self.counts, self.clocks, self.cap)
 
     @property
     def marking(self):
@@ -288,58 +354,75 @@ class TimedState:
         return TimedState(net=self.net, counts=self.counts, clocks=tuple(clocks), cap=cap)
 
     def fire(self, t):
-        """Fire ``t``: consume pre, produce post, reset newly enabled clocks.
-
-        Newly-enabled is judged against the intermediate marking
-        (marking - pre(t)); the fired transition itself always restarts
-        from 0 when it stays enabled.  Only transitions whose pre-set meets
+        """Fire ``t``: consume pre, produce post, reset newly enabled clocks
+        (the rule is ``_firing``'s).  Only transitions whose pre-set meets
         pre(t) or post(t) are re-tested; the rest keep their clocks.
         """
         net = self.net
         ti = net.transition_index(t)
-        _, pre, post, efd, _ = net.compiled()
-        clocks = list(self.clocks)
-        if clocks[ti] < 0 or clocks[ti] < efd[ti]:
+        c = self.clocks[ti]
+        if c < 0 or c < net.compiled()[3][ti]:
             raise NotFireable(t)
-        inter = list(self.counts)
-        for p, w in pre[ti]:
-            inter[p] -= w
-        after = list(inter)
-        for p, w in post[ti]:
-            after[p] += w
-        for i in net._touched[ti]:
-            if not all(after[p] >= w for p, w in pre[i]):
-                clocks[i] = -1
-            elif i == ti or not all(inter[p] >= w for p, w in pre[i]):
-                clocks[i] = 0
-        return TimedState(net=net, counts=tuple(after), clocks=tuple(clocks), cap=self.cap)
-
-    def max_useful_delay(self):
-        """Smallest delay beyond which the capped clock vector stops changing."""
-        gaps = [k - c for k, c in zip(self.cap, self.clocks) if c >= 0]
-        return max(gaps) if gaps else 0
+        after, changes = _firing(net, ti, self.counts)
+        clocks = list(self.clocks)
+        for i, v in changes:
+            clocks[i] = v
+        return TimedState(net=net, counts=after, clocks=tuple(clocks), cap=self.cap)
 
     def successors(self):
         """All one-step timed successors as ``((delay, transition), state)``.
 
-        Delays run over 0..max_useful_delay in order, transitions in
-        declaration order; successors whose resulting state was already
-        produced at a smaller label are dropped.  An empty list means the
-        state is timed-dead.
+        Delays run from 0 up to the first of two limits: the largest gap
+        between a clock and its cap, after which the capped clocks stop
+        changing, and the smallest gap between a clock and its finite lfd,
+        past which time may not pass.  Transitions run in declaration
+        order within a delay; successors whose resulting state was already
+        produced at a smaller label are dropped.  Each fireable
+        transition's firing effect (``_firing``) is computed once per state
+        and applied to the elapsed clocks of every delay; each successor is
+        built, and so hashed, once.  An empty list means the state is
+        timed-dead.
         """
+        net = self.net
+        names = net.transitions
+        efd, lfd = net.compiled()[3:]
+        clocks = self.clocks
+        cap = self.cap
+        counts = self.counts
+        live = [i for i, c in enumerate(clocks) if c >= 0]
+        top = max([cap[i] - clocks[i] for i in live], default=0)
+        for i in live:
+            if lfd[i] is not None and lfd[i] - clocks[i] < top:
+                top = lfd[i] - clocks[i]
         out = []
         seen = set()
-        names = self.net.transitions
-        efd = self.net.compiled()[3]
-        for d in range(self.max_useful_delay() + 1):
-            try:
-                elapsed = self.elapse(d)
-            except UrgencyViolation:
-                break
-            for i, c in enumerate(elapsed.clocks):
-                if c >= efd[i]:
-                    nxt = elapsed.fire(names[i])
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        out.append(((d, names[i]), nxt))
+        effects = [None] * len(clocks)
+        elapsed = list(clocks)
+        for d in range(top + 1):
+            if d:
+                for i in live:
+                    if elapsed[i] < cap[i]:
+                        elapsed[i] += 1
+            for i in live:
+                if elapsed[i] >= efd[i]:
+                    effect = effects[i]
+                    if effect is None:
+                        effect = effects[i] = _firing(net, i, counts)
+                    after, changes = effect
+                    nxt = elapsed[:]
+                    for j, v in changes:
+                        nxt[j] = v
+                    state = TimedState(net=net, counts=after,
+                                       clocks=tuple(nxt), cap=cap)
+                    if state not in seen:
+                        seen.add(state)
+                        out.append(((d, names[i]), state))
         return out
+
+# TimedState.__init__ writes through the slot descriptors, since its
+# __setattr__ refuses every write
+_set_net = TimedState.net.__set__
+_set_counts = TimedState.counts.__set__
+_set_clocks = TimedState.clocks.__set__
+_set_cap = TimedState.cap.__set__
+_set_hash = TimedState._hash.__set__

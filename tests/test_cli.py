@@ -397,6 +397,21 @@ def test_scenario_error_is_reported(tmp_path, capsys):
     assert "machines must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "conformance",
+                                     "export-dot"])
+def test_non_utf8_scenario_is_reported(tmp_path, capsys, command):
+    # exit 1 from analyze means a property fails, so a decoding crash must
+    # not end with it
+    f = tmp_path / "latin1.scn"
+    f.write_bytes(CONTENTION.encode() + "# caf\xe9\n".encode("latin-1"))
+    status = main([command, str(f)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: %s: not UTF-8 text (byte %d)\n" % (
+        f, len(CONTENTION) + 5)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "conformance"])
 def test_run_config_error_is_reported(tmp_path, capsys, command):
     # the simulator needs a duration of at least one tick; the scenario

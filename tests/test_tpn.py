@@ -6,14 +6,16 @@ brute-force successor enumeration, the uniformly capped graph) rather
 than against the implementation itself.
 """
 
+import pickle
 import random
+from operator import attrgetter
 
 import pytest
 
-from qurdlab.analysis import (DEFAULT_BOUND, explore, pending_deadlocks,
-                              replay_labels)
+from qurdlab.analysis import (DEFAULT_BOUND, ReachGraph, _closure, _identity,
+                              explore, pending_deadlocks, replay_labels)
 from qurdlab.catalog import CatalogParams, build_net
-from qurdlab.tpn import Net, NotFireable, UrgencyViolation
+from qurdlab.tpn import Net, NotFireable, TimedState, UrgencyViolation
 
 
 def simple_net():
@@ -82,9 +84,30 @@ def random_net(rng, n_places=4, n_transitions=3):
     return net
 
 
-def random_walk(rng, net, steps=30):
+def bruteforce_successors(state):
+    """Every delay up to the uniform cap, which is at least every clock's
+    own cap, and every transition, each by ``elapse`` / ``fireable`` /
+    ``fire``; a state first produced at a smaller label is dropped."""
+    net = state.net
+    out = []
+    seen = set()
+    for d in range(net.default_cap() + 1):
+        try:
+            elapsed = state.elapse(d)
+        except UrgencyViolation:
+            break
+        for t in net.transitions:
+            if elapsed.fireable(t):
+                nxt = elapsed.fire(t)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    out.append(((d, t), nxt))
+    return out
+
+
+def random_walk(rng, net, steps=30, cap=None):
     """Random alternation of elapse and fire, yielding reached states."""
-    state = net.initial_state()
+    state = net.initial_state(cap=cap)
     yield state
     for _ in range(steps):
         succ = state.successors()
@@ -258,7 +281,7 @@ def test_fire_matches_full_recomputation():
     for _ in range(60):
         net = random_net(rng, n_places=6, n_transitions=6)
         for state in random_walk(rng, net, steps=12):
-            for d in range(state.max_useful_delay() + 1):
+            for d in range(net.default_cap() + 1):
                 try:
                     elapsed = state.elapse(d)
                 except UrgencyViolation:
@@ -306,27 +329,38 @@ def test_successors_sorted_and_deduplicated():
 
 
 def test_successors_against_bruteforce():
-    # Independent enumeration: try every delay up to the uniform cap, which
-    # is at least every per-transition cap, and every transition; collect
-    # first-label successors.
+    # at every state of a walk, not just the first, so that the delay range
+    # cut at an lfd and the clocks a firing resets are checked too
     rng = random.Random(99)
-    for _ in range(40):
-        net = random_net(rng)
-        state = net.initial_state()
-        expected = []
-        seen = set()
-        for d in range(net.default_cap() + 1):
-            try:
-                elapsed = state.elapse(d)
-            except UrgencyViolation:
-                break
-            for t in net.transitions:
-                if elapsed.fireable(t):
-                    nxt = elapsed.fire(t)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        expected.append(((d, t), nxt))
-        assert state.successors() == expected
+    checked = bounded = 0
+    for _ in range(150):
+        net = random_net(rng, n_places=rng.randint(3, 6),
+                         n_transitions=rng.randint(2, 6))
+        for cap in (None, net.default_cap()):
+            for state in random_walk(rng, net, steps=20, cap=cap):
+                assert state.successors() == bruteforce_successors(state)
+                checked += 1
+                # a running clock under a finite lfd: the cut can bind
+                bounded += any(net.interval[t][1] is not None and c > 0
+                               for t, c in state.clock_map.items())
+    assert checked > 1000 and bounded > 100
+
+
+def test_timed_state_value_contract():
+    net = simple_net()
+    state = net.initial_state().elapse(1)
+    twin = TimedState(net=simple_net(), counts=state.counts,
+                      clocks=state.clocks, cap=state.cap)
+    assert twin == state and hash(twin) == hash(state)
+    assert twin != TimedState(net=net, counts=state.counts,
+                              clocks=state.clocks, cap=(9,))
+    assert state != state.elapse(1)
+    assert repr(state) == "TimedState(counts=(1, 0), clocks=(1,), cap=(4,))"
+    assert pickle.loads(pickle.dumps(state)) == state
+    with pytest.raises(AttributeError):
+        state.clocks = (0,)
+    with pytest.raises(AttributeError):
+        del state.counts
 
 
 # -- spec-level properties --------------------------------------------------------
@@ -444,3 +478,30 @@ def test_clock_caps_match_uniform_cap_on_random_nets():
 ], ids=["3m-2-1-t1", "3m-3-2-off", "2m-2-1-t3", "2m-1-1-t3-fd"])
 def test_clock_caps_match_uniform_cap_on_catalog(params):
     assert assert_caps_match_uniform(build_net(params))
+
+
+@pytest.mark.parametrize("params, n_states, n_edges", [
+    (CatalogParams(machine_count=3, job_demands=[2, 1], timeout=1),
+     628, 2287),
+    (CatalogParams(machine_count=3, job_demands=[3, 2], timeout=None),
+     719, 1849),
+    (CatalogParams(machine_count=2, job_demands=[2, 1], timeout=3),
+     278, 1036),
+    (CatalogParams(machine_count=2, job_demands=[1, 1], timeout=3,
+                   failure_detector=True), 333, 1020),
+    (CatalogParams(machine_count=3, job_demands=[3, 2], timeout=3),
+     2105, 13240),
+], ids=["3m-2-1-t1", "3m-3-2-off", "2m-2-1-t3", "2m-1-1-t3-fd", "3m-3-2-t3"])
+def test_explore_matches_bruteforce_closure(params, n_states, n_edges):
+    # the same BFS fed the per-delay enumeration builds the same graph
+    net = build_net(params)
+    g = explore(net)
+    ref = _closure(ReachGraph(net, DEFAULT_BOUND, attrgetter("marking")),
+                   net.initial_state(), bruteforce_successors, _identity)
+    assert [(s.counts, s.clocks) for s in g.states] == \
+        [(s.counts, s.clocks) for s in ref.states]
+    assert g.edges == ref.edges
+    assert g.parent == ref.parent
+    assert pending_deadlocks(g) == pending_deadlocks(ref)
+    assert not g.truncated
+    assert (g.n_states, sum(map(len, g.edges))) == (n_states, n_edges)
