@@ -5,10 +5,12 @@ pairs ``(m, j)``.  Arcs carry one inscription each: a pattern over the
 variables m and j, optionally with a per-job multiplicity: P'(j), the
 job's demand, or W'(j), 1 for a job with wait semantics and 0 for one
 with fail semantics.  Only variable matching is supported; the
-reservation model needs no guards.  ``colored_fire`` is the one firing
-rule and the one enabling test: a binding is enabled exactly when firing
-it finds every input token.  ``unfold`` expands a colored net over its
-finite universe into an ordinary place/transition net with one place per
+reservation model needs no guards.  ``ColoredNet.arcs`` compiles each
+(transition, binding), once, into the tokens it consumes and produces.
+That table is the one definition of a firing, shared by ``colored_fire``
+and the conformance replay: a binding is enabled exactly when every token
+it consumes is there.  ``unfold`` expands a colored net over its finite
+universe into an ordinary place/transition net with one place per
 (place, color) and one transition per (transition, binding), named
 ``base@J``, ``base@M`` and ``base@(M,J)`` (``binding_name``);
 ``machine_places`` builds the unfolded names of one machine's places.  The
@@ -112,6 +114,7 @@ class ColoredNet:
         self.post = {}
         self.interval = {}
         self.initial = {}           # place -> tuple of tokens
+        self._arcs = {}             # (transition, binding) -> arcs()
 
     def add_place(self, name, sort, tokens=()):
         self.places.append(name)
@@ -125,6 +128,7 @@ class ColoredNet:
         self.pre[name] = dict(pre)
         self.post[name] = dict(post)
         self.interval[name] = tuple(interval)
+        self._arcs.clear()
         return name
 
     def validate(self):
@@ -182,6 +186,23 @@ class ColoredNet:
         js = self.universe.jobs if needs_j else (None,)
         return [Binding(m, j) for m in ms for j in js]
 
+    def arcs(self, t, binding):
+        """What firing t under binding consumes and produces: two tuples of
+        ((place, token), count) pairs in arc order, zero counts left out.
+        Each pair is compiled from the inscriptions on first use and kept."""
+        compiled = self._arcs.get((t, binding))
+        if compiled is None:
+            m, j = binding
+            sides = []
+            for arcs in (self.pre[t], self.post[t]):
+                need = {}
+                for p, ins in arcs.items():
+                    for tok in ins.tokens(m, j, self.universe):
+                        need[p, tok] = need.get((p, tok), 0) + 1
+                sides.append(tuple(need.items()))
+            compiled = self._arcs[t, binding] = tuple(sides)
+        return compiled
+
     def initial_marking(self):
         return {p: tuple(sorted(self.initial.get(p, ()))) for p in self.places}
 
@@ -210,23 +231,21 @@ def colored_successors(cnet, marking):
 
 
 def colored_fire(cnet, marking, t, binding):
-    """Fire t under binding, the one enabling test of the colored layer:
-    remove each instantiated input token (NotFireable when one is
-    missing), then add the outputs.  Only the places on t's arcs are
-    copied and re-sorted, so the marking's values must be sorted tuples,
-    as ``initial_marking`` and this function make them."""
-    m, j, universe = binding.m, binding.j, cnet.universe
+    """Fire t under binding: remove the tokens ``cnet.arcs`` says it
+    consumes (NotFireable when one is missing), then add those it
+    produces.  Only the places holding them are copied and re-sorted, so
+    the marking's values must be sorted tuples, as ``initial_marking`` and
+    this function make them."""
+    consumed, produced = cnet.arcs(t, binding)
     changed = {}
-    for p, ins in cnet.pre[t].items():
-        toks = changed[p] = list(marking.get(p, ()))
-        for tok in ins.tokens(m, j, universe):
-            try:
-                toks.remove(tok)
-            except ValueError:
-                raise NotFireable((t, binding)) from None
-    for p, ins in cnet.post[t].items():
-        changed.setdefault(p, list(marking.get(p, ()))).extend(
-            ins.tokens(m, j, universe))
+    for (p, tok), n in consumed:
+        toks = changed.setdefault(p, list(marking.get(p, ())))
+        if toks.count(tok) < n:
+            raise NotFireable((t, binding))
+        for _ in range(n):
+            toks.remove(tok)
+    for (p, tok), n in produced:
+        changed.setdefault(p, list(marking.get(p, ()))).extend([tok] * n)
     out = dict(marking)
     for p, toks in changed.items():
         out[p] = tuple(sorted(toks))

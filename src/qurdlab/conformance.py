@@ -18,7 +18,6 @@ from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
                       build_colored)
 from .simulator import SimConfig, TraceEvent, run
-from .tpn import NotFireable
 
 
 class UnknownEvent(Exception):
@@ -85,18 +84,36 @@ def project(trace, event_map=None):
 def replay(projected, cnet):
     """Fire the projected sequence from the initial colored marking,
     untimed; divergences, including a transition the net lacks, are
-    reported, not raised."""
-    marking = cnet.initial_marking()
+    reported, not raised.  The marking is kept as one flat
+    {(place, token): count} dict that each step's ``cnet.arcs`` pairs
+    test and update in place, as ``colored_fire`` would."""
+    held = {}
+    for p, toks in cnet.initial.items():
+        for tok in toks:
+            held[p, tok] = held.get((p, tok), 0) + 1
+    get = held.get
     for i, (t, b) in enumerate(projected):
         if t not in cnet.pre:
-            return ReplayReport(False, i, (t, b), marking,
+            return ReplayReport(False, i, (t, b), _marking(cnet, held),
                                 reason="not in the net")
-        try:
-            marking = cpn.colored_fire(cnet, marking, t, b)
-        except NotFireable:
-            return ReplayReport(False, i, (t, b), marking,
-                                reason="not enabled")
-    return ReplayReport(True, final_marking=marking)
+        consumed, produced = cnet.arcs(t, b)
+        for pt, n in consumed:
+            if get(pt, 0) < n:
+                return ReplayReport(False, i, (t, b), _marking(cnet, held),
+                                    reason="not enabled")
+        for pt, n in consumed:
+            held[pt] -= n
+        for pt, n in produced:
+            held[pt] = get(pt, 0) + n
+    return ReplayReport(True, final_marking=_marking(cnet, held))
+
+
+def _marking(cnet, held):
+    """The colored marking, place -> sorted tuple, of flat token counts."""
+    toks = {p: [] for p in cnet.places}
+    for (p, tok), n in held.items():
+        toks.setdefault(p, []).extend([tok] * n)
+    return {p: tuple(sorted(v)) for p, v in toks.items()}
 
 
 def conformance_net(params, crashes=()):
@@ -192,15 +209,15 @@ def fuzz_conformance(count, seed=0, event_map=None):
         case_seed = seed * 1_000_003 + k
         rng = random.Random(case_seed)
         params, config = random_case(rng)
-        desc = (f"{params.machine_count}m demands={params.job_demands} "
-                f"sem={params.semantics} timeout={params.timeout} "
-                f"crashes={config.crashes} fd={params.failure_detector} "
-                f"lat=({config.bus_latency},{config.msg_latency}) "
-                f"dur={config.job_duration}")
         _, report = check_run(params, config, event_map)
         if report.ok:
             passed += 1
         else:
+            desc = (f"{params.machine_count}m demands={params.job_demands} "
+                    f"sem={params.semantics} timeout={params.timeout} "
+                    f"crashes={config.crashes} fd={params.failure_detector} "
+                    f"lat=({config.bus_latency},{config.msg_latency}) "
+                    f"dur={config.job_duration}")
             failures.append((case_seed, desc, report))
     return FuzzSummary(passed, len(failures), failures)
 

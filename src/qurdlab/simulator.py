@@ -25,8 +25,10 @@ ordered crash < timer < delivery, then by scheduling sequence number.
 One bus event stands for all its subscribers, delivered in order: each
 (launcher, machine) pair is handled as if it had its own consecutive
 sequence number, which is exact because bus handlers only schedule later
-deliveries.  The result is an outcome per job plus the protocol trace
-consumed by the conformance checker.
+deliveries.  A launcher that is no longer discovering is skipped: none
+returns to discovering, and only a discovering one reads what the bus
+told it (in ``step`` and ``all_discovered_by``).  The result is an outcome
+per job plus the protocol trace consumed by the conformance checker.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class SimConfig:
         return list(dict.fromkeys(issues))
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     time: int
     actor: str
@@ -153,13 +155,8 @@ class Daemon:
             sim.announce(self, False)
             sim.emit(self.name, "ok-sent", machine=self.name, job=job)
             sim.send(launcher.receive, launcher.ok, self.name)
-            if sim.config.timeout is not None:
-                # the launcher-side timer runs at ok-receipt + timeout;
-                # allow one more hop so a JOB sent just before that
-                # deadline still lands before the daemon gives up
-                deadline = (sim.now + sim.config.timeout
-                            + 2 * sim.config.msg_latency)
-                sim.timer(deadline, self.expire, self.epoch)
+            if sim.expiry is not None:
+                sim.timer(sim.now + sim.expiry, self.expire, self.epoch)
         else:
             sim.emit(self.name, "ko-sent", machine=self.name, job=job)
             sim.send(launcher.receive, launcher.ko, self.name, False)
@@ -340,6 +337,12 @@ class Simulation:
         issues = config.validate(params)
         if issues:
             raise InvalidScenario("; ".join(issues))
+        self.latency = config.msg_latency
+        # the launcher-side timer runs at ok-receipt + timeout; the daemon
+        # allows one more hop so a JOB sent just before that deadline
+        # still lands before it gives up
+        self.expiry = (None if config.timeout is None
+                       else config.timeout + 2 * config.msg_latency)
         self.daemons = {m: Daemon(self, m) for m in params.machines()}
         self.launchers = {}
         for i, (j, d) in enumerate(zip(params.jobs(), params.job_demands)):
@@ -353,13 +356,15 @@ class Simulation:
         self.seq += 1
 
     def timer(self, time, handler, *args):
-        self.schedule(time, TIMER_PRIO, handler, *args)
+        heapq.heappush(self.heap, (time, TIMER_PRIO, self.seq, handler, args))
+        self.seq += 1
 
     def send(self, handler, *args):
         """Send a message: the receiver runs ``handler(*args)`` one link
         latency from now."""
-        self.schedule(self.now + self.config.msg_latency, DELIVER_PRIO,
-                      handler, *args)
+        heapq.heappush(self.heap, (self.now + self.latency, DELIVER_PRIO,
+                                   self.seq, handler, args))
+        self.seq += 1
 
     def emit(self, actor, kind, machine=None, job=None):
         self.trace.append(TraceEvent(self.now, actor, kind, machine, job))
@@ -370,15 +375,16 @@ class Simulation:
         daemon.published = published
         self.emit(daemon.name, "published" if published else "unpublished",
                   machine=daemon.name)
-        self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
-                      self.notify, self.launchers.values(),
-                      [daemon.name], published)
+        heapq.heappush(self.heap, (
+            self.now + self.config.bus_latency, DELIVER_PRIO, self.seq,
+            self.notify, (self.launchers.values(), [daemon.name], published)))
+        self.seq += 1
 
     def notify(self, launchers, machines, published):
-        """Hand one bus event to each live subscriber in turn, machine by
-        machine, as if each pair were its own event."""
+        """Hand one bus event to each live, discovering subscriber in turn,
+        machine by machine, as if each pair were its own event."""
         for launcher in launchers:
-            if launcher.dead:
+            if launcher.dead or launcher.phase != DISCOVERING:
                 continue
             for m in machines:
                 launcher.on_bus(m, published)
@@ -460,9 +466,10 @@ class Simulation:
         for j, t in self.config.launcher_kills:
             self.schedule(t, CRASH_PRIO, self.kill, j)
         unfinished = "stalled"
-        while self.heap:
-            time, _, _, handler, args = heapq.heappop(self.heap)
-            if time > self.config.horizon:
+        heap, pop, horizon = self.heap, heapq.heappop, self.config.horizon
+        while heap:
+            time, _, _, handler, args = pop(heap)
+            if time > horizon:
                 unfinished = "horizon"
                 break
             self.now = time
@@ -477,7 +484,10 @@ class Simulation:
                 outcomes[j] = "killed"
             else:
                 outcomes[j] = unfinished
-        return SimResult(outcomes, self.trace)
+        # the actors refer back to the simulation, so a trace it kept would
+        # live on until the cycle collector found the simulation
+        trace, self.trace = self.trace, []
+        return SimResult(outcomes, trace)
 
 
 def run(params, config=None):

@@ -136,6 +136,16 @@ def test_cancel_returns_machine_and_retry_token():
     assert m2["reserved"] == ()
 
 
+def test_arcs_instantiate_the_inscriptions():
+    # P'(j) becomes a count, and W'(j) of a fail job drops its arc
+    cnet = build_colored(params(2, ["j1"], [2], semantics="fail"))
+    assert cnet.arcs("t5", Binding(None, "j1")) == (
+        ((("job_finished", "j1"), 2),), ((("job_done", "j1"), 1),))
+    assert cnet.arcs("cancel", Binding("M2", "j1")) == (
+        ((("reserved", ("M2", "j1")), 1), (("answered", "j1"), 1)),
+        ((("available", "M2"), 1),))
+
+
 def test_fire_checks_enabling():
     cnet = build_colored(tiny_params())
     with pytest.raises(NotFireable):

@@ -1,16 +1,20 @@
 """Trace-to-net replay: projection, divergences, and the fuzz harness."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from qurdlab.catalog import CatalogParams
-from qurdlab.colored import Binding
+from qurdlab.colored import Binding, colored_fire
 from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING, EventMap,
-                                 FuzzSummary, UnknownEvent, check_run,
-                                 conformance_net, fuzz_conformance,
-                                 parse_trace, project, replay)
+                                 FuzzSummary, ReplayReport, UnknownEvent,
+                                 check_run, conformance_net,
+                                 fuzz_conformance, parse_trace, project,
+                                 random_case, replay)
 from qurdlab.simulator import SimConfig, TraceEvent, run
+from qurdlab.tpn import NotFireable
 
 
 def volatility_case():
@@ -86,6 +90,60 @@ def test_mixed_semantics_fail_cancel_gives_up_the_request():
     report = replay(steps, conformance_net(p))
     assert not report.ok
     assert report.index == 3
+
+
+def reference_replay(projected, cnet):
+    """``replay`` as a fold of ``colored_fire`` over the steps, each step
+    copying the dict-of-sorted-tuples marking."""
+    marking = cnet.initial_marking()
+    for i, (t, b) in enumerate(projected):
+        if t not in cnet.pre:
+            return ReplayReport(False, i, (t, b), marking,
+                                reason="not in the net")
+        try:
+            marking = colored_fire(cnet, marking, t, b)
+        except NotFireable:
+            return ReplayReport(False, i, (t, b), marking,
+                                reason="not enabled")
+    return ReplayReport(True, final_marking=marking)
+
+
+def mutated_projections(k, steps, machines):
+    """The fuzz case's steps with one step dropped, one duplicated, and
+    one binding's machine swapped for another."""
+    rng = random.Random(k)
+    i = rng.randrange(len(steps))
+    yield steps[:i] + steps[i + 1:]
+    yield steps[:i + 1] + steps[i:]
+    bound = [n for n, (_, b) in enumerate(steps) if b.m is not None]
+    if bound:
+        n = rng.choice(bound)
+        t, b = steps[n]
+        other = rng.choice([m for m in machines + ["M9"] if m != b.m])
+        yield steps[:n] + [(t, b._replace(m=other))] + steps[n + 1:]
+
+
+def test_replay_matches_colored_fire_fold():
+    reasons = Counter()
+    for k in range(300):
+        params, config = random_case(random.Random(k))
+        cnet = conformance_net(params, config.crashes)
+        steps = project(run(params, config).trace)
+        for projected in [steps, *mutated_projections(k, steps,
+                                                      params.machines())]:
+            report = replay(projected, cnet)
+            assert report == reference_replay(projected, cnet), k
+            reasons[report.reason] += 1
+    # a transition the net lacks, and t1 with its machine available but no
+    # get_nodes token, so one of its two inputs is missing
+    cnet = conformance_net(CatalogParams(machine_count=2, job_demands=[1]))
+    for projected in ([("start_job", Binding(None, "J1")),
+                       ("teleport", Binding("M1", "J1"))],
+                      [("t1", Binding("M1", "J1"))]):
+        report = replay(projected, cnet)
+        assert report == reference_replay(projected, cnet)
+        reasons[report.reason] += 1
+    assert reasons == {None: 354, "not enabled": 829, "not in the net": 1}
 
 
 def test_conformance_net_grows_detector_for_crashes():

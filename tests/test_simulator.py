@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from qurdlab.catalog import CatalogParams
 from qurdlab.conformance import check_run, random_case
-from qurdlab.simulator import InvalidScenario, SimConfig, Simulation, run
+from qurdlab.simulator import (DISCOVERING, InvalidScenario, SimConfig,
+                               Simulation, run)
 
 
 def events(result, kind, machine=None, job=None):
@@ -135,6 +136,36 @@ PINNED_TRACES = [
 def test_pinned_trace_digests(params, config, digest):
     text = run(params, config).trace_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class CountingSimulation(Simulation):
+    """Counts the bus deliveries, one per (launcher, machine) pair, that
+    reach a live launcher which is no longer discovering."""
+
+    late = 0
+
+    def notify(self, launchers, machines, published):
+        self.late += len(machines) * sum(
+            not lr.dead and lr.phase != DISCOVERING for lr in launchers)
+        super().notify(launchers, machines, published)
+
+
+def test_many_launcher_trace_pinned():
+    # 16 launchers of both semantics hear every bus event of 64 machines;
+    # 1,232 of the 3,280 deliveries reach a launcher no longer discovering
+    params = CatalogParams(machine_count=64, job_demands=[4] * 16,
+                           semantics=["wait", "fail"] * 8, timeout=3,
+                           failure_detector=True, zeroconf=True)
+    config = SimConfig(timeout=3, crashes=[(f"M{i}", i)
+                                           for i in range(3, 64, 5)], seed=7)
+    sim = CountingSimulation(params, config)
+    r = sim.run()
+    assert len(r.trace) == 1513
+    assert set(r.outcomes.values()) == {"completed"}
+    assert len(r.outcomes) == 16
+    assert sim.late == 1232
+    assert hashlib.sha256(r.trace_text().encode()).hexdigest() == \
+        "c834838f5533dab5b769de32c99916fc0336f92b0b3b00b50e82b896273b1b54"
 
 
 def test_fuzz_space_traces_pinned():
