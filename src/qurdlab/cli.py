@@ -200,6 +200,9 @@ def cmd_simulate(args) -> Report:
     result = run_sim(sc.params(), sc.config())
     for j in sorted(result.outcomes):
         report.add("%s: %s" % (j, result.outcomes[j]))
+    if result.cycle:
+        report.add("cycle: every %d ticks from t=%d" % (
+            result.cycle[2], result.trace[result.cycle[0]].time))
     path = args.out or (args.scenario + ".trace")
     with open(path, "w") as fh:
         fh.write(result.trace_text())

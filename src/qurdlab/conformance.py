@@ -12,6 +12,7 @@ tokens equals the number of completed jobs in the trace.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import colored as cpn
@@ -87,12 +88,22 @@ def replay(projected, cnet):
     reported, not raised.  The marking is kept as one flat
     {(place, token): count} dict that each step's ``cnet.arcs`` pairs
     test and update in place, as ``colored_fire`` would."""
-    held = {}
-    for p, toks in cnet.initial.items():
-        for tok in toks:
-            held[p, tok] = held.get((p, tok), 0) + 1
+    held = _initial(cnet)
+    return (_fire(cnet, held, projected)
+            or ReplayReport(True, final_marking=_marking(cnet, held)))
+
+
+def _initial(cnet):
+    # a plain dict: a Counter's item updates cost over twice as much
+    return dict(Counter((p, t) for p, toks in cnet.initial.items()
+                        for t in toks))
+
+
+def _fire(cnet, held, steps, first=0):
+    """Fire ``steps`` in place on ``held``; the report of the first one
+    that diverges, numbered from ``first``, or None."""
     get = held.get
-    for i, (t, b) in enumerate(projected):
+    for i, (t, b) in enumerate(steps, first):
         if t not in cnet.pre:
             return ReplayReport(False, i, (t, b), _marking(cnet, held),
                                 reason="not in the net")
@@ -105,7 +116,33 @@ def replay(projected, cnet):
             held[pt] -= n
         for pt, n in produced:
             held[pt] = get(pt, 0) + n
-    return ReplayReport(True, final_marking=_marking(cnet, held))
+    return None
+
+
+def _replay_run(result, cnet, event_map):
+    """Project and replay a run: the report and the number of projected
+    steps.  A run that ended in a loop is replayed from one period of it
+    when that period brings the marking back."""
+    trace = result.trace
+    if result.cycle:
+        start, length, _ = result.cycle
+        repeats, extra = divmod(len(trace) - start, length)
+        prefix, block, tail = (project(part, event_map) for part in (
+            trace[:start], trace[start:start + length],
+            trace[len(trace) - extra:]))
+        held = _initial(cnet)
+        diverged = _fire(cnet, held, prefix)
+        looped = held.copy()
+        diverged = diverged or _fire(cnet, held, block, len(prefix))
+        if diverged:
+            return diverged, None
+        if Counter(held) == Counter(looped):    # a zero count equals none
+            # later periods fire from the same marking; the tail is a prefix
+            _fire(cnet, held, tail)
+            return (ReplayReport(True, final_marking=_marking(cnet, held)),
+                    len(prefix) + repeats * len(block) + len(tail))
+    steps = project(trace, event_map)
+    return replay(steps, cnet), len(steps)
 
 
 def _marking(cnet, held):
@@ -141,15 +178,14 @@ def check_run(params, config, event_map=None):
     On a clean replay the job_done count is also required to match the
     number of completed jobs in the trace."""
     result = run(params, config)
-    cnet = conformance_net(params, config.crashes)
-    steps = project(result.trace, event_map)
-    report = replay(steps, cnet)
+    report, n_steps = _replay_run(
+        result, conformance_net(params, config.crashes), event_map)
     if report.ok:
         done_events = sum(1 for e in result.trace if e.kind == "job-done")
         done_tokens = len(report.final_marking.get("job_done", ()))
         if done_tokens != done_events:
             report = ReplayReport(
-                False, index=len(steps), marking=report.final_marking,
+                False, index=n_steps, marking=report.final_marking,
                 reason=f"{done_tokens} job_done tokens for {done_events} "
                        "job-done events")
     return result, report

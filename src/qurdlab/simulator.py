@@ -29,6 +29,13 @@ deliveries.  A launcher that is no longer discovering is skipped: none
 returns to discovering, and only a discovering one reads what the bus
 told it (in ``step`` and ``all_discovered_by``).  The result is an outcome
 per job plus the protocol trace consumed by the conformance checker.
+
+A run whose whole state comes back at a later tick would loop forever, so
+``run`` stops there and copies the trace since that tick up to the horizon.
+Snapshots (queued events, times relative to now, and every actor) start
+after a quiet stretch with no irreversible step; timer epochs are kept
+relative to their counters and ``oks`` only under fail semantics, which
+alone reads it, as absolute values would never repeat.
 """
 
 from __future__ import annotations
@@ -122,6 +129,9 @@ class SimResult:
     # event queue emptied first)
     outcomes: dict
     trace: list
+    # (start, length, period) when the run ended in a loop: from trace index
+    # start, the block of length events repeats every period ticks
+    cycle: tuple = None
 
     def trace_text(self):
         return "".join(e.line() + "\n" for e in self.trace)
@@ -259,6 +269,7 @@ class Launcher:
                       machine, self.res_epoch[machine])
         if len(self.machines) == self.needed:
             self.phase = LAUNCHING
+            sim.progress()
             sim.emit(self.job, "launch", job=self.job)
             for m in self.machines:
                 sim.send(sim.daemons[m].start, self.job)
@@ -274,6 +285,7 @@ class Launcher:
         self.done_count += 1
         if self.done_count == self.needed:
             self.phase = DONE
+            self.sim.progress()
             self.sim.emit(self.job, "job-done", job=self.job)
 
     def unbook(self, machine, epoch):
@@ -323,6 +335,7 @@ class Launcher:
             self.sim.send(self.sim.daemons[m].release, self.job)
         self.machines.clear()
         self.phase = FAILED
+        self.sim.progress()
         self.sim.emit(self.job, "failed", job=self.job)
 
 
@@ -347,7 +360,14 @@ class Simulation:
         self.launchers = {}
         for i, (j, d) in enumerate(zip(params.jobs(), params.job_demands)):
             self.launchers[j] = Launcher(self, j, d, params.semantics_of(i))
+        self.subscribers = tuple(self.launchers.values())
         self.restart_queue = []      # jobs waiting for a machine to restart on
+        # snapshots start this long after the last irreversible step
+        self.quiet = 2 * max(config.bus_latency, config.job_duration,
+                             config.detect_delay + self.latency,
+                             self.expiry or 0)
+        self.progressed = 0          # time of the last irreversible step
+        self.snapshots = {}          # state -> (tick, trace length) since then
 
     # -- plumbing ---------------------------------------------------------
 
@@ -377,7 +397,7 @@ class Simulation:
                   machine=daemon.name)
         heapq.heappush(self.heap, (
             self.now + self.config.bus_latency, DELIVER_PRIO, self.seq,
-            self.notify, (self.launchers.values(), [daemon.name], published)))
+            self.notify, (self.subscribers, (daemon.name,), published)))
         self.seq += 1
 
     def notify(self, launchers, machines, published):
@@ -390,6 +410,40 @@ class Simulation:
                 launcher.on_bus(m, published)
                 launcher.step()
 
+    def progress(self):
+        """An irreversible step: no state before it can come back."""
+        self.progressed = self.now
+        self.snapshots.clear()
+
+    def snapshot(self, time, prio, handler, args):
+        """The state at a tick boundary, popped event included, equal at two
+        ticks iff the runs from them agree up to the shift; actors by id."""
+        now = self.now
+        return (tuple((t - now, p, h, _relative(h, a)) for t, p, _, h, a
+                      in [(time, prio, 0, handler, args), *sorted(self.heap)]),
+                tuple((d.state, d.client, d.published, d.crashed)
+                      for d in self.daemons.values()),
+                tuple((lr.phase, tuple(lr.discovered),
+                       frozenset(lr.contacted), frozenset(lr.pending),
+                       tuple(lr.machines), lr.done_count, lr.dead,
+                       lr.oks if lr.semantics == "fail" else None)
+                      for lr in self.launchers.values()),
+                tuple(self.restart_queue))
+
+    def repeat(self, start_time, start):
+        """The state of tick ``start_time``, when the trace held ``start``
+        events, is back: copy the block since then up to the horizon."""
+        trace, horizon = self.trace, self.config.horizon
+        period = self.now - start_time
+        rows = [(e.time, e.actor, e.kind, e.machine, e.job)
+                for e in trace[start:]]
+        shift = period
+        while rows and rows[0][0] + shift <= horizon:
+            trace += [TraceEvent(t + shift, a, k, m, j)
+                      for t, a, k, m, j in rows if t + shift <= horizon]
+            shift += period
+        return start, len(rows), period
+
     def all_discovered_by(self, launcher):
         """No published machine remains unknown to the launcher, so fail
         semantics cannot hope for a further discovery."""
@@ -399,6 +453,7 @@ class Simulation:
     # -- failure detector ---------------------------------------------------
 
     def detect(self, job):
+        self.progress()
         for d in self.daemons.values():
             if not d.crashed and d.state == "available":
                 self.restart_on(d, job)
@@ -407,6 +462,7 @@ class Simulation:
         self.emit("detector", "restart-waiting", job=job)
 
     def restart_on(self, daemon, job):
+        self.progress()
         daemon.state = "running"
         daemon.client = job
         daemon.epoch += 1
@@ -424,15 +480,17 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def submit(self, job):
+        self.progress()
         self.emit(job, "job-submitted", job=job)
         launcher = self.launchers[job]
-        published = [m for m, d in self.daemons.items() if d.published]
+        published = tuple(m for m, d in self.daemons.items() if d.published)
         if published:
             self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
-                          self.notify, [launcher], published, True)
+                          self.notify, (launcher,), published, True)
         launcher.step()
 
     def kill(self, job):
+        self.progress()
         self.launchers[job].dead = True
         self.emit(job, "killed", job=job)
 
@@ -440,6 +498,7 @@ class Simulation:
         d = self.daemons[name]
         if d.crashed:
             return
+        self.progress()
         d.crashed = True
         if d.published:
             self.announce(d, False)
@@ -465,14 +524,24 @@ class Simulation:
             self.schedule(t, CRASH_PRIO, self.crash, m)
         for j, t in self.config.launcher_kills:
             self.schedule(t, CRASH_PRIO, self.kill, j)
-        unfinished = "stalled"
+        unfinished, cycle, now = "stalled", None, self.now
         heap, pop, horizon = self.heap, heapq.heappop, self.config.horizon
         while heap:
-            time, _, _, handler, args = pop(heap)
-            if time > horizon:
-                unfinished = "horizon"
-                break
-            self.now = time
+            time, prio, _, handler, args = pop(heap)
+            if time != now:
+                # only a new tick can pass the horizon or repeat a state,
+                # so a same-tick event pays for neither test
+                if time > horizon:
+                    unfinished = "horizon"
+                    break
+                now = self.now = time
+                if now - self.progressed >= self.quiet:
+                    key = self.snapshot(time, prio, handler, args)
+                    if key in self.snapshots:
+                        unfinished = "horizon"
+                        cycle = self.repeat(*self.snapshots[key])
+                        break
+                    self.snapshots[key] = now, len(self.trace)
             handler(*args)
         outcomes = {}
         for j, launcher in self.launchers.items():
@@ -484,10 +553,22 @@ class Simulation:
                 outcomes[j] = "killed"
             else:
                 outcomes[j] = unfinished
-        # the actors refer back to the simulation, so a trace it kept would
-        # live on until the cycle collector found the simulation
-        trace, self.trace = self.trace, []
-        return SimResult(outcomes, trace)
+        # cut every link back to the simulation: reference counting frees it
+        heap.clear()
+        self.snapshots.clear()
+        for actor in (*self.daemons.values(), *self.launchers.values()):
+            actor.sim = None
+        return SimResult(outcomes, self.trace, cycle)
+
+
+def _relative(handler, args):
+    """A queued event's arguments, epochs relative to the counter they meet."""
+    name = handler.__name__
+    if name in ("expire", "complete"):
+        return args[0] - handler.__self__.epoch
+    if name == "unbook":
+        return args[0], args[1] - handler.__self__.res_epoch[args[0]]
+    return args
 
 
 def run(params, config=None):

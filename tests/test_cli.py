@@ -260,6 +260,7 @@ def test_simulate_writes_trace(capsys, volatility_file, tmp_path):
                           "--out", trace)
     assert status == 0
     assert "J1: completed" in out
+    assert "cycle:" not in out
     parsed = parse_trace(trace.read_text())
     assert parsed[0].kind == "job-submitted"
 
@@ -271,6 +272,20 @@ def test_simulate_nonzero_on_incomplete(capsys, tmp_path):
                           tmp_path / "s.trace")
     assert status == 1
     assert "J1: failed" in out
+
+
+def test_simulate_says_when_the_run_loops(capsys, tmp_path):
+    # random_case(Random(148)): after M1 crashes, the wait job of demand 3
+    # holds M2+M3, then M4, then M2+M3 again, every 10 ticks
+    f = tmp_path / "lock.scn"
+    f.write_text("machines 4\njob J1 demand 3 semantics wait\n"
+                 "failure-detector on\ncrash M1 at 3\n"
+                 "msg-latency 2\njob-duration 3\n")
+    trace = tmp_path / "lock.trace"
+    status, out = run_cli(capsys, "simulate", f, "--out", trace)
+    assert status == 1
+    assert "J1: horizon\ncycle: every 10 ticks from t=18\ntrace: " in out
+    assert parse_trace(trace.read_text())[-1].time == 1000
 
 
 # -- conformance ----------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from qurdlab import conformance
 from qurdlab.catalog import CatalogParams
 from qurdlab.colored import Binding, colored_fire
 from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING, EventMap,
@@ -13,7 +14,7 @@ from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING, EventMap,
                                  check_run, conformance_net,
                                  fuzz_conformance, parse_trace, project,
                                  random_case, replay)
-from qurdlab.simulator import SimConfig, TraceEvent, run
+from qurdlab.simulator import SimConfig, SimResult, TraceEvent, run
 from qurdlab.tpn import NotFireable
 
 
@@ -144,6 +145,49 @@ def test_replay_matches_colored_fire_fold():
         assert report == reference_replay(projected, cnet)
         reasons[report.reason] += 1
     assert reasons == {None: 354, "not enabled": 829, "not in the net": 1}
+
+
+def full_check(result, cnet, event_map=None):
+    """``check_run``'s report from the whole trace."""
+    steps = project(result.trace, event_map)
+    report = replay(steps, cnet)
+    done_events = sum(e.kind == "job-done" for e in result.trace)
+    done_tokens = len((report.final_marking or {}).get("job_done", ()))
+    if report.ok and done_tokens != done_events:
+        report = ReplayReport(
+            False, index=len(steps), marking=report.final_marking,
+            reason=f"{done_tokens} job_done tokens for {done_events} "
+                   "job-done events")
+    return report
+
+
+def test_looping_runs_replay_one_period():
+    looping = 0
+    for k in range(1000):
+        params, config = random_case(random.Random(k))
+        result, report = check_run(params, config)
+        if result.cycle is not None:
+            looping += 1
+            cnet = conformance_net(params, config.crashes)
+            assert report == full_check(result, cnet), k
+    assert looping == 74
+
+
+@pytest.mark.parametrize("cycle", [(1, 1, 2), (2, 1, 2)],
+                         ids=["second-period", "first-period"])
+def test_period_that_moves_the_marking_is_replayed_in_full(monkeypatch,
+                                                            cycle):
+    # a made-up loop whose period takes M1 again without giving it back:
+    # a period that fires but moves the marking is replayed in full, one
+    # that diverges reports where, and both as the full replay does
+    p = CatalogParams(machine_count=2, job_demands=[2])
+    trace = [TraceEvent(0, "J1", "job-submitted", job="J1")] + [
+        TraceEvent(t, "M1", "ok-sent", "M1", "J1") for t in (2, 4, 6)]
+    looping = SimResult({"J1": "horizon"}, trace, cycle=cycle)
+    monkeypatch.setattr(conformance, "run", lambda params, config: looping)
+    _, report = check_run(p, SimConfig())
+    assert (report.index, report.reason) == (2, "not enabled")
+    assert report == full_check(looping, conformance_net(p))
 
 
 def test_conformance_net_grows_detector_for_crashes():

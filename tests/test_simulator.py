@@ -4,8 +4,10 @@ Several assertions scan the emitted trace instead of poking simulator
 internals, because the trace is the module's actual contract.
 """
 
+import gc
 import hashlib
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -106,6 +108,8 @@ def test_determinism_byte_for_byte():
 
 
 # Traces pinned byte for byte: any reordering of same-time events shows here.
+# Only the last one loops; the others make progress until they end, so
+# they take no snapshot of the state.
 PINNED_TRACES = [
     # 64 machines with the failure detector: a restart, suspected KOs and
     # reservations of crashed machines canceled at their deadline
@@ -132,22 +136,39 @@ PINNED_TRACES = [
 ]
 
 
-@pytest.mark.parametrize("params, config, digest", PINNED_TRACES)
-def test_pinned_trace_digests(params, config, digest):
-    text = run(params, config).trace_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
 class CountingSimulation(Simulation):
     """Counts the bus deliveries, one per (launcher, machine) pair, that
-    reach a live launcher which is no longer discovering."""
+    reach a live launcher which is no longer discovering, and the
+    snapshots of the state taken."""
 
-    late = 0
+    late = taken = 0
 
     def notify(self, launchers, machines, published):
         self.late += len(machines) * sum(
             not lr.dead and lr.phase != DISCOVERING for lr in launchers)
         super().notify(launchers, machines, published)
+
+    def snapshot(self, *entry):
+        self.taken += 1
+        return super().snapshot(*entry)
+
+
+class NoCycleSimulation(Simulation):
+    """The simulator without loop detection: no snapshot ever repeats, so
+    every run is simulated to its end."""
+
+    def snapshot(self, *entry):
+        return object()
+
+
+@pytest.mark.parametrize("params, config, digest", PINNED_TRACES)
+def test_pinned_trace_digests(params, config, digest):
+    sim = CountingSimulation(params, config)
+    r = sim.run()
+    assert hashlib.sha256(r.trace_text().encode()).hexdigest() == digest
+    loops = config.horizon == 40
+    assert (r.cycle is not None) == loops
+    assert (sim.taken > 0) == loops
 
 
 def test_many_launcher_trace_pinned():
@@ -164,6 +185,7 @@ def test_many_launcher_trace_pinned():
     assert set(r.outcomes.values()) == {"completed"}
     assert len(r.outcomes) == 16
     assert sim.late == 1232
+    assert sim.taken == 0
     assert hashlib.sha256(r.trace_text().encode()).hexdigest() == \
         "c834838f5533dab5b769de32c99916fc0336f92b0b3b00b50e82b896273b1b54"
 
@@ -184,6 +206,73 @@ def test_fuzz_space_traces_pinned():
         "5ba2bbd3f13fa085ce77956e5ca243b59ae9b823ad3ff79f7fa49375a3ad3a86"
 
 
+def test_loops_copied_exactly():
+    # a run that stops at a repeated state has the trace and outcomes of
+    # the same run simulated to the horizon; fuzz cases 0-999 are pinned
+    # above, so these are further cases
+    cycles = 0
+    for k in range(1000, 3000):
+        params, config = random_case(random.Random(k))
+        r = run(params, config)
+        full = NoCycleSimulation(params, config).run()
+        assert (r.trace_text(), r.outcomes) == \
+            (full.trace_text(), full.outcomes), k
+        assert full.cycle is None
+        # every run the horizon cuts short is caught looping
+        assert (r.cycle is not None) == ("horizon" in r.outcomes.values())
+        cycles += r.cycle is not None
+    assert cycles == 139
+
+
+@pytest.mark.parametrize("case, cycle, since", [
+    # M1 crashes idle; the wait job holds M2+M3, then M4, then M2+M3
+    (148, (30, 18, 10), 18),
+    # the fail job completes; the wait job of demand 2 reserves, lets go
+    # and reserves again
+    (935, (49, 24, 14), 26),
+])
+def test_timing_locks_end_in_a_cycle(case, cycle, since):
+    params, config = random_case(random.Random(case))
+    r = run(params, config)
+    assert r.cycle == cycle
+    start, length, period = cycle
+    assert r.trace[start].time == since
+    assert "horizon" in r.outcomes.values()
+    # the block repeats, shifted by the period, until the horizon
+    tail = r.trace[start:]
+    assert all(e.time == tail[i - length].time + period
+               for i, e in enumerate(tail) if i >= length)
+    assert tail[-1].time <= config.horizon < tail[-1].time + period
+
+
+def test_cluster_takes_no_snapshot():
+    # a busy 512-machine cluster makes progress every few ticks until its
+    # last job is done
+    params = CatalogParams(machine_count=512, job_demands=[4] * 128,
+                           timeout=3, failure_detector=True)
+    config = SimConfig(crashes=[(f"M{i}", (37 * i) % 256)
+                                for i in range(7, 513, 7)], seed=3)
+    sim = CountingSimulation(params, config)
+    r = sim.run()
+    assert set(r.outcomes.values()) == {"completed"}
+    assert (sim.taken, r.cycle) == (0, None)
+
+
+@pytest.mark.parametrize("case", [148, 0])
+def test_finished_simulation_freed_without_collector(case):
+    # nothing a finished run leaves refers back to the simulation, so
+    # reference counting alone frees it, loop or no loop
+    sim = Simulation(*random_case(random.Random(case)))
+    gc.disable()
+    try:
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=st.integers(0, 2**32 - 1), kill=st.none() | st.integers(0, 8))
 def test_random_runs_keep_the_protocol_invariants(case, kill):
@@ -191,6 +280,8 @@ def test_random_runs_keep_the_protocol_invariants(case, kill):
     if kill is not None:
         config = replace(config, launcher_kills=[(params.jobs()[0], kill)])
     r = run(params, config)
+    full = NoCycleSimulation(params, config).run()
+    assert (r.trace, r.outcomes) == (full.trace, full.outcomes), case
     # a machine never has two clients: ok-sent and restarted open a
     # reservation or run, canceled and done-sent close it
     holder = {}
