@@ -6,9 +6,8 @@ takes a ``CatalogParams`` and nothing else, and builds the color universe
 from the params' machines, jobs, demands and semantics.  ``build_net``
 validates the params and unfolds that net.  The CLI analyses the
 unfolding of the net's machine-folded copy (``colored.fold_machines``),
-whose size does not grow with the machine count, wherever that fold is
-exact, and ``build_net`` otherwise; witnesses are always paths of
-``build_net``.  Trace conformance replays on the colored net.  The
+whose size does not grow with the machine count; witnesses are always
+paths of ``build_net``.  Trace conformance replays on the colored net.  The
 Zeroconf and failure-detector layers are optional parts of the same net.
 Unfolded per-job places/transitions carry ``@J``, per-machine ones ``@M``
 and per-pair ones ``@(M,J)``.  The standalone machine net

@@ -8,14 +8,16 @@ Four subcommands::
     qurdlab export-dot <selector> [--reach] [--bound N] [--out FILE]
 
 ``analyze`` explores the scenario's net with its machines folded into
-counters (``colored.fold_machines``) whenever the fold is exact, and says
-so on its ``symmetry:`` line, or why not; ``states explored`` and the
-dead-state count then count machine orbits.  Witness files always hold
-concrete paths of the full net.
+counters (``colored.fold_machines``) and says so on its ``symmetry:``
+line; ``states explored`` and the dead-state count count machine orbits.
+Witness files always hold concrete paths of the full net.  Where the fold
+is not exact, or a machine property asked is not proved on the colored
+net, it prints ``symmetry: off (<reason>)`` and no verdict.
 
 Scenario files use the grammar in :mod:`qurdlab.scenario`.  Exit status is
 0 exactly when every checked property holds (analyze), every job completes
-(simulate), or every replayed trace conforms (conformance).
+(simulate), or every replayed trace conforms (conformance); it is 2 for
+bad input and when ``analyze`` refuses a fold or passes its bound.
 """
 
 from __future__ import annotations
@@ -29,18 +31,15 @@ from dataclasses import dataclass, field
 from . import analysis, conformance, dot
 from .catalog import (CatalogParams, build_colored, build_machine, build_net,
                       jname)
-from .colored import (MACHINE, PAIR, color_name, fold_machines, fold_refusal,
-                      lift_machines, machine_places, unfold)
+from .colored import (PAIR, color_name, fold_machines, fold_refusal,
+                      lift_machines, unfold)
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulator import run as run_sim
 
 PROPERTIES = ("deadlock", "mutex", "machine-invariant", "job-done-reachable")
-# per-machine token sums over places of these sorts, and their bounds: at
-# most one job holds a machine, and each machine is in exactly one state
-MACHINE_INVARIANTS = {
-    "mutex": ((PAIR,), 0, 1),
-    "machine-invariant": ((MACHINE, PAIR), 1, 1),
-}
+# at most one job holds a machine, and each machine is in exactly one
+# state: proved on the colored net (``analysis.unproved_machines``)
+MACHINE_PROPERTIES = frozenset(("mutex", "machine-invariant"))
 
 
 @dataclass
@@ -79,11 +78,10 @@ def _digest(sc: Scenario) -> str:
     return hashlib.sha256(sc.render().encode()).hexdigest()[:12]
 
 
-def _format_witness(labels, marking=None):
+def _format_witness(labels, marking):
     lines = ["%d %s" % (d, t) for d, t in labels]
-    if marking is not None:
-        lines.append("")
-        lines.extend("# %s=%d" % (p, n) for p, n in sorted(marking.items()))
+    lines.append("")
+    lines.extend("# %s=%d" % (p, n) for p, n in sorted(marking.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -113,25 +111,24 @@ def cmd_analyze(args) -> Report:
     props = list(dict.fromkeys(args.properties or PROPERTIES))
     params = sc.params()
 
-    # the machine properties are proved on the colored net; only a machine
-    # the proof misses is scanned, on the explored graph, which then needs
-    # every machine's own places
+    # analyze answers only on the machine-folded net, and only when the
+    # machine properties asked are proved on the colored net; otherwise it
+    # refuses, as for a truncated graph
     cnet = build_colored(params)
-    unproved = []
-    if MACHINE_INVARIANTS.keys() & props:
-        unproved = analysis.unproved_machines(cnet)
     refusal = fold_refusal(cnet)
-    if refusal is None and unproved:
-        refusal = "machine%s %s unproved" % ("s" * (len(unproved) > 1),
-                                             _machine_list(unproved))
-    if refusal is None:
-        n = len(cnet.universe.machines)
-        symmetry = "%d machine%s folded into counters" % (n, "s" * (n > 1))
-        net = unfold(fold_machines(cnet))
-    else:
-        symmetry = "off (%s)" % refusal
-        net = build_net(params)
-    g = analysis.explore_markings(net, bound=args.bound)
+    if refusal is None and not MACHINE_PROPERTIES.isdisjoint(props):
+        unproved = analysis.unproved_machines(cnet)
+        if unproved:
+            refusal = "machine%s %s unproved" % ("s" * (len(unproved) > 1),
+                                                 _machine_list(unproved))
+    if refusal is not None:
+        report.add("symmetry: off (%s)" % refusal)
+        report.exit_status = 2
+        return report
+    n = len(cnet.universe.machines)
+    symmetry = "%d machine%s folded into counters" % (n, "s" * (n > 1))
+    g = analysis.explore_markings(unfold(fold_machines(cnet)),
+                                  bound=args.bound)
     if g.truncated:
         report.add("truncated: bound of %d states exceeded" % args.bound)
         report.add("symmetry: %s" % symmetry)
@@ -140,39 +137,27 @@ def cmd_analyze(args) -> Report:
     report.add("states explored: %d" % g.n_states)
     report.add("symmetry: %s" % symmetry)
 
-    witnesses = []
     for prop in props:
         if prop == "deadlock":
             bad = analysis.pending_deadlocks(g)
             if bad:
                 report.add("deadlock: FOUND (%d dead states)" % len(bad))
-                if refusal is None:
-                    # a concrete path through the first dead orbit
-                    labels, end = analysis.timed_walk(
-                        build_net(params),
-                        lift_machines(cnet, g.path_transitions(bad[0])))
-                    dead = end.marking
-                else:
-                    labels, dead = g.path_labels(bad[0]), g.marking(bad[0])
-                report.add("deadlock witness: %s" % _holdings(cnet, dead))
-                witnesses.append(("deadlock", labels, dead))
+                # a concrete path through the first dead orbit
+                labels, end = analysis.timed_walk(
+                    build_net(params),
+                    lift_machines(cnet, g.path_transitions(bad[0])))
+                report.add("deadlock witness: %s"
+                           % _holdings(cnet, end.marking))
+                report.witness_path = args.out or (args.scenario
+                                                   + ".witness")
+                with open(report.witness_path, "w") as fh:
+                    fh.write("property: deadlock\n"
+                             + _format_witness(labels, end.marking))
                 report.exit_status = 1
             else:
                 report.add("deadlock: none")
-        elif prop in MACHINE_INVARIANTS:
-            sorts, lo, hi = MACHINE_INVARIANTS[prop]
-            for m in unproved:
-                w = machine_places(cnet, m, sorts)
-                v = analysis.check_invariant(
-                    g, lambda mk: lo <= sum(mk.get(p, 0) for p in w) <= hi,
-                    name="%s %s" % (prop, m))
-                if not v.holds:
-                    report.add("%s: VIOLATED (%s)" % (prop, v.property))
-                    witnesses.append((prop, v.witness, None))
-                    report.exit_status = 1
-                    break
-            else:
-                report.add("%s: holds" % prop)
+        elif prop in MACHINE_PROPERTIES:
+            report.add("%s: holds" % prop)
         elif prop == "job-done-reachable":
             done = {jname("job_done", j.name): 1 for j in sc.jobs}
             v = analysis.check_reachable(g, done, name="job-done-reachable")
@@ -183,14 +168,6 @@ def cmd_analyze(args) -> Report:
                 report.exit_status = 1
         else:
             raise ValueError("unknown property %r" % prop)
-
-    if witnesses:
-        path = args.out or (args.scenario + ".witness")
-        with open(path, "w") as fh:
-            for prop, labels, marking in witnesses:
-                fh.write("property: %s\n" % prop)
-                fh.write(_format_witness(labels, marking))
-        report.witness_path = path
     return report
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -286,13 +287,31 @@ def machine_grid():
                                 zeroconf=zc, failure_detector=fd)
 
 
+def random_params(rng):
+    """A valid ``CatalogParams`` drawn from 1-40 machines, 1-4 jobs of
+    demand 1-6 with mixed semantics, timeout off/1/3/7 and either layer."""
+    demands = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+    p = CatalogParams(
+        machine_count=rng.randint(1, 40), job_demands=demands,
+        semantics=[rng.choice(("wait", "fail")) for _ in demands],
+        timeout=rng.choice((None, 1, 3, 7)), zeroconf=rng.random() < 0.5,
+        failure_detector=rng.random() < 0.5)
+    assert p.validate() == [], p
+    return p
+
+
 def test_machine_state_p_invariant_structural():
-    # the proof `analyze` relies on instead of a scan: the colored net's
-    # machine and pair places form a P-invariant with 1 token per machine
+    # `analyze` relies on these instead of a scan, and refuses where they
+    # fail: the colored net's machine and pair places form a P-invariant
+    # with 1 token per machine, and the machine fold is exact
     configs = list(machine_grid())
     assert len(configs) == 416
+    rng = random.Random(17)
+    configs += [random_params(rng) for _ in range(3000)]
     for p in configs:
-        assert unproved_machines(build_colored(p)) == [], p
+        cnet = build_colored(p)
+        assert unproved_machines(cnet) == [], p
+        assert fold_refusal(cnet) is None, p
 
 
 def test_machine_proof_never_unfolds(monkeypatch):

@@ -8,7 +8,7 @@ from qurdlab import analysis, cli
 from qurdlab.analysis import explore_colored, explore_markings, replay_labels
 from qurdlab.catalog import CatalogParams, build_colored, build_net
 from qurdlab.cli import main
-from qurdlab.colored import Inscription, unfold
+from qurdlab.colored import Inscription
 from qurdlab.conformance import parse_trace
 from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
 from qurdlab.scenario import parse_scenario
@@ -195,52 +195,48 @@ def test_analyze_folds_large_clusters(capsys, tmp_path, machines, demands,
            "job-done-reachable: holds\n" % (states, machines) in out
 
 
+def assert_refused(status, out, reason, witness):
+    # a refused fold is answered like a truncated graph: exit 2, the
+    # reason after the command and scenario lines, and no verdict or witness
+    assert status == 2
+    assert out.splitlines()[2:] == ["symmetry: off (%s)" % reason, "exit: 2"]
+    assert not witness.exists()
+
+
+def spare_reservation(params):
+    # a spare (M1,J2) reservation sets M1 apart from the other machines
+    cnet = build_colored(params)
+    cnet.initial["reserved"] = (("M1", "J2"),)
+    return cnet
+
+
 def test_asymmetric_initial_marking_is_not_folded(tmp_path, capsys,
                                                   monkeypatch, contention_file):
-    # a spare (M1,J2) reservation sets M1 apart from the other machines
-    def spare_reservation(params):
-        cnet = build_colored(params)
-        cnet.initial["reserved"] = (("M1", "J2"),)
-        return cnet
-
     monkeypatch.setattr(cli, "build_colored", spare_reservation)
-    monkeypatch.setattr(cli, "build_net",
-                        lambda params: unfold(spare_reservation(params)))
-    full = explore_markings(unfold(spare_reservation(
-        parse_scenario(CONTENTION).params())))
+    witness = tmp_path / "w.witness"
     status, out = run_cli(capsys, "analyze", contention_file, "--property",
-                          "deadlock", "--out", tmp_path / "w.witness")
-    assert status == 1
-    assert "states explored: %d\n" \
-           "symmetry: off (initial marking not machine-symmetric)\n" \
-           "deadlock: FOUND (%d dead states)\n" % (
-               full.n_states, len(analysis.pending_deadlocks(full))) in out
+                          "deadlock", "--out", witness)
+    assert_refused(status, out, "initial marking not machine-symmetric",
+                   witness)
 
 
 def test_unproved_machines_are_not_folded(tmp_path, capsys, monkeypatch):
     # t3 also returns its machine to available: every machine then goes
-    # unproved, and the scan needs each machine's own places
+    # unproved
     def minting(params):
         cnet = build_colored(params)
         cnet.post["t3"]["available"] = Inscription("m")
         return cnet
 
     monkeypatch.setattr(cli, "build_colored", minting)
-    monkeypatch.setattr(cli, "build_net",
-                        lambda params: unfold(minting(params)))
     f = tmp_path / "mint.scn"
     f.write_text("machines 2\njob J1 demand 1 semantics wait\n"
                  "timeout off\n")
     witness = tmp_path / "mint.witness"
-    status, out = run_cli(capsys, "analyze", f, "--out", witness)
-    assert status == 1
-    assert "states explored: 14\n" \
-           "symmetry: off (machines M1,M2 unproved)\n" \
-           "deadlock: none\nmutex: holds\n" \
-           "machine-invariant: VIOLATED (machine-invariant M1)\n" in out
-    assert witness.read_text() == (
-        "property: machine-invariant\n0 start_job@J1\n0 t1@(M1,J1)\n"
-        "0 launch@J1\n0 t2@(M1,J1)\n0 t3@(M1,J1)\n")
+    for asked in (("--property", "mutex"),
+                  ("--property", "machine-invariant"), ()):
+        assert_refused(*run_cli(capsys, "analyze", f, *asked, "--out",
+                                witness), "machines M1,M2 unproved", witness)
     # deadlock alone needs no machine proof, so the same net is folded
     status, out = run_cli(capsys, "analyze", f, "--property", "deadlock")
     assert "symmetry: 2 machines folded into counters\n" in out
@@ -350,9 +346,8 @@ def test_token_overflow_exits_2(capsys, contention_file, monkeypatch):
     net.add_place("q", tokens=1)
     net.add_place("p", tokens=32_700)
     net.add_transition("gen", pre={"q": 1}, post={"q": 1, "p": 1})
-    # whichever net analyze explores, folded or full
+    # the folded net analyze explores
     monkeypatch.setattr(cli, "unfold", lambda cnet: net)
-    monkeypatch.setattr(cli, "build_net", lambda params: net)
     status = main(["analyze", str(contention_file)])
     captured = capsys.readouterr()
     assert status == 2
@@ -379,28 +374,20 @@ def test_out_of_memory_exits_2(capsys, contention_file, monkeypatch, exc,
 
 
 def test_violated_invariants_reported(tmp_path, capsys, monkeypatch):
-    # a spare (M1,J2) token in reserved puts M1 in two states at once, and
-    # once J1 reserves M1 too, M1 has two clients
-    def spare_reservation(params):
-        cnet = build_colored(params)
-        cnet.initial["reserved"] = (("M1", "J2"),)
-        return cnet
-
+    # the spare (M1,J2) token puts M1 in two states at once and lets it
+    # have two clients; no machine is scanned for a violation, so the run
+    # refuses with the fold's reason, or, past the fold, the proof's
     monkeypatch.setattr(cli, "build_colored", spare_reservation)
-    monkeypatch.setattr(cli, "build_net",
-                        lambda params: unfold(spare_reservation(params)))
     f = tmp_path / "pair.scn"
     f.write_text("machines 2\njob J1 demand 1 semantics wait\n"
                  "job J2 demand 1 semantics wait\ntimeout off\n")
     witness = tmp_path / "pair.witness"
-    status, out = run_cli(capsys, "analyze", f, "--property", "mutex",
-                          "--property", "machine-invariant", "--out", witness)
-    assert status == 1
-    assert "mutex: VIOLATED (mutex M1)\n" \
-           "machine-invariant: VIOLATED (machine-invariant M1)\n" in out
-    assert witness.read_text() == (
-        "property: mutex\n0 start_job@J1\n0 t1@(M1,J1)\n"
-        "property: machine-invariant\n\n")
+    argv = ("analyze", f, "--property", "mutex", "--property",
+            "machine-invariant", "--out", witness)
+    assert_refused(*run_cli(capsys, *argv),
+                   "initial marking not machine-symmetric", witness)
+    monkeypatch.setattr(cli, "fold_refusal", lambda cnet: None)
+    assert_refused(*run_cli(capsys, *argv), "machine M1 unproved", witness)
 
 
 def test_scenario_error_is_reported(tmp_path, capsys):
