@@ -574,16 +574,6 @@ def pending_deadlocks(g):
     return find_deadlocks(g, skip=completion_skip(g))
 
 
-def check_invariant(g, predicate, name="invariant"):
-    """Verdict: predicate holds in every reachable marking; otherwise the
-    witness is the BFS tree path to the first violation."""
-    _require_complete(g)
-    for i in range(g.n_states):
-        if not predicate(g.marking(i)):
-            return Verdict(name, False, g.n_states, g, i)
-    return Verdict(name, True, g.n_states)
-
-
 def check_reachable(g, goal, name="reachable"):
     """Verdict: some reachable marking satisfies the goal; the witness is
     the BFS tree path to the first one found.
@@ -641,9 +631,3 @@ def unproved_machines(cnet):
         elif cnet.sort[p] == cpn.PAIR:
             initial.update(tok[0] for tok in toks)
     return [m for m in machines if initial[m] != 1]
-
-
-def check_p_invariant(net, weights):
-    """Structural invariance: the weighted token sum is unchanged by every
-    transition (incidence-column test; no exploration)."""
-    return bool((_incidence(net) @ net.marking_tuple(weights) == 0).all())

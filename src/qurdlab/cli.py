@@ -179,7 +179,7 @@ def cmd_simulate(args) -> Report:
         report.add("%s: %s" % (j, result.outcomes[j]))
     if result.cycle:
         report.add("cycle: every %d ticks from t=%d" % (
-            result.cycle[2], result.trace[result.cycle[0]].time))
+            result.cycle[2], result.events[result.cycle[0]].time))
     path = args.out or (args.scenario + ".trace")
     with open(path, "w") as fh:
         fh.write(result.trace_text())

@@ -12,8 +12,7 @@ and the conformance replay: a binding is enabled exactly when every token
 it consumes is there.  ``unfold`` expands a colored net over its finite
 universe into an ordinary place/transition net with one place per
 (place, color) and one transition per (transition, binding), named
-``base@J``, ``base@M`` and ``base@(M,J)`` (``binding_name``);
-``machine_places`` builds the unfolded names of one machine's places.  The
+``base@J``, ``base@M`` and ``base@(M,J)`` (``binding_name``).  The
 universe is not checked here (the reservation model builds it from
 ``CatalogParams``, whose ``validate`` checks the parameters);
 ``ColoredNet.validate`` checks sorts, inscriptions, intervals and initial
@@ -273,15 +272,6 @@ def binding_name(t, b):
     if b.m is None or b.j is None:
         return color_name(t, b.j if b.m is None else b.m)
     return color_name(t, b)
-
-
-def machine_places(cnet, m, sorts):
-    """Unfolded names of machine m's places of the given sorts, in
-    ``unfold``'s place order: ``p@M`` for a MACHINE-sort place p, and
-    ``p@(M,J)`` for each job J of a PAIR-sort one."""
-    colors = {MACHINE: [m], PAIR: [(m, j) for j in cnet.universe.jobs]}
-    return [color_name(p, c) for p in cnet.places if cnet.sort[p] in sorts
-            for c in colors.get(cnet.sort[p], ())]
 
 
 def unfold(cnet):

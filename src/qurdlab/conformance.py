@@ -120,29 +120,37 @@ def _fire(cnet, held, steps, first=0):
 
 
 def _replay_run(result, cnet, event_map):
-    """Project and replay a run: the report and the number of projected
-    steps.  A run that ended in a loop is replayed from one period of it
-    when that period brings the marking back."""
-    trace = result.trace
-    if result.cycle:
-        start, length, _ = result.cycle
-        repeats, extra = divmod(len(trace) - start, length)
-        prefix, block, tail = (project(part, event_map) for part in (
-            trace[:start], trace[start:start + length],
-            trace[len(trace) - extra:]))
-        held = _initial(cnet)
-        diverged = _fire(cnet, held, prefix)
+    """Project and replay a run: the report, the number of projected steps
+    and the number of job-done events.  A run that ended in a loop is
+    replayed from the events it simulated, never from ``result.trace``: its
+    block fires once per period up to one that brings the marking back,
+    from where every later period and the cut one, a prefix of the block,
+    fire alike."""
+    events = result.events
+    if result.cycle is None:
+        steps = project(events, event_map)
+        return replay(steps, cnet), len(steps), _done(events)
+    start = result.cycle[0]
+    full, cut = result.periods()
+    parts = events[:start], events[start:], events[start:start + cut]
+    prefix, block, tail = (project(part, event_map) for part in parts)
+    n_steps = len(prefix) + full * len(block) + len(tail)
+    done = _done(parts[0]) + full * _done(parts[1]) + _done(parts[2])
+    held = _initial(cnet)
+    diverged = _fire(cnet, held, prefix)
+    for n in range(full):
         looped = held.copy()
-        diverged = diverged or _fire(cnet, held, block, len(prefix))
-        if diverged:
-            return diverged, None
-        if Counter(held) == Counter(looped):    # a zero count equals none
-            # later periods fire from the same marking; the tail is a prefix
-            _fire(cnet, held, tail)
-            return (ReplayReport(True, final_marking=_marking(cnet, held)),
-                    len(prefix) + repeats * len(block) + len(tail))
-    steps = project(trace, event_map)
-    return replay(steps, cnet), len(steps)
+        diverged = diverged or _fire(cnet, held, block,
+                                     len(prefix) + n * len(block))
+        if diverged or Counter(held) == Counter(looped):  # zero equals none
+            break
+    diverged = diverged or _fire(cnet, held, tail, n_steps - len(tail))
+    return (diverged or ReplayReport(True, final_marking=_marking(cnet, held)),
+            n_steps, done)
+
+
+def _done(events):
+    return sum(e.kind == "job-done" for e in events)
 
 
 def _marking(cnet, held):
@@ -178,10 +186,9 @@ def check_run(params, config, event_map=None):
     On a clean replay the job_done count is also required to match the
     number of completed jobs in the trace."""
     result = run(params, config)
-    report, n_steps = _replay_run(
+    report, n_steps, done_events = _replay_run(
         result, conformance_net(params, config.crashes), event_map)
     if report.ok:
-        done_events = sum(1 for e in result.trace if e.kind == "job-done")
         done_tokens = len(report.final_marking.get("job_done", ()))
         if done_tokens != done_events:
             report = ReplayReport(
@@ -266,7 +273,8 @@ def parse_trace(text):
         if not line:
             continue
         parts = line.split()
-        if len(parts) < 3 or not parts[0].startswith("t="):
+        if (len(parts) < 3 or not parts[0].startswith("t=")
+                or not parts[0][2:].isdecimal()):
             raise ValueError(f"trace line {lineno}: cannot parse {raw!r}")
         time = int(parts[0][2:])
         actor, kind = parts[1], parts[2]

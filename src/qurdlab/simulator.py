@@ -31,7 +31,9 @@ told it (in ``step`` and ``all_discovered_by``).  The result is an outcome
 per job plus the protocol trace consumed by the conformance checker.
 
 A run whose whole state comes back at a later tick would loop forever, so
-``run`` stops there and copies the trace since that tick up to the horizon.
+``run`` stops there, keeping the events of one period since that tick;
+``SimResult.trace`` copies that period up to the horizon on its first
+read, which the conformance check never makes.
 Snapshots (queued events, times relative to now, and every actor) start
 after a quiet stretch with no irreversible step; timer epochs are kept
 relative to their counters and ``oks`` only under fail semantics, which
@@ -43,6 +45,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 CRASH_PRIO = 0
 TIMER_PRIO = 1
@@ -128,10 +131,43 @@ class SimResult:
     # horizon (the run was cut with events still queued) or stalled (the
     # event queue emptied first)
     outcomes: dict
-    trace: list
+    # the simulated events: the whole trace, or for a looping run the
+    # events up to the end of its first period
+    events: list
     # (start, length, period) when the run ended in a loop: from trace index
     # start, the block of length events repeats every period ticks
     cycle: tuple = None
+    horizon: int = None
+
+    def periods(self):
+        """How many times a looping run's block occurs in full up to the
+        horizon, its simulated first period included, and how many of its
+        first events occur once more before the horizon cuts it."""
+        start, _, period = self.cycle
+        block = self.events[start:]
+        # a block spans less than its period, so one copy at most is cut
+        last = block[-1].time if block else self.horizon
+        full = (self.horizon - last) // period + 1
+        return full, sum(e.time + full * period <= self.horizon
+                         for e in block)
+
+    @cached_property
+    def trace(self):
+        """Every event up to the horizon.  A looping run's later periods
+        are copies of its first, built on the first read, which
+        ``check_run`` and ``fuzz_conformance`` never make."""
+        if self.cycle is None:
+            return self.events
+        start, _, period = self.cycle
+        full, tail = self.periods()
+        rows = [(e.time, e.actor, e.kind, e.machine, e.job)
+                for e in self.events[start:]]
+        trace = self.events.copy()
+        for shift in range(period, full * period + 1, period):
+            trace += [TraceEvent(t + shift, a, k, m, j)
+                      for t, a, k, m, j in
+                      (rows if shift < full * period else rows[:tail])]
+        return trace
 
     def trace_text(self):
         return "".join(e.line() + "\n" for e in self.trace)
@@ -430,20 +466,6 @@ class Simulation:
                       for lr in self.launchers.values()),
                 tuple(self.restart_queue))
 
-    def repeat(self, start_time, start):
-        """The state of tick ``start_time``, when the trace held ``start``
-        events, is back: copy the block since then up to the horizon."""
-        trace, horizon = self.trace, self.config.horizon
-        period = self.now - start_time
-        rows = [(e.time, e.actor, e.kind, e.machine, e.job)
-                for e in trace[start:]]
-        shift = period
-        while rows and rows[0][0] + shift <= horizon:
-            trace += [TraceEvent(t + shift, a, k, m, j)
-                      for t, a, k, m, j in rows if t + shift <= horizon]
-            shift += period
-        return start, len(rows), period
-
     def all_discovered_by(self, launcher):
         """No published machine remains unknown to the launcher, so fail
         semantics cannot hope for a further discovery."""
@@ -539,7 +561,8 @@ class Simulation:
                     key = self.snapshot(time, prio, handler, args)
                     if key in self.snapshots:
                         unfinished = "horizon"
-                        cycle = self.repeat(*self.snapshots[key])
+                        tick, start = self.snapshots[key]
+                        cycle = start, len(self.trace) - start, now - tick
                         break
                     self.snapshots[key] = now, len(self.trace)
             handler(*args)
@@ -558,7 +581,7 @@ class Simulation:
         self.snapshots.clear()
         for actor in (*self.daemons.values(), *self.launchers.values()):
             actor.sim = None
-        return SimResult(outcomes, self.trace, cycle)
+        return SimResult(outcomes, self.trace, cycle, horizon)
 
 
 def _relative(handler, args):

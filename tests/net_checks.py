@@ -1,0 +1,31 @@
+"""Checks that only the tests make: a predicate scanned over every state of
+an explored graph, a P-invariant tested on a plain net's incidence matrix,
+and the unfolded names of one machine's places."""
+
+from qurdlab.analysis import Verdict, _incidence, _require_complete
+from qurdlab.colored import MACHINE, PAIR, color_name
+
+
+def check_invariant(g, predicate, name="invariant"):
+    """Verdict: predicate holds in every reachable marking; otherwise the
+    witness is the BFS tree path to the first violation."""
+    _require_complete(g)
+    for i in range(g.n_states):
+        if not predicate(g.marking(i)):
+            return Verdict(name, False, g.n_states, g, i)
+    return Verdict(name, True, g.n_states)
+
+
+def check_p_invariant(net, weights):
+    """Structural invariance: the weighted token sum is unchanged by every
+    transition (incidence-column test; no exploration)."""
+    return bool((_incidence(net) @ net.marking_tuple(weights) == 0).all())
+
+
+def machine_places(cnet, m, sorts):
+    """Unfolded names of machine m's places of the given sorts, in
+    ``unfold``'s place order: ``p@M`` for a MACHINE-sort place p, and
+    ``p@(M,J)`` for each job J of a PAIR-sort one."""
+    colors = {MACHINE: [m], PAIR: [(m, j) for j in cnet.universe.jobs]}
+    return [color_name(p, c) for p in cnet.places if cnet.sort[p] in sorts
+            for c in colors.get(cnet.sort[p], ())]

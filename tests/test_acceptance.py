@@ -13,13 +13,14 @@ deterministic, exploration included.
 import itertools
 import time
 
-from qurdlab.analysis import (check_invariant, check_reachable,
-                              completion_skip, explore, explore_colored,
-                              explore_markings, find_deadlocks,
-                              pending_deadlocks, unproved_machines)
+from net_checks import check_invariant, machine_places
+from qurdlab.analysis import (check_reachable, completion_skip, explore,
+                              explore_colored, explore_markings,
+                              find_deadlocks, pending_deadlocks,
+                              unproved_machines)
 from qurdlab.catalog import CatalogParams, build_colored, build_net, jname
 from qurdlab.cli import main as cli_main
-from qurdlab.colored import MACHINE, PAIR, machine_places
+from qurdlab.colored import MACHINE, PAIR
 from qurdlab.conformance import DEFAULT_MAPPING, EventMap, fuzz_conformance
 from qurdlab.scenario import parse_scenario
 from qurdlab.simulator import run

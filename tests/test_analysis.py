@@ -13,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qurdlab import analysis
+from net_checks import check_invariant, check_p_invariant, machine_places
 from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
-                              check_invariant, check_p_invariant,
                               check_reachable, completion_skip, explore,
                               explore_colored, explore_markings,
                               find_deadlocks, pending_deadlocks,
                               replay_labels, timed_witness)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, jname)
-from qurdlab.colored import (JOB, PAIR, ColoredNet, ColorUniverse,
-                             Inscription, machine_places)
+from qurdlab.colored import JOB, PAIR, ColoredNet, ColorUniverse, Inscription
 from qurdlab.tpn import Net
 
 

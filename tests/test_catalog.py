@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from net_checks import check_p_invariant, machine_places
 from qurdlab import catalog, colored
 from qurdlab.analysis import (check_reachable, completion_skip,
                               explore_markings, pending_deadlocks,
@@ -15,7 +16,7 @@ from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, jname)
 from qurdlab.colored import (FOLDED, JOB, MACHINE, PAIR, color_name,
                              fold_machines, fold_refusal, lift_machines,
-                             machine_places, unfold)
+                             unfold)
 
 
 def fire_seq(net, marking, transitions):
@@ -447,7 +448,6 @@ def _job_weights(net, j, demand):
 
 
 def test_job_demand_weighted_conservation():
-    from qurdlab.analysis import check_p_invariant
     for p in catalog_configs():
         net = build_net(p)
         for j, n in zip(p.jobs(), p.job_demands):
@@ -457,7 +457,6 @@ def test_job_demand_weighted_conservation():
 def test_job_conservation_needs_the_weights():
     # counting answered as a unit breaks conservation: t1 mints the
     # positive answer while the demand unit moves get_nodes -> reserved
-    from qurdlab.analysis import check_p_invariant
     p = CatalogParams(machine_count=2, job_demands=[2])
     net = build_net(p)
     naive = _job_weights(net, "J1", 2)

@@ -173,21 +173,53 @@ def test_looping_runs_replay_one_period():
     assert looping == 74
 
 
-@pytest.mark.parametrize("cycle", [(1, 1, 2), (2, 1, 2)],
-                         ids=["second-period", "first-period"])
-def test_period_that_moves_the_marking_is_replayed_in_full(monkeypatch,
-                                                            cycle):
-    # a made-up loop whose period takes M1 again without giving it back:
+@pytest.mark.parametrize("machines, cycle, index", [
+    ("M1 M1 M1", (1, 1, 2), 2), ("M1 M1 M1", (2, 1, 2), 2),
+    ("M1 M2 M1", (1, 2, 4), 3)],
+    ids=["second-period", "first-period", "cut-period"])
+def test_period_that_moves_the_marking_is_replayed_in_full(
+        monkeypatch, machines, cycle, index):
+    # a made-up loop whose period takes machines without giving them back:
     # a period that fires but moves the marking is replayed in full, one
     # that diverges reports where, and both as the full replay does
     p = CatalogParams(machine_count=2, job_demands=[2])
     trace = [TraceEvent(0, "J1", "job-submitted", job="J1")] + [
-        TraceEvent(t, "M1", "ok-sent", "M1", "J1") for t in (2, 4, 6)]
-    looping = SimResult({"J1": "horizon"}, trace, cycle=cycle)
+        TraceEvent(t, m, "ok-sent", m, "J1")
+        for t, m in zip((2, 4, 6), machines.split())]
+    start, length, _ = cycle
+    looping = SimResult({"J1": "horizon"}, trace[:start + length], cycle,
+                        horizon=6)
+    assert looping.trace == trace
     monkeypatch.setattr(conformance, "run", lambda params, config: looping)
     _, report = check_run(p, SimConfig())
-    assert (report.index, report.reason) == (2, "not enabled")
+    assert (report.index, report.reason) == (index, "not enabled")
     assert report == full_check(looping, conformance_net(p))
+
+
+@pytest.mark.parametrize("horizon, cut", [(8, 0), (9, 2)])
+def test_job_done_counted_in_every_period(monkeypatch, horizon, cut):
+    # a made-up loop whose period reserves M1, reports J1 done and cancels:
+    # with job-done internal the period brings the marking back, and the
+    # done count and the step index run over every period up to the
+    # horizon, the one it cuts included
+    p = CatalogParams(machine_count=1, job_demands=[1], timeout=3)
+    trace = [TraceEvent(0, "J1", "job-submitted", job="J1")]
+    for shift in range(0, horizon - 2, 2):
+        trace += [TraceEvent(3 + shift, "M1", "ok-sent", "M1", "J1"),
+                  TraceEvent(3 + shift, "J1", "job-done", job="J1"),
+                  TraceEvent(4 + shift, "M1", "canceled", "M1", "J1")]
+    trace = [e for e in trace if e.time <= horizon]
+    looping = SimResult({"J1": "horizon"}, trace[:4], (1, 3, 2), horizon)
+    assert (looping.periods(), looping.trace) == ((3, cut), trace)
+    mapping = dict(DEFAULT_MAPPING)
+    del mapping["job-done"]
+    em = EventMap(mapping, DEFAULT_INTERNAL | {"job-done"})
+    monkeypatch.setattr(conformance, "run", lambda params, config: looping)
+    _, report = check_run(p, SimConfig(timeout=3), em)
+    n_done = 3 + cut // 2
+    assert (report.index, report.reason) == (
+        1 + 2 * 3 + cut // 2, f"0 job_done tokens for {n_done} job-done events")
+    assert report == full_check(looping, conformance_net(p), em)
 
 
 def test_conformance_net_grows_detector_for_crashes():
@@ -270,3 +302,6 @@ def test_parse_trace_round_trip():
 def test_parse_trace_rejects_garbage():
     with pytest.raises(ValueError):
         parse_trace("once upon a time")
+    for line in ("t=abc J1 job-submitted job=J1", "t= J1 job-submitted"):
+        with pytest.raises(ValueError, match="trace line 2: cannot parse"):
+            parse_trace("t=0 J1 job-submitted job=J1\n" + line)

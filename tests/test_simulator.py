@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qurdlab import simulator
 from qurdlab.catalog import CatalogParams
 from qurdlab.conformance import check_run, random_case
 from qurdlab.simulator import (DISCOVERING, InvalidScenario, SimConfig,
-                               Simulation, run)
+                               Simulation, TraceEvent, run)
 
 
 def events(result, kind, machine=None, job=None):
@@ -222,6 +223,35 @@ def test_loops_copied_exactly():
         assert (r.cycle is not None) == ("horizon" in r.outcomes.values())
         cycles += r.cycle is not None
     assert cycles == 139
+
+
+def test_check_run_builds_no_copied_event(monkeypatch):
+    # a looping run keeps only the events it simulated, and check_run
+    # replays from those: the copies up to the horizon are built when the
+    # trace is first read, and then equal the trace simulated in full
+    made = 0
+
+    def counting(*fields):
+        nonlocal made
+        made += 1
+        return TraceEvent(*fields)
+
+    monkeypatch.setattr(simulator, "TraceEvent", counting)
+    cycles = 0
+    for k in range(200):
+        params, config = random_case(random.Random(k))
+        made = 0
+        result, report = check_run(params, config)
+        assert report.ok and made == len(result.events), k
+        if result.cycle is not None:
+            cycles += 1
+            start, length, _ = result.cycle
+            assert len(result.events) == start + length
+            assert "trace" not in vars(result)
+            full = NoCycleSimulation(params, config).run()
+            assert result.trace == full.trace, k
+            assert made > len(result.events)
+    assert cycles == 15
 
 
 @pytest.mark.parametrize("case, cycle, since", [
