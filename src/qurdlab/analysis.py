@@ -47,12 +47,12 @@ A level whose counts fit int8 is computed in int8.  Each level's counts
 are kept as one column block in the dtype they were computed in, and
 copied into the graph's int16 matrix once, at the end.
 
-The deadlock checks return state ids, so they read only what both graph
-classes offer: ``n_states``, ``marking``, ``dead_ids`` and
-``path_labels``.  The other checks return a ``Verdict`` whose witness,
-built on its first read, replays from the initial state: witnesses from
-marking-level exploration are converted to timed ``(delay, transition)``
-labels by waiting out each earliest firing delay.  ``check_reachable`` takes a predicate over
+The checks return state ids, so they read only what both graph classes
+offer: ``n_states``, ``marking``, ``dead_ids`` and ``path_labels``.  A
+caller that wants a witness asks ``path_labels`` for the path to an id,
+which replays from the initial state: on a marking graph its transitions
+are converted to timed ``(delay, transition)`` labels by waiting out each
+earliest firing delay.  ``check_reachable`` takes a predicate over
 markings or a covering goal ``{place: min_count}``; on a marking graph a
 covering goal reads only the columns it names.  ``unproved_machines``
 proves mutual exclusion and each machine's one-state invariant on the
@@ -70,8 +70,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -84,31 +82,6 @@ DEFAULT_BOUND = 2_000_000
 
 class Truncated(Exception):
     """A property was asked of a graph that hit its exploration bound."""
-
-
-@dataclass
-class Verdict:
-    """A checked property.  Its witness is the BFS tree path to state
-    ``state`` of ``graph``, or None without such a state; the path is
-    walked on the first read of ``witness``, so a caller that needs only
-    ``holds`` never pays for it."""
-    property: str
-    holds: bool
-    states_explored: int
-    graph: object = field(default=None, repr=False, compare=False)
-    state: int = None
-
-    @cached_property
-    def witness(self):
-        """(delay, transition) labels from the initial state, or None."""
-        if self.state is None:
-            return None
-        return self.graph.path_labels(self.state)
-
-    def __str__(self):
-        tail = f" witness of length {len(self.witness)}" if self.witness else ""
-        return (f"{self.property}: {'holds' if self.holds else 'fails'} "
-                f"({self.states_explored} states){tail}")
 
 
 class ReachGraph:
@@ -574,9 +547,9 @@ def pending_deadlocks(g):
     return find_deadlocks(g, skip=completion_skip(g))
 
 
-def check_reachable(g, goal, name="reachable"):
-    """Verdict: some reachable marking satisfies the goal; the witness is
-    the BFS tree path to the first one found.
+def check_reachable(g, goal):
+    """Id of the first state in BFS order whose marking satisfies the goal,
+    or None; ``g.path_labels(i)`` is the path to it.
 
     ``goal`` is a predicate over markings, or a covering goal
     ``{place: min_count}`` that holds where every listed place has at least
@@ -585,25 +558,20 @@ def check_reachable(g, goal, name="reachable"):
     _require_complete(g)
     if isinstance(goal, dict):
         if isinstance(g, MarkingGraph):
-            return _check_covering(g, goal, name)
+            return _first_covering(g, goal)
         mins = dict(goal)
         goal = lambda m: all(m.get(p, 0) >= n for p, n in mins.items())
-    for i in range(g.n_states):
-        if goal(g.marking(i)):
-            return Verdict(name, True, g.n_states, g, i)
-    return Verdict(name, False, g.n_states)
+    return next((i for i in range(g.n_states) if goal(g.marking(i))), None)
 
 
-def _check_covering(g, goal, name):
+def _first_covering(g, goal):
     pidx = g.net.compiled()[0]
     if any(n > 0 and p not in pidx for p, n in goal.items()):
-        return Verdict(name, False, g.n_states)   # place never marked
+        return None                 # place never marked
     cols = [pidx[p] for p in goal if p in pidx]
     mins = np.array([n for p, n in goal.items() if p in pidx])
     hits = np.flatnonzero((g.matrix[:, cols] >= mins).all(axis=1))
-    if hits.size:
-        return Verdict(name, True, g.n_states, g, int(hits[0]))
-    return Verdict(name, False, g.n_states)
+    return int(hits[0]) if hits.size else None
 
 
 def unproved_machines(cnet):

@@ -10,8 +10,8 @@ whose size does not grow with the machine count; witnesses are always
 paths of ``build_net``.  Trace conformance replays on the colored net.  The
 Zeroconf and failure-detector layers are optional parts of the same net.
 Unfolded per-job places/transitions carry ``@J``, per-machine ones ``@M``
-and per-pair ones ``@(M,J)``.  The standalone machine net
-(``build_machine``) keeps the plain names.
+and per-pair ones ``@(M,J)``.  ``build_machine`` cuts one machine's
+daemon out of the same colored net and keeps the plain names.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .colored import (FAIL, JOB, MACHINE, PAIR, WAIT, ColoredNet,
+from .colored import (FAIL, JOB, MACHINE, PAIR, WAIT, Binding, ColoredNet,
                       ColorUniverse, Inscription, color_name, unfold)
 from .tpn import Net
 
@@ -90,29 +90,26 @@ def jname(base, j):
 
 
 def build_machine(timeout=DEFAULT_TIMEOUT):
-    """Single daemon lifecycle net with plain place names.
-
-    The client-side places (get_nodes, answered, launching_job,
-    job_finished) are present but unmarked, so nothing is enabled until a
-    client marking is supplied.
-    """
+    """One machine daemon cut from the colored model, with plain names: the
+    transitions that bind a machine, at machine M1 and job J1 (no cancel
+    with the timeout off).  The job places they touch follow the machine's
+    places, unmarked, so nothing is enabled until a client marking is
+    supplied."""
+    cnet = build_colored(CatalogParams(machine_count=1, job_demands=[1],
+                                       timeout=timeout))
+    arcs = {t: cnet.arcs(t, Binding("M1", "J1"))
+            for t in cnet.transitions if cnet.variables_of(t)[0]}
+    touched = {p for sides in arcs.values() for side in sides
+               for (p, _), _ in side}
     net = Net("machine")
-    net.add_place("available", tokens=1)
-    net.add_place("reserved")
-    net.add_place("running")
-    net.add_place("finished")
-    for stub in ("get_nodes", "answered", "launching_job", "job_finished"):
-        net.add_place(stub)
-    net.add_transition("t1", pre={"available": 1, "get_nodes": 1},
-                       post={"reserved": 1, "answered": 1})
-    net.add_transition("t2", pre={"reserved": 1, "launching_job": 1},
-                       post={"running": 1})
-    net.add_transition("t3", pre={"running": 1}, post={"finished": 1})
-    net.add_transition("t4", pre={"finished": 1},
-                       post={"available": 1, "job_finished": 1})
-    net.add_transition("cancel", pre={"reserved": 1, "answered": 1},
-                       post={"available": 1, "get_nodes": 1},
-                       interval=(timeout, None))
+    for p in sorted(cnet.places, key=lambda p: cnet.sort[p] == JOB):
+        if cnet.sort[p] != JOB:
+            net.add_place(p, tokens=len(cnet.initial.get(p, ())))
+        elif p in touched:
+            net.add_place(p)
+    for t, sides in arcs.items():
+        pre, post = ({p: n for (p, _), n in side} for side in sides)
+        net.add_transition(t, pre=pre, post=post, interval=cnet.interval[t])
     return net
 
 

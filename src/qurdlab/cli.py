@@ -160,8 +160,7 @@ def cmd_analyze(args) -> Report:
             report.add("%s: holds" % prop)
         elif prop == "job-done-reachable":
             done = {jname("job_done", j.name): 1 for j in sc.jobs}
-            v = analysis.check_reachable(g, done, name="job-done-reachable")
-            if v.holds:
+            if analysis.check_reachable(g, done) is not None:
                 report.add("job-done-reachable: holds")
             else:
                 report.add("job-done-reachable: UNREACHABLE")
@@ -200,7 +199,12 @@ def cmd_conformance(args) -> Report:
     sc = _load_scenario(args.scenario)
     report = Report("conformance %s" % args.scenario, _digest(sc))
     result, replay = conformance.check_run(sc.params(), sc.config())
-    report.add("trace events: %d" % len(result.trace))
+    # a looping run's trace length, counted without building its copies
+    n_events = len(result.events)
+    if result.cycle:
+        full, tail = result.periods()
+        n_events += (full - 1) * result.cycle[1] + tail
+    report.add("trace events: %d" % n_events)
     if replay.ok:
         report.add("conformance: ok")
     else:

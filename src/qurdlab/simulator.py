@@ -174,14 +174,14 @@ class SimResult:
 
 
 class Daemon:
-    """Per-machine resource daemon: available -> reserved -> running."""
+    """Per-machine resource daemon: available -> reserved -> running.  It
+    is published on the bus while it is available and not crashed."""
 
     def __init__(self, sim, name):
         self.sim = sim
         self.name = name
         self.state = "available"
         self.client = None          # reserving/running job id
-        self.published = True
         self.crashed = False
         self.epoch = 0              # bumped on every state change
 
@@ -428,7 +428,6 @@ class Simulation:
     def announce(self, daemon, published):
         """Publish or unpublish a daemon on the bus; every launcher hears
         of it one bus latency later."""
-        daemon.published = published
         self.emit(daemon.name, "published" if published else "unpublished",
                   machine=daemon.name)
         heapq.heappush(self.heap, (
@@ -457,7 +456,7 @@ class Simulation:
         now = self.now
         return (tuple((t - now, p, h, _relative(h, a)) for t, p, _, h, a
                       in [(time, prio, 0, handler, args), *sorted(self.heap)]),
-                tuple((d.state, d.client, d.published, d.crashed)
+                tuple((d.state, d.client, d.crashed)
                       for d in self.daemons.values()),
                 tuple((lr.phase, tuple(lr.discovered),
                        frozenset(lr.contacted), frozenset(lr.pending),
@@ -469,7 +468,8 @@ class Simulation:
     def all_discovered_by(self, launcher):
         """No published machine remains unknown to the launcher, so fail
         semantics cannot hope for a further discovery."""
-        return all(not d.published or d.name in launcher.discovered
+        return all(d.state != "available" or d.crashed
+                   or d.name in launcher.discovered
                    for d in self.daemons.values())
 
     # -- failure detector ---------------------------------------------------
@@ -505,7 +505,8 @@ class Simulation:
         self.progress()
         self.emit(job, "job-submitted", job=job)
         launcher = self.launchers[job]
-        published = tuple(m for m, d in self.daemons.items() if d.published)
+        published = tuple(m for m, d in self.daemons.items()
+                          if d.state == "available" and not d.crashed)
         if published:
             self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
                           self.notify, (launcher,), published, True)
@@ -522,7 +523,7 @@ class Simulation:
             return
         self.progress()
         d.crashed = True
-        if d.published:
+        if d.state == "available":      # it was published until now
             self.announce(d, False)
         if d.state == "running":
             self.lose_job(name, d.client)

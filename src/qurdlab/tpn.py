@@ -112,6 +112,11 @@ class Net:
         for t, (efd, lfd) in self.interval.items():
             if t not in tset:
                 issues.append(f"interval for unknown transition: {t}")
+            if not isinstance(efd, int) or not (lfd is None
+                                                or isinstance(lfd, int)):
+                issues.append(f"interval bound not an int on {t}: "
+                              f"({efd!r}, {lfd!r})")
+                continue
             if efd < 0:
                 issues.append(f"negative efd on {t}")
             if lfd is not None and efd > lfd:

@@ -2,18 +2,17 @@
 an explored graph, a P-invariant tested on a plain net's incidence matrix,
 and the unfolded names of one machine's places."""
 
-from qurdlab.analysis import Verdict, _incidence, _require_complete
+from qurdlab.analysis import _incidence, _require_complete
 from qurdlab.colored import MACHINE, PAIR, color_name
 
 
-def check_invariant(g, predicate, name="invariant"):
-    """Verdict: predicate holds in every reachable marking; otherwise the
-    witness is the BFS tree path to the first violation."""
+def check_invariant(g, predicate):
+    """Id of the first state in BFS order whose marking violates the
+    predicate, or None when it holds in every reachable marking;
+    ``g.path_labels(i)`` is the path to the violation."""
     _require_complete(g)
-    for i in range(g.n_states):
-        if not predicate(g.marking(i)):
-            return Verdict(name, False, g.n_states, g, i)
-    return Verdict(name, True, g.n_states)
+    return next((i for i in range(g.n_states)
+                 if not predicate(g.marking(i))), None)
 
 
 def check_p_invariant(net, weights):

@@ -98,15 +98,16 @@ def test_3_completion_tracks_demand(capsys):
     for n in (1, 2, 3, 4):
         params = CatalogParams(machine_count=4, job_demands=[n])
         g = explore_markings(build_net(params))
-        v = check_reachable(
-            g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1)
-        assert v.holds, f"demand {n} of 4 machines should complete"
+        assert check_reachable(
+            g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1) \
+            is not None, f"demand {n} of 4 machines should complete"
         sizes.append(g.n_states)
     params = CatalogParams(machine_count=4, job_demands=[5],
                            semantics=["fail"])
     g = explore_markings(build_net(params))
-    v = check_reachable(g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1)
-    assert not v.holds, "demand 5 of 4 machines must never complete"
+    assert check_reachable(
+        g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1) is None, \
+        "demand 5 of 4 machines must never complete"
     report(capsys,
            f"3 completion: PASS (demands 1-4 complete on 4 machines, "
            f"graphs {sizes}; demand 5 provably never does)")
@@ -129,11 +130,10 @@ def test_4_safety_invariants_hold_everywhere(capsys):
                   machine_places(cnet, m, (MACHINE, PAIR)))
                  for m in params.machines()]
         g = explore_markings(build_net(params))
-        v = check_invariant(g, lambda mk: all(
+        assert check_invariant(g, lambda mk: all(
             sum(mk.get(p, 0) for p in pairs) <= 1
             and sum(mk.get(p, 0) for p in states) == 1
-            for pairs, states in loads))
-        assert v.holds, (mc, demands, fd, zc)
+            for pairs, states in loads)) is None, (mc, demands, fd, zc)
         configs += 1
         total_states += g.n_states
     report(capsys,
@@ -151,8 +151,8 @@ def test_5_crash_recovery_completes(capsys):
     assert "crashed" in kinds, "the scheduled crash must actually hit"
     assert "restarted" in kinds, "the detector must move the job to the spare"
     g = explore_markings(build_net(sc.params()))
-    v = check_reachable(g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1)
-    assert v.holds
+    assert check_reachable(
+        g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1) is not None
     report(capsys,
            "5 crash recovery: PASS (running machine crashed at t=2, job "
            "finished on the spare; job_done reachable in the matching net)")
@@ -179,13 +179,13 @@ def test_6_colored_and_unfolded_agree(capsys):
                 j in cm.get("job_done", ()) for j in jobs))
             done_u = check_reachable(gu, {jname("job_done", j): 1
                                           for j in jobs})
-            assert done_c.holds == done_u.holds
+            assert (done_c is None) == (done_u is None)
             for m in cnet.universe.machines:
                 mu_c = check_invariant(gc, lambda cm, m=m: colored_load(
                     cnet, cm, m, (PAIR,)) <= 1)
                 st_c = check_invariant(gc, lambda cm, m=m: colored_load(
                     cnet, cm, m, (MACHINE, PAIR)) == 1)
-                assert mu_c.holds and st_c.holds
+                assert mu_c is None and st_c is None
             assert unproved_machines(cnet) == []
             checked += 1
     report(capsys,
@@ -231,13 +231,11 @@ def test_8_everything_is_deterministic(capsys):
 
     def verdicts(g):
         out = [check_reachable(
-            g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1,
-            name="J1 done")]
+            g, lambda mk: mk.get(jname("job_done", "J1"), 0) >= 1)]
         for m in params.machines():
             w = machine_places(cnet, m, (PAIR,))
             out.append(check_invariant(
-                g, lambda mk, w=w: sum(mk.get(p, 0) for p in w) <= 1,
-                name=f"mutex {m}"))
+                g, lambda mk, w=w: sum(mk.get(p, 0) for p in w) <= 1))
         return out
 
     assert verdicts(g1) == verdicts(g2)

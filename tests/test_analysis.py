@@ -342,6 +342,8 @@ def test_truncated_graph_refuses_checks():
         find_deadlocks(g)
     with pytest.raises(Truncated):
         check_invariant(g, lambda m: True)
+    with pytest.raises(Truncated):
+        check_reachable(g, lambda m: True)
 
 
 # -- invariants -------------------------------------------------------------------
@@ -351,10 +353,8 @@ def test_mutex_single_machine_two_jobs():
     g = explore_markings(build_net(p))
     pairs = [q for q in g.net.places
              if q.startswith(("reserved@(", "running@(", "finished@("))]
-    v = check_invariant(g, lambda m: sum(m.get(q, 0) for q in pairs) <= 1,
-                        name="mutex")
-    assert v.holds
-    assert v.states_explored == g.n_states
+    assert check_invariant(
+        g, lambda m: sum(m.get(q, 0) for q in pairs) <= 1) is None
 
 
 def test_machine_invariant_on_reachable_states():
@@ -367,19 +367,20 @@ def test_machine_invariant_on_reachable_states():
                    if q.endswith("@%s" % m)
                    or ("@(%s," % m) in q and q.startswith(
                        ("reserved", "running", "finished"))}
-        v = check_invariant(
-            g, lambda mk: sum(mk.get(q, 0) for q in weights) == 1, name=m)
-        assert v.holds, m
+        assert check_invariant(
+            g, lambda mk: sum(mk.get(q, 0) for q in weights) == 1) is None, m
 
 
 def test_invariant_violation_witness_replays():
     p = CatalogParams(machine_count=1, job_demands=[1])
     net = build_net(p)
     g = explore_markings(net)
-    v = check_invariant(g, lambda m: m.get("answered@J1", 0) < 1)
-    assert not v.holds
-    assert v.witness[-1][1] == "t1@(M1,J1)"
-    end = replay_labels(net, v.witness)
+    i = check_invariant(g, lambda m: m.get("answered@J1", 0) < 1)
+    assert i is not None
+    witness = g.path_labels(i)
+    assert witness[-1][1] == "t1@(M1,J1)"
+    end = replay_labels(net, witness)
+    assert end.marking == g.marking(i)
     assert end.marking.get("answered@J1", 0) >= 1
 
 
@@ -387,26 +388,23 @@ def test_invariant_violation_witness_replays():
 
 def test_full_demand_met_reachable():
     g = explore_markings(build_net(CatalogParams()))
-    v = check_reachable(g, lambda m: m.get("job_done@J1", 0) >= 1)
-    assert v.holds
-    end = replay_labels(g.net, v.witness)
+    i = check_reachable(g, lambda m: m.get("job_done@J1", 0) >= 1)
+    assert i is not None
+    end = replay_labels(g.net, g.path_labels(i))
     assert end.marking.get("job_done@J1", 0) >= 1
 
 
 def test_oversubscribed_fail_unreachable():
     p = CatalogParams(machine_count=4, job_demands=[5], semantics="fail")
     g = explore_markings(build_net(p))
-    v = check_reachable(g, lambda m: m.get("job_done@J1", 0) >= 1)
-    assert not v.holds
-    assert v.witness is None
+    assert check_reachable(g, lambda m: m.get("job_done@J1", 0) >= 1) is None
 
 
 def test_goal_initial_trivially_reachable():
     net = build_machine()
     g = explore_markings(net)
-    v = check_reachable(g, lambda m: m == {"available": 1})
-    assert v.holds
-    assert v.witness == []
+    assert check_reachable(g, lambda m: m == {"available": 1}) == 0
+    assert g.path_labels(0) == []
 
 
 def test_witness_is_walked_only_when_read(monkeypatch):
@@ -419,11 +417,14 @@ def test_witness_is_walked_only_when_read(monkeypatch):
         return path_labels(self, i)
 
     monkeypatch.setattr(type(g), "path_labels", counted)
-    v = check_reachable(g, {"job_done@J1": 1, "job_done@J2": 1})
-    assert v.holds and walks == []
-    assert replay_labels(g.net, v.witness).marking["job_done@J2"] == 1
-    assert v.witness == path_labels(g, walks[0])
-    assert len(walks) == 1
+    # check_reachable answers with an id and walks no path; the caller
+    # walks the one it asks for
+    i = check_reachable(g, {"job_done@J1": 1, "job_done@J2": 1})
+    assert i is not None and walks == []
+    witness = g.path_labels(i)
+    assert replay_labels(g.net, witness).marking["job_done@J2"] == 1
+    assert witness == path_labels(g, i)
+    assert walks == [i]
 
 
 def test_covering_goal_matches_predicate():
@@ -483,9 +484,9 @@ def _dead_markings(g, ids):
     return {frozenset(g.marking(i).items()) for i in ids}
 
 
-def _witness_end(g, verdict):
-    """The marking the verdict's witness replays to on the net."""
-    return replay_labels(g.net, verdict.witness).marking
+def _witness_end(g, i):
+    """The marking the path to state i replays to on the net."""
+    return replay_labels(g.net, g.path_labels(i)).marking
 
 
 @pytest.mark.parametrize("params", [
@@ -517,13 +518,15 @@ def test_reach_and_marking_graphs_answer_alike(params):
     answers = []
     for g in graphs:
         invariants = (one_client, no_done)
-        verdicts = [check_invariant(g, p) for p in invariants]
-        for v, p in zip(verdicts, invariants):
-            assert v.holds or not p(_witness_end(g, v))
-        reach = [check_reachable(g, goal) for goal in (all_done, done, twice)]
-        for v in reach:
-            assert not v.holds or all_done(_witness_end(g, v))
-        answers.append([v.holds for v in verdicts + reach])
+        violations = [check_invariant(g, p) for p in invariants]
+        for i, p in zip(violations, invariants):
+            assert i is None or not p(_witness_end(g, i))
+        reached = [check_reachable(g, goal)
+                   for goal in (all_done, done, twice)]
+        for i in reached:
+            assert i is None or all_done(_witness_end(g, i))
+        answers.append([i is None for i in violations]
+                       + [i is not None for i in reached])
         for i in g.dead_ids():
             assert replay_labels(net, g.path_labels(i)).marking == g.marking(i)
     assert answers[0] == answers[1] == [True, False, True, True, False]

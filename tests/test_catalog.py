@@ -9,7 +9,7 @@ import pytest
 
 from net_checks import check_p_invariant, machine_places
 from qurdlab import catalog, colored
-from qurdlab.analysis import (check_reachable, completion_skip,
+from qurdlab.analysis import (check_reachable, completion_skip, explore,
                               explore_markings, pending_deadlocks,
                               replay_labels, timed_witness, unproved_machines)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
@@ -17,6 +17,8 @@ from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
 from qurdlab.colored import (FOLDED, JOB, MACHINE, PAIR, color_name,
                              fold_machines, fold_refusal, lift_machines,
                              unfold)
+from qurdlab.dot import net_dot
+from qurdlab.tpn import Net
 
 
 def fire_seq(net, marking, transitions):
@@ -77,6 +79,54 @@ def test_naming_helpers():
 
 
 # -- single machine -------------------------------------------------------------
+
+def hand_written_machine(timeout):
+    """The daemon's net written out by hand: the oracle for
+    ``build_machine``, which cuts it from the colored model."""
+    net = Net("machine")
+    net.add_place("available", tokens=1)
+    net.add_place("reserved")
+    net.add_place("running")
+    net.add_place("finished")
+    for stub in ("get_nodes", "answered", "launching_job", "job_finished"):
+        net.add_place(stub)
+    net.add_transition("t1", pre={"available": 1, "get_nodes": 1},
+                       post={"reserved": 1, "answered": 1})
+    net.add_transition("t2", pre={"reserved": 1, "launching_job": 1},
+                       post={"running": 1})
+    net.add_transition("t3", pre={"running": 1}, post={"finished": 1})
+    net.add_transition("t4", pre={"finished": 1},
+                       post={"available": 1, "job_finished": 1})
+    net.add_transition("cancel", pre={"reserved": 1, "answered": 1},
+                       post={"available": 1, "get_nodes": 1},
+                       interval=(timeout, None))
+    return net
+
+
+def net_fields(net):
+    """Every field of a plain net, arc dicts in their order."""
+    return (net.name, net.places, net.transitions,
+            [list(net.pre[t].items()) for t in net.transitions],
+            [list(net.post[t].items()) for t in net.transitions],
+            net.interval, net.initial)
+
+
+@pytest.mark.parametrize("timeout", [1, 3, 7])
+def test_machine_is_the_hand_written_daemon(timeout):
+    net, oracle = build_machine(timeout), hand_written_machine(timeout)
+    assert net_fields(net) == net_fields(oracle)
+    assert net_dot(net, name=net.name) == net_dot(oracle, name=oracle.name)
+
+
+def test_machine_without_timeout_has_no_cancel():
+    net = build_machine(None)
+    assert net.transitions == ["t1", "t2", "t3", "t4"]
+    assert net.validate() == []
+    assert explore(net).n_states == explore_markings(net).n_states == 1
+    # written out by hand, the same daemon had a cancel with no bounds
+    assert hand_written_machine(None).validate() == [
+        "interval bound not an int on cancel: (None, None)"]
+
 
 def test_machine_validates_with_local_places():
     net = build_machine()
@@ -405,8 +455,8 @@ def test_folded_graph_is_the_full_graph_up_to_machine_names():
         assert bool(pending_deadlocks(full)) == \
             bool(pending_deadlocks(folded)), p
         done = {jname("job_done", j): 1 for j in p.jobs()}
-        assert check_reachable(full, done).holds == \
-            check_reachable(folded, done).holds, p
+        assert (check_reachable(full, done) is None) == \
+            (check_reachable(folded, done) is None), p
         pidx = net.compiled()[0]
         for m in p.machines():
             pairs = [pidx[q] for q in machine_places(cnet, m, (PAIR,))]

@@ -1,10 +1,11 @@
 """Command-line behavior: reports, exit statuses, artifact files."""
 
+import hashlib
 import re
 
 import pytest
 
-from qurdlab import analysis, cli
+from qurdlab import analysis, cli, simulator
 from qurdlab.analysis import explore_colored, explore_markings, replay_labels
 from qurdlab.catalog import CatalogParams, build_colored, build_net
 from qurdlab.cli import main
@@ -12,6 +13,7 @@ from qurdlab.colored import Inscription
 from qurdlab.conformance import parse_trace
 from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
 from qurdlab.scenario import parse_scenario
+from qurdlab.simulator import TraceEvent
 from qurdlab.tpn import Net
 
 CONTENTION = """\
@@ -248,6 +250,48 @@ def test_analyze_bound_exceeded(capsys, contention_file):
     assert "truncated" in out
 
 
+# (name, scenario text) of the analyze runs whose output is pinned: the
+# README contention scenario with the timeout off and at 3, the other four
+# shapes the benchmark's analyze sweep runs (its two contention shapes are
+# the README scenario), and a fail job that gives up, Zeroconf off and on
+PINNED_ANALYZE = (
+    ("contention-off", CONTENTION),
+    ("contention-t3", CONTENTION.replace("timeout off", "timeout 3")),
+    ("6m-2-2-2-t3", "machines 6\n" + "".join(
+        "job J%d demand 2 semantics wait\n" % i for i in (1, 2, 3))
+     + "timeout 3\n"),
+    ("6m-3-3-off", "machines 6\njob J1 demand 3 semantics wait\n"
+                   "job J2 demand 3 semantics wait\ntimeout off\n"),
+    ("4m-2w-2f-zc-fd", "machines 4\njob J1 demand 2 semantics wait\n"
+                       "job J2 demand 2 semantics fail\nzeroconf on\n"
+                       "failure-detector on\n"),
+    ("crash-recovery", VOLATILITY),
+    ("fail-gives-up", "machines 2\njob J1 demand 2 semantics fail\n"),
+    ("fail-gives-up-zc", "machines 2\njob J1 demand 2 semantics fail\n"
+                         "zeroconf on\n"),
+)
+# SHA-256 over each run's name, exit status, stdout and witness file, then
+# the output of `export-dot machine`
+ANALYZE_SHA256 = \
+    "7abad9db5674bc76f2f49e786e192ec2565ec6898826fe5a9f56175e6e5c1820"
+
+
+def test_analyze_output_pinned(capsys, tmp_path, monkeypatch):
+    # relative paths, so that the report and witness lines name no tmp dir
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for name, text in PINNED_ANALYZE:
+        (tmp_path / (name + ".scn")).write_text(text)
+        status, out = run_cli(capsys, "analyze", name + ".scn")
+        witness = tmp_path / (name + ".scn.witness")
+        digest.update(b"%s %d\n%s" % (name.encode(), status, out.encode()))
+        digest.update(witness.read_bytes() if witness.exists()
+                      else b"no witness\n")
+    status, out = run_cli(capsys, "export-dot", "machine")
+    digest.update(b"export-dot machine %d\n%s" % (status, out.encode()))
+    assert digest.hexdigest() == ANALYZE_SHA256
+
+
 # -- simulate -------------------------------------------------------------------
 
 def test_simulate_writes_trace(capsys, volatility_file, tmp_path):
@@ -290,6 +334,29 @@ def test_conformance_single_scenario(capsys, volatility_file):
     status, out = run_cli(capsys, "conformance", volatility_file)
     assert status == 0
     assert "conformance: ok" in out
+
+
+def test_conformance_counts_a_looping_trace_unbuilt(capsys, tmp_path,
+                                                    monkeypatch):
+    # the 10-tick lock of test_simulate_says_when_the_run_loops: its trace
+    # length is counted from the simulated period, whose copies up to the
+    # horizon are never built
+    f = tmp_path / "lock.scn"
+    f.write_text("machines 4\njob J1 demand 3 semantics wait\n"
+                 "failure-detector on\ncrash M1 at 3\n"
+                 "msg-latency 2\njob-duration 3\n")
+    made = 0
+
+    def counting(*fields):
+        nonlocal made
+        made += 1
+        return TraceEvent(*fields)
+
+    monkeypatch.setattr(simulator, "TraceEvent", counting)
+    status, out = run_cli(capsys, "conformance", f)
+    assert status == 0
+    assert "trace events: 1802\nconformance: ok\n" in out
+    assert made == 48
 
 
 def test_conformance_fuzz(capsys):

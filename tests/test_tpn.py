@@ -138,6 +138,17 @@ def test_validate_efd_gt_lfd():
     assert any("efd > lfd" in msg for msg in net.validate())
 
 
+@pytest.mark.parametrize("interval", [(None, None), (None, 3), (1, "5"),
+                                      (1.5, None)])
+def test_validate_reports_a_bound_that_is_not_an_int(interval):
+    # reported, not raised: comparing None with 0 used to be a TypeError
+    net = Net()
+    net.add_place("p")
+    net.add_transition("t", pre={"p": 1}, post={}, interval=interval)
+    assert net.validate() == [
+        "interval bound not an int on t: (%r, %r)" % interval]
+
+
 def test_validate_zero_weight():
     net = Net()
     net.add_place("p")
