@@ -54,9 +54,7 @@ which replays from the initial state: on a marking graph its transitions
 are converted to timed ``(delay, transition)`` labels by waiting out each
 earliest firing delay.  ``check_reachable`` takes a predicate over
 markings or a covering goal ``{place: min_count}``; on a marking graph a
-covering goal reads only the columns it names.  ``unproved_machines``
-proves mutual exclusion and each machine's one-state invariant on the
-colored net, without exploring anything.
+covering goal reads only the columns it names.
 
 None of this knows about machine symmetry: ``qurdlab analyze`` hands
 ``explore_markings`` the unfolding of ``colored.fold_machines(cnet)``,
@@ -64,12 +62,14 @@ whose places count the machines in each local state, and the checks read
 that graph unchanged.  Its states are then orbits of the full graph's
 under machine permutations, and a folded path is lifted to a path of the
 full net (``colored.lift_machines``) before ``timed_witness`` times it.
+Nor is ``mutex`` or ``machine-invariant`` checked here: where
+``colored.fold_refusal`` lets the fold through, it has proved both on the
+colored net.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from operator import attrgetter
 
 import numpy as np
@@ -573,29 +573,3 @@ def _first_covering(g, goal):
     hits = np.flatnonzero((g.matrix[:, cols] >= mins).all(axis=1))
     return int(hits[0]) if hits.size else None
 
-
-def unproved_machines(cnet):
-    """The machines of colored net ``cnet``, in universe order, not proved
-    to hold exactly one token across its MACHINE- and PAIR-sort places in
-    every reachable marking; a proved machine is also reserved, running or
-    finished for at most one job.
-
-    The proof is a colored P-invariant whose weight projects a pair (m, j)
-    to m (Jensen, Coloured Petri Nets vol. 2; Murata 1989).  In a
-    sort-correct net every arc of pattern m or mj carries one token of the
-    binding's machine, so a transition with as many such pre arcs as post
-    arcs keeps every machine's count.  If any transition does not, or the
-    net has a sort error, no machine is proved; otherwise a machine is
-    proved exactly when it has one initial token."""
-    machines = cnet.universe.machines
-    if cnet.validate() or not all(
-            cpn.machine_arcs(cnet.pre[t]) == cpn.machine_arcs(cnet.post[t])
-            for t in cnet.transitions):
-        return list(machines)
-    initial = Counter()
-    for p, toks in cnet.initial.items():
-        if cnet.sort[p] == cpn.MACHINE:
-            initial.update(toks)
-        elif cnet.sort[p] == cpn.PAIR:
-            initial.update(tok[0] for tok in toks)
-    return [m for m in machines if initial[m] != 1]

@@ -10,9 +10,10 @@ Four subcommands::
 ``analyze`` explores the scenario's net with its machines folded into
 counters (``colored.fold_machines``) and says so on its ``symmetry:``
 line; ``states explored`` and the dead-state count count machine orbits.
-Witness files always hold concrete paths of the full net.  Where the fold
-is not exact, or a machine property asked is not proved on the colored
-net, it prints ``symmetry: off (<reason>)`` and no verdict.
+Witness files always hold concrete paths of the full net.  Its one guard,
+``colored.fold_refusal``, also proves ``mutex`` and ``machine-invariant``;
+where it gives a reason, ``analyze`` prints ``symmetry: off (<reason>)``
+and no verdict, whichever properties were asked.
 
 Scenario files use the grammar in :mod:`qurdlab.scenario`.  Exit status is
 0 exactly when every checked property holds (analyze), every job completes
@@ -38,7 +39,7 @@ from .simulator import run as run_sim
 
 PROPERTIES = ("deadlock", "mutex", "machine-invariant", "job-done-reachable")
 # at most one job holds a machine, and each machine is in exactly one
-# state: proved on the colored net (``analysis.unproved_machines``)
+# state: proved on the colored net (``colored.fold_refusal``)
 MACHINE_PROPERTIES = frozenset(("mutex", "machine-invariant"))
 
 
@@ -111,16 +112,11 @@ def cmd_analyze(args) -> Report:
     props = list(dict.fromkeys(args.properties or PROPERTIES))
     params = sc.params()
 
-    # analyze answers only on the machine-folded net, and only when the
-    # machine properties asked are proved on the colored net; otherwise it
-    # refuses, as for a truncated graph
+    # analyze answers only on the machine-folded net, whose guard also
+    # proves the machine properties; otherwise it refuses, as for a
+    # truncated graph
     cnet = build_colored(params)
     refusal = fold_refusal(cnet)
-    if refusal is None and not MACHINE_PROPERTIES.isdisjoint(props):
-        unproved = analysis.unproved_machines(cnet)
-        if unproved:
-            refusal = "machine%s %s unproved" % ("s" * (len(unproved) > 1),
-                                                 _machine_list(unproved))
     if refusal is not None:
         report.add("symmetry: off (%s)" % refusal)
         report.exit_status = 2

@@ -22,7 +22,8 @@ tokens.
 its unfolding counts the machines in each local state (counter
 abstraction, Pnueli, Xu & Zuck 2002): ``available@*`` holds N tokens for N
 machines, and ``t1@(*,J)`` moves one of them.  ``fold_refusal`` says when
-that net would not behave as the original up to machine names, and
+that net would not behave as the original up to machine names, or when a
+machine is not proved to hold one token in every reachable marking, and
 ``lift_machines`` turns a firing sequence of the folded unfolding back into
 one of the original net's, binding concrete machines.
 """
@@ -150,7 +151,11 @@ class ColoredNet:
                         issues.append(f"P'(j) or W'(j) multiplicity needs "
                                       f"pattern j on {t}->{p}")
             efd, lfd = self.interval[t]
-            if efd < 0 or (lfd is not None and efd > lfd):
+            if not isinstance(efd, int) or not (lfd is None
+                                                or isinstance(lfd, int)):
+                issues.append(f"interval bound not an int on {t}: "
+                              f"({efd!r}, {lfd!r})")
+            elif efd < 0 or (lfd is not None and efd > lfd):
                 issues.append(f"bad interval on {t}")
         for p, toks in self.initial.items():
             for tok in toks:
@@ -317,7 +322,8 @@ def machine_arcs(arcs):
 
 def fold_refusal(cnet):
     """Why the unfolding of ``fold_machines(cnet)`` would not behave as
-    cnet's own up to machine names, or None when it would.
+    cnet's own up to machine names, or None when it would; None also proves
+    ``mutex`` and ``machine-invariant`` in every reachable marking.
 
     The fold is exact when cnet is sort-correct, every transition consumes
     at most one machine-carrying token, and each MACHINE- and PAIR-sort
@@ -325,12 +331,22 @@ def fold_refusal(cnet):
     A binding's enabling then depends on one machine's local state only,
     every machine starts alike, and mapping each marking to its per-state
     machine counts is a bisimulation onto the folded net: a folded firing
-    is enabled exactly when some machine can take it."""
+    is enabled exactly when some machine can take it.
+
+    The machine proof is a colored P-invariant whose weight projects a pair
+    (m, j) to m (Jensen, Coloured Petri Nets vol. 2; Murata 1989).  Every
+    arc of pattern m or mj carries one token of the binding's machine, so
+    a transition with as many such post arcs as pre arcs keeps each
+    machine's count, and a machine that starts with one token is in
+    exactly one state, so reserved, running or finished for at most one
+    job, in every reachable marking."""
     if cnet.validate():
         return "colored net does not validate"
     if any(machine_arcs(cnet.pre[t]) > 1 for t in cnet.transitions):
         return "a transition consumes two machine tokens"
     machines, jobs = cnet.universe.machines, cnet.universe.jobs
+    carried = 0                 # initial machine-carrying tokens, split
+                                # evenly by the symmetry check
     for p, toks in cnet.initial.items():
         sort = cnet.sort[p]
         if sort == JOB:
@@ -339,6 +355,12 @@ def fold_refusal(cnet):
         for j in (None,) if sort == MACHINE else jobs:
             if len({held[m if j is None else (m, j)] for m in machines}) > 1:
                 return "initial marking not machine-symmetric"
+        carried += len(toks)
+    if any(machine_arcs(cnet.pre[t]) != machine_arcs(cnet.post[t])
+           for t in cnet.transitions):
+        return "a transition creates or destroys a machine token"
+    if carried != len(machines):
+        return "a machine does not start with exactly one token"
     return None
 
 

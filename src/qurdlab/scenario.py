@@ -5,7 +5,8 @@ jobs with their demands and semantics, the reservation timeout, optional
 extensions, and the simulator knobs (latencies, duration, crash schedule,
 seed).  The same scenario drives both the net builders and the simulator.
 
-Directives, one per line, ``#`` starts a comment::
+Directives, one per line, ``#`` starts a comment; only ``job`` and
+``crash`` may repeat::
 
     machines 3
     job J1 demand 3 semantics wait
@@ -117,13 +118,18 @@ def _flag(word, lineno, what):
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioError with a line number."""
     sc = Scenario(machines=0, jobs=[])
-    saw_machines = False
+    seen = set()                # the single-valued directives read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         words = line.split()
         key, args = words[0], words[1:]
+        if key in seen:
+            raise ScenarioError("line %d: duplicate %s directive"
+                                % (lineno, key))
+        if key not in ("job", "crash"):
+            seen.add(key)
 
         def expect(n):
             if len(args) != n:
@@ -132,10 +138,6 @@ def parse_scenario(text: str) -> Scenario:
 
         if key == "machines":
             expect(1)
-            if saw_machines:
-                raise ScenarioError("line %d: duplicate machines directive"
-                                    % lineno)
-            saw_machines = True
             sc.machines = _int(args[0], lineno, key)
         elif key == "job":
             if len(args) != 5 or args[1] != "demand" or args[3] != "semantics":
@@ -175,7 +177,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("line %d: unknown directive %r"
                                 % (lineno, key))
 
-    if not saw_machines:
+    if "machines" not in seen:
         raise ScenarioError("missing machines directive")
     errors = sc.validate()
     if errors:

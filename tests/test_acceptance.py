@@ -16,11 +16,10 @@ import time
 from net_checks import check_invariant, machine_places
 from qurdlab.analysis import (check_reachable, completion_skip, explore,
                               explore_colored, explore_markings,
-                              find_deadlocks, pending_deadlocks,
-                              unproved_machines)
+                              find_deadlocks, pending_deadlocks)
 from qurdlab.catalog import CatalogParams, build_colored, build_net, jname
 from qurdlab.cli import main as cli_main
-from qurdlab.colored import MACHINE, PAIR
+from qurdlab.colored import MACHINE, PAIR, fold_refusal
 from qurdlab.conformance import DEFAULT_MAPPING, EventMap, fuzz_conformance
 from qurdlab.scenario import parse_scenario
 from qurdlab.simulator import run
@@ -114,8 +113,9 @@ def test_3_completion_tracks_demand(capsys):
 
 
 def test_4_safety_invariants_hold_everywhere(capsys):
-    # the colored net's machine P-invariant proves both properties; a scan
-    # of every reachable marking is the oracle for the proof
+    # the colored net's machine P-invariant, which the fold guard checks,
+    # proves both properties; a scan of every reachable marking is the
+    # oracle for the proof
     demand_lists = ([1], [2], [3], [1, 1], [2, 1], [2, 2],
                     [3, 1], [3, 2], [3, 3])
     configs = 0
@@ -125,7 +125,7 @@ def test_4_safety_invariants_hold_everywhere(capsys):
         params = CatalogParams(machine_count=mc, job_demands=list(demands),
                                failure_detector=fd, zeroconf=zc)
         cnet = build_colored(params)
-        assert unproved_machines(cnet) == [], (mc, demands, fd, zc)
+        assert fold_refusal(cnet) is None, (mc, demands, fd, zc)
         loads = [(machine_places(cnet, m, (PAIR,)),
                   machine_places(cnet, m, (MACHINE, PAIR)))
                  for m in params.machines()]
@@ -186,7 +186,7 @@ def test_6_colored_and_unfolded_agree(capsys):
                 st_c = check_invariant(gc, lambda cm, m=m: colored_load(
                     cnet, cm, m, (MACHINE, PAIR)) == 1)
                 assert mu_c is None and st_c is None
-            assert unproved_machines(cnet) == []
+            assert fold_refusal(cnet) is None
             checked += 1
     report(capsys,
            f"6 colored/unfolded oracle: PASS ({checked} universe/timeout "

@@ -11,7 +11,7 @@ from net_checks import check_p_invariant, machine_places
 from qurdlab import catalog, colored
 from qurdlab.analysis import (check_reachable, completion_skip, explore,
                               explore_markings, pending_deadlocks,
-                              replay_labels, timed_witness, unproved_machines)
+                              replay_labels, timed_witness)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, jname)
 from qurdlab.colored import (FOLDED, JOB, MACHINE, PAIR, color_name,
@@ -352,17 +352,16 @@ def random_params(rng):
 
 
 def test_machine_state_p_invariant_structural():
-    # `analyze` relies on these instead of a scan, and refuses where they
-    # fail: the colored net's machine and pair places form a P-invariant
-    # with 1 token per machine, and the machine fold is exact
+    # `analyze` relies on its one guard instead of a scan, and refuses
+    # where it fails: the guard proves that the colored net's machine and
+    # pair places form a P-invariant with 1 token per machine, and that
+    # the machine fold is exact
     configs = list(machine_grid())
     assert len(configs) == 416
     rng = random.Random(17)
     configs += [random_params(rng) for _ in range(3000)]
     for p in configs:
-        cnet = build_colored(p)
-        assert unproved_machines(cnet) == [], p
-        assert fold_refusal(cnet) is None, p
+        assert fold_refusal(build_colored(p)) is None, p
 
 
 def test_machine_proof_never_unfolds(monkeypatch):
@@ -373,7 +372,7 @@ def test_machine_proof_never_unfolds(monkeypatch):
     monkeypatch.setattr(catalog, "unfold", unfolded)
     p = CatalogParams(machine_count=512, job_demands=[4] * 128,
                       zeroconf=True, failure_detector=True)
-    assert unproved_machines(build_colored(p)) == []
+    assert fold_refusal(build_colored(p)) is None
 
 
 def test_machine_places_partition_the_machine_places():
@@ -442,7 +441,7 @@ def test_folded_graph_is_the_full_graph_up_to_machine_names():
     lifted = 0
     for p in itertools.chain(machine_grid(), safety_grid()):
         cnet, net = build_colored(p), build_net(p)
-        assert fold_refusal(cnet) is None and unproved_machines(cnet) == []
+        assert fold_refusal(cnet) is None
         full = explore_markings(net)
         folded = explore_markings(unfold(fold_machines(cnet)))
         proj, places = fold_of(cnet, net)

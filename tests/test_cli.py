@@ -9,7 +9,7 @@ from qurdlab import analysis, cli, simulator
 from qurdlab.analysis import explore_colored, explore_markings, replay_labels
 from qurdlab.catalog import CatalogParams, build_colored, build_net
 from qurdlab.cli import main
-from qurdlab.colored import Inscription
+from qurdlab.colored import Inscription, fold_refusal
 from qurdlab.conformance import parse_trace
 from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
 from qurdlab.scenario import parse_scenario
@@ -30,6 +30,17 @@ failure-detector on
 crash M1 at 2
 bus-latency 0
 msg-latency 0
+"""
+
+# random_case(Random(148)): after M1 crashes, the wait job of demand 3 holds
+# M2+M3, then M4, then M2+M3 again, every 10 ticks
+LOCK = """\
+machines 4
+job J1 demand 3 semantics wait
+failure-detector on
+crash M1 at 3
+msg-latency 2
+job-duration 3
 """
 
 
@@ -102,45 +113,58 @@ def test_analyze_selected_property_only(capsys, contention_file):
     assert "deadlock" not in out
 
 
-def test_analyze_proves_machines_only_when_asked(capsys, contention_file,
-                                                 monkeypatch):
-    def unasked(cnet):
-        raise AssertionError("machine proofs ran for deadlock alone")
+def test_analyze_checks_fold_refusal_once(capsys, contention_file,
+                                          monkeypatch):
+    # one guard per run, whichever properties are asked
+    calls = []
 
-    monkeypatch.setattr(analysis, "unproved_machines", unasked)
-    status, out = run_cli(capsys, "analyze", contention_file, "--property",
-                          "deadlock", "--out", contention_file.with_suffix(
-                              ".witness"))
-    assert status == 1
-    assert "deadlock: FOUND" in out
+    def counted(cnet):
+        calls.append(cnet)
+        return fold_refusal(cnet)
+
+    monkeypatch.setattr(cli, "fold_refusal", counted)
+    witness = contention_file.with_suffix(".witness")
+    for asked in ([], ["deadlock"], ["mutex"], ["machine-invariant"],
+                  ["job-done-reachable"], ["deadlock", "mutex"]):
+        calls.clear()
+        argv = [arg for prop in asked for arg in ("--property", prop)]
+        _, out = run_cli(capsys, "analyze", contention_file, *argv,
+                         "--out", witness)
+        assert len(calls) == 1, asked
+        assert "symmetry: 3 machines folded into counters\n" in out
 
 
-def test_unproved_names_each_failing_machine():
-    # a colored transition acts alike on every machine, so a transition
-    # that loses or mints a machine token unproves them all; an initial
-    # marking fault unproves only the machine it touches
+def test_unproved_machines_are_refused_with_a_reason():
+    # each mutant loses, mints or misplaces a machine token, or breaks the
+    # net's sorts; none is folded, and the reason says which fault it is
     params = CatalogParams(machine_count=3, job_demands=[1], timeout=None)
 
-    def unproved(change):
+    def refusal(change):
         cnet = build_colored(params)
         change(cnet)
-        return analysis.unproved_machines(cnet)
+        return fold_refusal(cnet)
 
-    every = ["M1", "M2", "M3"]
-    assert unproved(lambda c: None) == []
-    assert unproved(lambda c: c.post["t1"].pop("reserved")) == every
-    assert unproved(lambda c: c.post["t3"].update(
-        available=Inscription("m"))) == every
-    assert unproved(lambda c: c.initial.update(
-        available=("M1", "M2", "M3", "M3"))) == ["M3"]
-    assert unproved(lambda c: c.initial.update(
-        available=("M1", "M3"))) == ["M2"]
+    unbalanced = "a transition creates or destroys a machine token"
+    asymmetric = "initial marking not machine-symmetric"
+    invalid = "colored net does not validate"
+    assert refusal(lambda c: None) is None
+    assert refusal(lambda c: c.post["t1"].pop("reserved")) == unbalanced
+    assert refusal(lambda c: c.post["t3"].update(
+        available=Inscription("m"))) == unbalanced
+    assert refusal(lambda c: c.initial.update(
+        available=("M1", "M2", "M3", "M3"))) == asymmetric
+    assert refusal(lambda c: c.initial.update(
+        available=("M1", "M3"))) == asymmetric
+    # symmetric, but two tokens a machine
+    assert refusal(lambda c: c.initial.update(
+        available=("M1", "M1", "M2", "M2", "M3", "M3"))) == \
+        "a machine does not start with exactly one token"
     # balanced, but a machine pattern on a pair place
-    assert unproved(lambda c: c.pre["t3"].update(
-        running=Inscription("m"))) == every
+    assert refusal(lambda c: c.pre["t3"].update(
+        running=Inscription("m"))) == invalid
     # a pattern the colored layer does not know
-    assert unproved(lambda c: c.pre["t3"].update(
-        running=Inscription("jm"))) == every
+    assert refusal(lambda c: c.pre["t3"].update(
+        running=Inscription("jm"))) == invalid
 
 
 def test_analyze_repeated_property_reported_once(capsys, contention_file):
@@ -223,8 +247,8 @@ def test_asymmetric_initial_marking_is_not_folded(tmp_path, capsys,
 
 
 def test_unproved_machines_are_not_folded(tmp_path, capsys, monkeypatch):
-    # t3 also returns its machine to available: every machine then goes
-    # unproved
+    # t3 also returns its machine to available, which no property list
+    # gets past, deadlock alone included
     def minting(params):
         cnet = build_colored(params)
         cnet.post["t3"]["available"] = Inscription("m")
@@ -236,12 +260,12 @@ def test_unproved_machines_are_not_folded(tmp_path, capsys, monkeypatch):
                  "timeout off\n")
     witness = tmp_path / "mint.witness"
     for asked in (("--property", "mutex"),
-                  ("--property", "machine-invariant"), ()):
+                  ("--property", "machine-invariant"),
+                  ("--property", "deadlock"), ()):
         assert_refused(*run_cli(capsys, "analyze", f, *asked, "--out",
-                                witness), "machines M1,M2 unproved", witness)
-    # deadlock alone needs no machine proof, so the same net is folded
-    status, out = run_cli(capsys, "analyze", f, "--property", "deadlock")
-    assert "symmetry: 2 machines folded into counters\n" in out
+                                witness),
+                       "a transition creates or destroys a machine token",
+                       witness)
 
 
 def test_analyze_bound_exceeded(capsys, contention_file):
@@ -315,12 +339,8 @@ def test_simulate_nonzero_on_incomplete(capsys, tmp_path):
 
 
 def test_simulate_says_when_the_run_loops(capsys, tmp_path):
-    # random_case(Random(148)): after M1 crashes, the wait job of demand 3
-    # holds M2+M3, then M4, then M2+M3 again, every 10 ticks
     f = tmp_path / "lock.scn"
-    f.write_text("machines 4\njob J1 demand 3 semantics wait\n"
-                 "failure-detector on\ncrash M1 at 3\n"
-                 "msg-latency 2\njob-duration 3\n")
+    f.write_text(LOCK)
     trace = tmp_path / "lock.trace"
     status, out = run_cli(capsys, "simulate", f, "--out", trace)
     assert status == 1
@@ -338,13 +358,10 @@ def test_conformance_single_scenario(capsys, volatility_file):
 
 def test_conformance_counts_a_looping_trace_unbuilt(capsys, tmp_path,
                                                     monkeypatch):
-    # the 10-tick lock of test_simulate_says_when_the_run_loops: its trace
-    # length is counted from the simulated period, whose copies up to the
-    # horizon are never built
+    # the 10-tick lock: its trace length is counted from the simulated
+    # period, whose copies up to the horizon are never built
     f = tmp_path / "lock.scn"
-    f.write_text("machines 4\njob J1 demand 3 semantics wait\n"
-                 "failure-detector on\ncrash M1 at 3\n"
-                 "msg-latency 2\njob-duration 3\n")
+    f.write_text(LOCK)
     made = 0
 
     def counting(*fields):
@@ -363,6 +380,38 @@ def test_conformance_fuzz(capsys):
     status, out = run_cli(capsys, "conformance", "--fuzz", "10")
     assert status == 0
     assert "10/10 traces conform" in out
+
+
+# the README contention scenario with the timeout off and at 3, the
+# benchmark's crash-recovery shape and the 10-tick lock
+PINNED_RUNS = (
+    ("contention-off", CONTENTION),
+    ("contention-t3", CONTENTION.replace("timeout off", "timeout 3")),
+    ("crash-recovery", VOLATILITY),
+    ("lock", LOCK),
+)
+# SHA-256 over each run's `simulate` exit status, stdout and trace file,
+# then its `conformance` exit status and stdout, then `conformance --fuzz 50`
+RUNS_SHA256 = \
+    "c5cf01fdd30d277a6cf400c7ee167a31fbd4bf281b3db137db47ee29a79a5383"
+
+
+def test_simulate_and_conformance_output_pinned(capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for name, text in PINNED_RUNS:
+        (tmp_path / (name + ".scn")).write_text(text)
+        status, out = run_cli(capsys, "simulate", name + ".scn")
+        digest.update(b"simulate %s %d\n%s" % (name.encode(), status,
+                                               out.encode()))
+        digest.update((tmp_path / (name + ".scn.trace")).read_bytes())
+        status, out = run_cli(capsys, "conformance", name + ".scn")
+        digest.update(b"conformance %s %d\n%s" % (name.encode(), status,
+                                                  out.encode()))
+    status, out = run_cli(capsys, "conformance", "--fuzz", "50")
+    digest.update(b"conformance --fuzz 50 %d\n%s" % (status, out.encode()))
+    assert digest.hexdigest() == RUNS_SHA256
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -443,7 +492,7 @@ def test_out_of_memory_exits_2(capsys, contention_file, monkeypatch, exc,
 def test_violated_invariants_reported(tmp_path, capsys, monkeypatch):
     # the spare (M1,J2) token puts M1 in two states at once and lets it
     # have two clients; no machine is scanned for a violation, so the run
-    # refuses with the fold's reason, or, past the fold, the proof's
+    # refuses with the guard's reason
     monkeypatch.setattr(cli, "build_colored", spare_reservation)
     f = tmp_path / "pair.scn"
     f.write_text("machines 2\njob J1 demand 1 semantics wait\n"
@@ -453,8 +502,6 @@ def test_violated_invariants_reported(tmp_path, capsys, monkeypatch):
             "machine-invariant", "--out", witness)
     assert_refused(*run_cli(capsys, *argv),
                    "initial marking not machine-symmetric", witness)
-    monkeypatch.setattr(cli, "fold_refusal", lambda cnet: None)
-    assert_refused(*run_cli(capsys, *argv), "machine M1 unproved", witness)
 
 
 def test_scenario_error_is_reported(tmp_path, capsys):

@@ -62,6 +62,24 @@ def test_initial_token_sort_checked():
     assert any("wrong sort" in msg for msg in cnet.validate())
 
 
+@pytest.mark.parametrize("interval", [(None, None), (None, 3), (1, "5"),
+                                      (1.5, None)])
+def test_validate_reports_a_bound_that_is_not_an_int(interval):
+    # reported, not raised, so that the fold guard refuses the net
+    def net(interval):
+        cnet = ColoredNet(tiny_universe())
+        cnet.add_place("available", MACHINE, tokens=["m1"])
+        cnet.add_transition("x", pre={"available": Inscription("m")},
+                            post={"available": Inscription("m")},
+                            interval=interval)
+        return cnet
+
+    assert net(interval).validate() == [
+        "interval bound not an int on x: (%r, %r)" % interval]
+    assert fold_refusal(net(interval)) == "colored net does not validate"
+    assert fold_refusal(net((1, 5))) is None
+
+
 # -- inscriptions and bindings ------------------------------------------------
 
 def test_inscription_tokens():
@@ -299,11 +317,14 @@ def test_fold_refusal_reasons():
         return fold_refusal(cnet)
 
     assert refusal(lambda c: None) is None
-    # every machine equally often, per job for pairs
+    # every machine equally often, per job for pairs, but twice
+    not_one = "a machine does not start with exactly one token"
     assert refusal(lambda c: c.initial.update(
-        available=("M1", "M1", "M2", "M2"))) is None
+        available=("M1", "M1", "M2", "M2"))) == not_one
     assert refusal(lambda c: c.initial.update(
-        reserved=(("M1", "j1"), ("M2", "j1")))) is None
+        reserved=(("M1", "j1"), ("M2", "j1")))) == not_one
+    # or never
+    assert refusal(lambda c: c.initial.pop("available")) == not_one
     asymmetric = "initial marking not machine-symmetric"
     assert refusal(lambda c: c.initial.update(available=("M1",))) == asymmetric
     assert refusal(lambda c: c.initial.update(
@@ -311,6 +332,8 @@ def test_fold_refusal_reasons():
     assert refusal(lambda c: c.pre["t2"].update(
         available=Inscription("m"))) == \
         "a transition consumes two machine tokens"
+    assert refusal(lambda c: c.post["t4"].pop("available")) == \
+        "a transition creates or destroys a machine token"
     assert refusal(lambda c: c.pre["t3"].update(
         running=Inscription("jm"))) == "colored net does not validate"
 

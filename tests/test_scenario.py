@@ -79,6 +79,24 @@ def test_validation_errors():
     with pytest.raises(ScenarioError, match="duplicate machines"):
         parse_scenario("machines 2\nmachines 2\n"
                        "job J1 demand 1 semantics wait\n")
+    # every directive but job and crash is single-valued, even when the
+    # two lines agree
+    for first, second in (("timeout off", "timeout 3"),
+                          ("zeroconf on", "zeroconf off"),
+                          ("failure-detector on", "failure-detector on"),
+                          ("bus-latency 1", "bus-latency 2"),
+                          ("msg-latency 0", "msg-latency 1"),
+                          ("job-duration 2", "job-duration 2"),
+                          ("seed 1", "seed 2")):
+        key = first.split()[0]
+        with pytest.raises(ScenarioError,
+                           match="line 4: duplicate %s directive" % key):
+            parse_scenario("machines 2\njob J1 demand 1 semantics wait\n"
+                           "%s\n%s\n" % (first, second))
+    sc = parse_scenario("machines 2\njob J1 demand 1 semantics wait\n"
+                        "job J2 demand 1 semantics wait\n"
+                        "crash M1 at 1\ncrash M2 at 3\n")
+    assert len(sc.jobs) == len(sc.crashes) == 2
     with pytest.raises(ScenarioError, match="missing machines"):
         parse_scenario("job J1 demand 1 semantics wait\n")
     with pytest.raises(ScenarioError, match="semantics"):
