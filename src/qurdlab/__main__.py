@@ -1,0 +1,8 @@
+"""``python -m qurdlab``: the command line of ``qurdlab.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,10 @@ from .tpn import Net
 
 DEFAULT_TIMEOUT = 3
 
+# the model's inscriptions, built once for every net; PJ is P'(j), WJ W'(j)
+M_, J_, MJ = Inscription("m"), Inscription("j"), Inscription("mj")
+PJ, WJ = Inscription("j", per_demand=True), Inscription("j", per_wait=True)
+
 
 @dataclass
 class CatalogParams:
@@ -138,9 +142,6 @@ def build_colored(params):
         params.machines(), jobs, dict(zip(jobs, params.job_demands)),
         {j: params.semantics_of(i) for i, j in enumerate(jobs)})
     cnet = ColoredNet(universe, name="composed")
-    m_, j_, mj = Inscription("m"), Inscription("j"), Inscription("mj")
-    pj = Inscription("j", per_demand=True)
-    wj = Inscription("j", per_wait=True)
 
     cnet.add_place("begin", JOB, tokens=universe.jobs)
     cnet.add_place("get_nodes", JOB)
@@ -158,29 +159,29 @@ def build_colored(params):
         cnet.add_place("dead", MACHINE)
         cnet.add_place("failure_detector", JOB)
 
-    cnet.add_transition("start_job", pre={"begin": j_}, post={"get_nodes": pj})
-    cnet.add_transition("launch", pre={"answered": pj}, post={"launching_job": pj})
-    cnet.add_transition("t5", pre={"job_finished": pj}, post={"job_done": j_})
-    cnet.add_transition("t1", pre={"available": m_, "get_nodes": j_},
-                        post={"reserved": mj, "answered": j_})
-    cnet.add_transition("t2", pre={"reserved": mj, "launching_job": j_},
-                        post={"running": mj})
-    cnet.add_transition("t3", pre={"running": mj}, post={"finished": mj})
-    cnet.add_transition("t4", pre={"finished": mj},
-                        post={"available": m_, "job_finished": j_})
+    cnet.add_transition("start_job", pre={"begin": J_}, post={"get_nodes": PJ})
+    cnet.add_transition("launch", pre={"answered": PJ}, post={"launching_job": PJ})
+    cnet.add_transition("t5", pre={"job_finished": PJ}, post={"job_done": J_})
+    cnet.add_transition("t1", pre={"available": M_, "get_nodes": J_},
+                        post={"reserved": MJ, "answered": J_})
+    cnet.add_transition("t2", pre={"reserved": MJ, "launching_job": J_},
+                        post={"running": MJ})
+    cnet.add_transition("t3", pre={"running": MJ}, post={"finished": MJ})
+    cnet.add_transition("t4", pre={"finished": MJ},
+                        post={"available": M_, "job_finished": J_})
     if params.timeout is not None:
-        cnet.add_transition("cancel", pre={"reserved": mj, "answered": j_},
-                            post={"available": m_, "get_nodes": wj},
+        cnet.add_transition("cancel", pre={"reserved": MJ, "answered": J_},
+                            post={"available": M_, "get_nodes": WJ},
                             interval=(params.timeout, None))
     if params.zeroconf:
-        cnet.add_transition("publish", pre={"not_available": m_},
-                            post={"available": m_})
-        cnet.add_transition("unpublish", pre={"available": m_},
-                            post={"not_available": m_})
+        cnet.add_transition("publish", pre={"not_available": M_},
+                            post={"available": M_})
+        cnet.add_transition("unpublish", pre={"available": M_},
+                            post={"not_available": M_})
     if params.failure_detector:
-        cnet.add_transition("crash", pre={"running": mj},
-                            post={"dead": m_, "failure_detector": j_})
-        cnet.add_transition("continue", pre={"available": m_, "failure_detector": j_},
-                            post={"running": mj})
+        cnet.add_transition("crash", pre={"running": MJ},
+                            post={"dead": M_, "failure_detector": J_})
+        cnet.add_transition("continue", pre={"available": M_, "failure_detector": J_},
+                            post={"running": MJ})
     return cnet
 

@@ -6,17 +6,18 @@ variables m and j, optionally with a per-job multiplicity: P'(j), the
 job's demand, or W'(j), 1 for a job with wait semantics and 0 for one
 with fail semantics.  Only variable matching is supported; the
 reservation model needs no guards.  ``ColoredNet.arcs`` compiles each
-(transition, binding), once, into the tokens it consumes and produces.
-That table is the one definition of a firing, shared by ``colored_fire``
-and the conformance replay: a binding is enabled exactly when every token
-it consumes is there.  ``unfold`` expands a colored net over its finite
-universe into an ordinary place/transition net with one place per
-(place, color) and one transition per (transition, binding), named
-``base@J``, ``base@M`` and ``base@(M,J)`` (``binding_name``).  The
-universe is not checked here (the reservation model builds it from
-``CatalogParams``, whose ``validate`` checks the parameters);
-``ColoredNet.validate`` checks sorts, inscriptions, intervals and initial
-tokens.
+(transition, binding) into the tokens it consumes and produces once per
+process, in one bounded table keyed on the inscriptions, the binding and
+its job's demand and semantics.  That is the one definition of a firing,
+shared by ``colored_fire``, the conformance replay and ``unfold``: a
+binding is enabled exactly when every token it consumes is there.
+``unfold`` expands a colored net over its finite universe into an
+ordinary place/transition net with one place per (place, color) and one
+transition per (transition, binding), named ``base@J``, ``base@M`` and
+``base@(M,J)`` (``binding_name``).  The universe is not checked here (the
+reservation model builds it from ``CatalogParams``, whose ``validate``
+checks the parameters); ``ColoredNet.validate`` checks sorts,
+inscriptions, intervals and initial tokens.
 
 ``fold_machines`` merges every machine into the one color ``*``, so that
 its unfolding counts the machines in each local state (counter
@@ -31,7 +32,7 @@ one of the original net's, binding concrete machines.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .tpn import Net, NotFireable
@@ -63,8 +64,7 @@ class ColorUniverse:
                 f"semantics={self.semantics})")
 
 
-@dataclass(frozen=True)
-class Inscription:
+class Inscription(NamedTuple):
     """Arc inscription: a variable pattern and an optional per-job
     multiplicity, P'(j) (``per_demand``) or W'(j) (``per_wait``)."""
 
@@ -72,15 +72,15 @@ class Inscription:
     per_demand: bool = False
     per_wait: bool = False
 
-    def tokens(self, m, j, universe):
-        """Instantiated token multiset for a binding, as a list."""
+    def tokens(self, m, j, demand, semantics):
+        """Tokens for m and job j of that demand and semantics, as a list."""
         if self.pattern == "m":
             return [m]
         if self.pattern == "j":
             if self.per_demand:
-                return [j] * universe.demand[j]
+                return [j] * demand
             if self.per_wait:
-                return [j] if universe.semantics[j] == WAIT else []
+                return [j] if semantics == WAIT else []
             return [j]
         return [(m, j)]
 
@@ -114,7 +114,7 @@ class ColoredNet:
         self.post = {}
         self.interval = {}
         self.initial = {}           # place -> tuple of tokens
-        self._arcs = {}             # (transition, binding) -> arcs()
+        self._sides = {}            # transition -> its arcs, as first fired
 
     def add_place(self, name, sort, tokens=()):
         self.places.append(name)
@@ -128,7 +128,7 @@ class ColoredNet:
         self.pre[name] = dict(pre)
         self.post[name] = dict(post)
         self.interval[name] = tuple(interval)
-        self._arcs.clear()
+        self._sides.pop(name, None)
         return name
 
     def validate(self):
@@ -192,23 +192,35 @@ class ColoredNet:
 
     def arcs(self, t, binding):
         """What firing t under binding consumes and produces: two tuples of
-        ((place, token), count) pairs in arc order, zero counts left out.
-        Each pair is compiled from the inscriptions on first use and kept."""
-        compiled = self._arcs.get((t, binding))
-        if compiled is None:
-            m, j = binding
-            sides = []
-            for arcs in (self.pre[t], self.post[t]):
-                need = {}
-                for p, ins in arcs.items():
-                    for tok in ins.tokens(m, j, self.universe):
-                        need[p, tok] = need.get((p, tok), 0) + 1
-                sides.append(tuple(need.items()))
-            compiled = self._arcs[t, binding] = tuple(sides)
-        return compiled
+        ((place, token), count) pairs in arc order, zero counts left out,
+        compiled once per process from t's inscriptions as it first fires
+        here, the binding and its job's demand and semantics."""
+        sides = self._sides.get(t)
+        if sides is None:
+            sides = self._sides[t] = (tuple(self.pre[t].items()),
+                                      tuple(self.post[t].items()))
+        m, j = binding
+        u = self.universe
+        return _compile(sides, m, j, u.demand.get(j), u.semantics.get(j))
 
     def initial_marking(self):
         return {p: tuple(sorted(self.initial.get(p, ()))) for p in self.places}
+
+
+# One table for every net in the process, so the fresh nets of a fuzz batch
+# share their firings; its keys are tuples, Inscription included, hashed in
+# C.  Bounded: 512 hold the fuzz space's 334, while the 2,434 of a
+# 512-machine cluster, each fired about once, would cost 1.5 MB.
+@lru_cache(maxsize=512)
+def _compile(sides, m, j, demand, semantics):
+    compiled = []
+    for arcs in sides:
+        need = {}
+        for p, ins in arcs:
+            for tok in ins.tokens(m, j, demand, semantics):
+                need[p, tok] = need.get((p, tok), 0) + 1
+        compiled.append(tuple(need.items()))
+    return tuple(compiled)
 
 
 def canonical(marking):
@@ -302,16 +314,11 @@ def unfold(cnet):
             name = place_of[p, tok] = color_name(p, tok)
             net.add_place(name, tokens=initial[tok])
     for t in cnet.transitions:
-        sides = (cnet.pre[t].items(), cnet.post[t].items())
         for b in cnet.bindings_of(t):
-            arcs = ({}, {})
-            for side, weights in zip(sides, arcs):
-                for p, ins in side:
-                    for tok in ins.tokens(b.m, b.j, universe):
-                        q = place_of[p, tok]
-                        weights[q] = weights.get(q, 0) + 1
-            net.add_transition(binding_name(t, b), pre=arcs[0],
-                               post=arcs[1], interval=cnet.interval[t])
+            consumed, produced = cnet.arcs(t, b)
+            net.add_transition(binding_name(t, b), interval=cnet.interval[t],
+                               pre={place_of[pt]: n for pt, n in consumed},
+                               post={place_of[pt]: n for pt, n in produced})
     return net
 
 

@@ -84,8 +84,8 @@ def project(trace, event_map=None):
 
 def replay(projected, cnet):
     """Fire the projected sequence from the initial colored marking,
-    untimed; divergences, including a transition the net lacks, are
-    reported, not raised.  The marking is kept as one flat
+    untimed; divergences, including a transition or job the net lacks,
+    are reported, not raised.  The marking is kept as one flat
     {(place, token): count} dict that each step's ``cnet.arcs`` pairs
     test and update in place, as ``colored_fire`` would."""
     held = _initial(cnet)
@@ -102,11 +102,14 @@ def _initial(cnet):
 def _fire(cnet, held, steps, first=0):
     """Fire ``steps`` in place on ``held``; the report of the first one
     that diverges, numbered from ``first``, or None."""
-    get = held.get
+    get, jobs = held.get, cnet.universe.demand
     for i, (t, b) in enumerate(steps, first):
         if t not in cnet.pre:
             return ReplayReport(False, i, (t, b), _marking(cnet, held),
                                 reason="not in the net")
+        if b.j not in jobs and cnet.variables_of(t)[1]:
+            return ReplayReport(False, i, (t, b), _marking(cnet, held),
+                                reason=f"job {b.j} not in the net")
         consumed, produced = cnet.arcs(t, b)
         for pt, n in consumed:
             if get(pt, 0) < n:

@@ -437,13 +437,19 @@ class Simulation:
 
     def notify(self, launchers, machines, published):
         """Hand one bus event to each live, discovering subscriber in turn,
-        machine by machine, as if each pair were its own event."""
+        machine by machine, as if each pair were its own event.  Each has
+        stepped since its own state last changed, so a wait launcher steps
+        only on a publish with a free slot; a fail one always steps, as it
+        reads every daemon's state (``all_discovered_by``)."""
         for launcher in launchers:
             if launcher.dead or launcher.phase != DISCOVERING:
                 continue
+            fail = launcher.semantics == "fail"
             for m in machines:
                 launcher.on_bus(m, published)
-                launcher.step()
+                if fail or published and launcher.needed > len(
+                        launcher.machines) + len(launcher.pending):
+                    launcher.step()
 
     def progress(self):
         """An irreversible step: no state before it can come back."""

@@ -1,10 +1,14 @@
 """Command-line behavior: reports, exit statuses, artifact files."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import qurdlab
 from qurdlab import analysis, cli, simulator
 from qurdlab.analysis import explore_colored, explore_markings, replay_labels
 from qurdlab.catalog import CatalogParams, build_colored, build_net
@@ -95,6 +99,17 @@ def test_analyze_witness_replays_to_dead_state(capsys, contention_file):
     net = build_net(parse_scenario(CONTENTION).params())
     state = replay_labels(net, labels)
     assert not state.enabled
+
+
+def test_python_dash_m_runs_the_cli(capsys, contention_file):
+    src = os.path.dirname(os.path.dirname(qurdlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "qurdlab", "analyze",
+                           str(contention_file)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    status, out = run_cli(capsys, "analyze", contention_file)
+    assert (done.returncode, done.stdout) == (status, out)
+    assert status == 1
 
 
 def test_analyze_timeout_clears_deadlock(capsys, tmp_path):

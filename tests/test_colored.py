@@ -84,13 +84,14 @@ def test_validate_reports_a_bound_that_is_not_an_int(interval):
 
 def test_inscription_tokens():
     u = ColorUniverse(["m1"], ["j1", "j2"], {"j1": 3, "j2": 1}, {"j2": "fail"})
-    assert Inscription("m").tokens("m1", "j1", u) == ["m1"]
-    assert Inscription("j").tokens("m1", "j1", u) == ["j1"]
-    assert Inscription("j", per_demand=True).tokens("m1", "j1", u) == \
-        ["j1", "j1", "j1"]
-    assert Inscription("j", per_wait=True).tokens("m1", "j1", u) == ["j1"]
-    assert Inscription("j", per_wait=True).tokens("m1", "j2", u) == []
-    assert Inscription("mj").tokens("m1", "j1", u) == [("m1", "j1")]
+    j1 = ("m1", "j1", u.demand["j1"], u.semantics["j1"])
+    j2 = ("m1", "j2", u.demand["j2"], u.semantics["j2"])
+    assert Inscription("m").tokens(*j1) == ["m1"]
+    assert Inscription("j").tokens(*j1) == ["j1"]
+    assert Inscription("j", per_demand=True).tokens(*j1) == ["j1", "j1", "j1"]
+    assert Inscription("j", per_wait=True).tokens(*j1) == ["j1"]
+    assert Inscription("j", per_wait=True).tokens(*j2) == []
+    assert Inscription("mj").tokens(*j1) == [("m1", "j1")]
 
 
 def test_binding_order_is_lexicographic():
@@ -162,6 +163,49 @@ def test_arcs_instantiate_the_inscriptions():
     assert cnet.arcs("cancel", Binding("M2", "j1")) == (
         ((("reserved", ("M2", "j1")), 1), (("answered", "j1"), 1)),
         ((("available", "M2"), 1),))
+
+
+def test_shared_firings_follow_each_nets_job():
+    # one process-wide table serves both nets: J1 is demand 2 with fail
+    # semantics in one, demand 3 with wait semantics in the other
+    fail = build_colored(params(2, ["J1"], [2], semantics="fail"))
+    wait = build_colored(params(2, ["J1"], [3], semantics="wait"))
+    for _ in range(2):
+        for cnet, demand in ((fail, 2), (wait, 3)):
+            assert cnet.arcs("launch", Binding(None, "J1")) == (
+                ((("answered", "J1"), demand),),
+                ((("launching_job", "J1"), demand),))
+            assert cnet.arcs("t5", Binding(None, "J1")) == (
+                ((("job_finished", "J1"), demand),),
+                ((("job_done", "J1"), 1),))
+        # W'(j): the fail job's token does not go back to get_nodes
+        assert fail.arcs("cancel", Binding("M1", "J1"))[1] == (
+            (("available", "M1"), 1),)
+        assert wait.arcs("cancel", Binding("M1", "J1"))[1] == (
+            (("available", "M1"), 1), (("get_nodes", "J1"), 1))
+
+
+def test_same_transition_name_different_inscriptions_not_shared():
+    nets = []
+    for ins in (Inscription("j"), Inscription("j", per_demand=True)):
+        cnet = ColoredNet(ColorUniverse(["m1"], ["j1"], {"j1": 2}))
+        cnet.add_place("p", JOB, tokens=["j1"])
+        cnet.add_place("q", JOB)
+        cnet.add_transition("t", pre={"p": Inscription("j")}, post={"q": ins})
+        nets.append(cnet)
+    b = Binding(None, "j1")
+    assert [cnet.arcs("t", b)[1] for cnet in nets * 2] == [
+        ((("q", "j1"), 1),), ((("q", "j1"), 2),)] * 2
+
+
+def test_post_changed_before_first_firing_is_fired():
+    cnet = build_colored(tiny_params())
+    cnet.post["t4"]["finished"] = Inscription("mj")
+    m = dict(cnet.initial_marking(), available=(), finished=(("M1", "j1"),))
+    m = colored_fire(cnet, m, "t4", Binding("M1", "j1"))
+    assert m["finished"] == (("M1", "j1"),)
+    assert m["available"] == ("M1",)
+    assert m["job_finished"] == ("j1",)
 
 
 def test_fire_checks_enabling():

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from qurdlab import colored as cpn
 from qurdlab import conformance
-from qurdlab.catalog import CatalogParams
+from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.colored import Binding, colored_fire
 from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING, EventMap,
                                  FuzzSummary, ReplayReport, UnknownEvent,
@@ -262,6 +263,28 @@ def test_divergence_text_names_the_reason():
     # the step after the last of start_job, t1, launch, t2, t3 and t4
     assert str(unmatched) == ("divergence at step 6: "
                               "0 job_done tokens for 1 job-done events")
+
+
+def test_unknown_job_reported_not_raised():
+    net = build_colored(CatalogParams(machine_count=2, job_demands=[1]))
+    report = replay(project(parse_trace("t=0 J9 job-submitted job=J9\n")),
+                    net)
+    assert not report.ok and report.index == 0
+    assert str(report) == ("divergence at step 0: "
+                           "start_job Binding(j=J9) job J9 not in the net")
+    assert report.marking == net.initial_marking()
+
+
+def test_compiled_firings_stay_within_the_bound():
+    cpn._compile.cache_clear()
+    p = CatalogParams(machine_count=64, job_demands=[4] * 32,
+                      failure_detector=True)
+    config = SimConfig(crashes=[(f"M{i}", 5 * i % 60)
+                                for i in range(7, 65, 7)], seed=5)
+    assert check_run(p, config)[1].ok
+    info = cpn._compile.cache_info()
+    # the run fires more distinct firings than the table keeps
+    assert info.misses > info.maxsize >= info.currsize
 
 
 # -- fuzz -------------------------------------------------------------------------

@@ -207,6 +207,35 @@ def test_fuzz_space_traces_pinned():
         "5ba2bbd3f13fa085ce77956e5ca243b59ae9b823ad3ff79f7fa49375a3ad3a86"
 
 
+class EveryStepSimulation(Simulation):
+    """The bus with no step skipped: every live, discovering launcher
+    steps after every (launcher, machine) pair it hears."""
+
+    def notify(self, launchers, machines, published):
+        for launcher in launchers:
+            if launcher.dead or launcher.phase != DISCOVERING:
+                continue
+            for m in machines:
+                launcher.on_bus(m, published)
+                launcher.step()
+
+
+def test_skipped_bus_steps_change_nothing():
+    # a wait launcher is stepped by the bus only on a publish with a free
+    # slot; stepping it on every pair must give the same trace
+    cases = [random_case(random.Random(k)) for k in range(300)]
+    cases.append((CatalogParams(machine_count=48, job_demands=[4] * 16,
+                                semantics=["wait", "fail"] * 8,
+                                failure_detector=True, zeroconf=True),
+                  SimConfig(crashes=[(f"M{i}", i) for i in range(3, 48, 5)],
+                            seed=3)))
+    for params, config in cases:
+        expected = EveryStepSimulation(params, config).run()
+        r = Simulation(params, config).run()
+        assert r.trace_text() == expected.trace_text()
+        assert (r.outcomes, r.cycle) == (expected.outcomes, expected.cycle)
+
+
 def test_loops_copied_exactly():
     # a run that stops at a repeated state has the trace and outcomes of
     # the same run simulated to the horizon; fuzz cases 0-999 are pinned
