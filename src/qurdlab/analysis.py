@@ -61,7 +61,7 @@ None of this knows about machine symmetry: ``qurdlab analyze`` hands
 whose places count the machines in each local state, and the checks read
 that graph unchanged.  Its states are then orbits of the full graph's
 under machine permutations, and a folded path is lifted to a path of the
-full net (``colored.lift_machines``) before ``timed_witness`` times it.
+full net (``colored.lift_machines``) before ``timed_walk`` times it.
 Nor is ``mutex`` or ``machine-invariant`` checked here: where
 ``colored.fold_refusal`` lets the fold through, it has proved both on the
 colored net.
@@ -160,13 +160,12 @@ def _identity(s):
     return s
 
 
-def explore(net, bound=DEFAULT_BOUND, cap=None):
-    """Breadth-first closure of timed successors, up to ``bound`` states.
-    ``cap`` caps every clock at one value instead of ``net.clock_caps()``."""
+def explore(net, bound=DEFAULT_BOUND):
+    """Breadth-first closure of timed successors, up to ``bound`` states."""
     g = ReachGraph(net, bound, attrgetter("marking"))
     # TimedState.successors is read at call time, so a wrapper installed on
     # the class (by a profiler, say) sees every call
-    return _closure(g, net.initial_state(cap=cap), TimedState.successors,
+    return _closure(g, net.initial_state(), TimedState.successors,
                     _identity)
 
 

@@ -68,7 +68,9 @@ class Report:
 def _load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            # a byte-order mark is not a directive; stripped after decoding,
+            # so a decoding error still gives its offset in the file
+            text = fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ScenarioError("%s: not UTF-8 text (byte %d)"
                                 % (path, exc.start)) from None
@@ -155,7 +157,7 @@ def cmd_analyze(args) -> Report:
         elif prop in MACHINE_PROPERTIES:
             report.add("%s: holds" % prop)
         elif prop == "job-done-reachable":
-            done = {jname("job_done", j.name): 1 for j in sc.jobs}
+            done = {jname("job_done", j): 1 for j in params.jobs()}
             if analysis.check_reachable(g, done) is not None:
                 report.add("job-done-reachable: holds")
             else:

@@ -204,8 +204,11 @@ def check_run(params, config, event_map=None):
 @dataclass
 class FuzzSummary:
     passed: int
-    failed: int
     failures: list                  # (case seed, description, report)
+
+    @property
+    def failed(self):
+        return len(self.failures)
 
     def __str__(self):
         total = self.passed + self.failed
@@ -265,7 +268,7 @@ def fuzz_conformance(count, seed=0, event_map=None):
                     f"lat=({config.bus_latency},{config.msg_latency}) "
                     f"dur={config.job_duration}")
             failures.append((case_seed, desc, report))
-    return FuzzSummary(passed, len(failures), failures)
+    return FuzzSummary(passed, failures)
 
 
 def parse_trace(text):

@@ -3,10 +3,11 @@
 A scenario bundles everything one experiment needs: the machine pool, the
 jobs with their demands and semantics, the reservation timeout, optional
 extensions, and the simulator knobs (latencies, duration, crash schedule,
-seed).  The same scenario drives both the net builders and the simulator.
+seed).  It is one ``CatalogParams`` for the net builders and one
+``SimConfig`` for the simulator, and holds nothing else.
 
 Directives, one per line, ``#`` starts a comment; only ``job`` and
-``crash`` may repeat::
+``crash`` may repeat.  ``render`` writes them in this order::
 
     machines 3
     job J1 demand 3 semantics wait
@@ -23,9 +24,9 @@ Directives, one per line, ``#`` starts a comment; only ``job`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .catalog import DEFAULT_TIMEOUT, WAIT, CatalogParams
+from .catalog import CatalogParams
 from .simulator import SimConfig
 
 
@@ -34,149 +35,115 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class JobSpec:
-    name: str
-    demand: int
-    semantics: str = WAIT
-
-
-@dataclass
 class Scenario:
-    machines: int = 1
-    jobs: list = field(default_factory=list)      # [JobSpec]
-    timeout: int | None = DEFAULT_TIMEOUT
-    zeroconf: bool = False
-    failure_detector: bool = False
-    crashes: list = field(default_factory=list)   # [(machine id, time)]
-    bus_latency: int = 1
-    msg_latency: int = 1
-    job_duration: int = 2
-    seed: int = 0
+    model: CatalogParams
+    run: SimConfig
 
     def params(self) -> CatalogParams:
-        return CatalogParams(
-            machine_count=self.machines,
-            job_demands=[j.demand for j in self.jobs],
-            semantics=[j.semantics for j in self.jobs],
-            timeout=self.timeout,
-            zeroconf=self.zeroconf,
-            failure_detector=self.failure_detector,
-            job_ids=[j.name for j in self.jobs],
-        )
+        return self.model
 
     def config(self) -> SimConfig:
-        return SimConfig(
-            bus_latency=self.bus_latency,
-            msg_latency=self.msg_latency,
-            timeout=self.timeout,
-            job_duration=self.job_duration,
-            crashes=list(self.crashes),
-            seed=self.seed,
-        )
+        return self.run
 
     def validate(self):
         """Problems with the model and the run this scenario describes."""
-        return self.config().validate(self.params())
+        return self.run.validate(self.model)
 
     def render(self) -> str:
         """Canonical text form; parse(render(s)) == s."""
-        out = ["machines %d" % self.machines]
-        for j in self.jobs:
-            out.append("job %s demand %d semantics %s"
-                       % (j.name, j.demand, j.semantics))
-        out.append("timeout %s"
-                   % ("off" if self.timeout is None else self.timeout))
-        out.append("zeroconf %s" % ("on" if self.zeroconf else "off"))
-        out.append("failure-detector %s"
-                   % ("on" if self.failure_detector else "off"))
-        for m, t in self.crashes:
-            out.append("crash %s at %d" % (m, t))
-        out.append("bus-latency %d" % self.bus_latency)
-        out.append("msg-latency %d" % self.msg_latency)
-        out.append("job-duration %d" % self.job_duration)
-        out.append("seed %d" % self.seed)
+        m = self.model
+        out = []
+        for key, records, name, _ in DIRECTIVES:
+            value = getattr(getattr(self, records[0]), name)
+            out.append("%s %s" % (key, "off" if value is None or value is False
+                                  else "on" if value is True else value))
+            if key == "machines":
+                out += ["job %s demand %d semantics %s"
+                        % (j, d, m.semantics_of(i))
+                        for i, (j, d) in enumerate(zip(m.jobs(),
+                                                       m.job_demands))]
+            elif key == "failure-detector":
+                out += ["crash %s at %d" % (mach, t)
+                        for mach, t in self.run.crashes]
         return "\n".join(out) + "\n"
 
 
-def _int(word, lineno, what):
+# Readers turn a directive's argument into its value; they raise ValueError
+# and ``parse_scenario`` puts the line number in front.
+
+def _int(word, what, expects="an integer"):
     try:
         return int(word)
     except ValueError:
-        raise ScenarioError("line %d: %s expects an integer, got %r"
-                            % (lineno, what, word)) from None
+        raise ValueError("%s expects %s, got %r"
+                         % (what, expects, word)) from None
 
 
-def _flag(word, lineno, what):
-    if word == "on":
-        return True
-    if word == "off":
-        return False
-    raise ScenarioError("line %d: %s expects on|off, got %r"
-                        % (lineno, what, word))
+def _timeout(word, what):
+    return None if word == "off" else _int(word, what, "an integer or off")
+
+
+def _flag(word, what):
+    if word in ("on", "off"):
+        return word == "on"
+    raise ValueError("%s expects on|off, got %r" % (what, word))
+
+
+# The single-valued directives in render order: (directive, the records it
+# writes, field, reader).  The jobs follow ``machines`` and the crashes
+# ``failure-detector``.
+DIRECTIVES = (
+    ("machines", ("model",), "machine_count", _int),
+    ("timeout", ("model", "run"), "timeout", _timeout),
+    ("zeroconf", ("model",), "zeroconf", _flag),
+    ("failure-detector", ("model",), "failure_detector", _flag),
+    ("bus-latency", ("run",), "bus_latency", _int),
+    ("msg-latency", ("run",), "msg_latency", _int),
+    ("job-duration", ("run",), "job_duration", _int),
+    ("seed", ("run",), "seed", _int),
+)
+_ROWS = {row[0]: row for row in DIRECTIVES}
+
+
+def _read(sc, seen, key, args):
+    """Apply one directive line to ``sc``."""
+    if key in seen:
+        raise ValueError("duplicate %s directive" % key)
+    if key == "job":
+        if len(args) != 5 or args[1] != "demand" or args[3] != "semantics":
+            raise ValueError("expected job <id> demand <n> semantics "
+                             "<fail|wait>")
+        sc.model.job_demands.append(_int(args[2], "demand"))
+        sc.model.job_ids.append(args[0])
+        sc.model.semantics.append(args[4])
+    elif key == "crash":
+        if len(args) != 3 or args[1] != "at":
+            raise ValueError("expected crash <machine> at <time>")
+        sc.run.crashes.append((args[0], _int(args[2], "crash time")))
+    elif key in _ROWS:
+        seen.add(key)
+        _, records, name, reader = _ROWS[key]
+        if len(args) != 1:
+            raise ValueError("%s takes 1 argument" % key)
+        value = reader(args[0], key)
+        for record in records:
+            setattr(getattr(sc, record), name, value)
+    else:
+        raise ValueError("unknown directive %r" % key)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioError with a line number."""
-    sc = Scenario(machines=0, jobs=[])
+    sc = Scenario(CatalogParams(machine_count=0, job_demands=[],
+                                semantics=[], job_ids=[]), SimConfig())
     seen = set()                # the single-valued directives read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        key, args = words[0], words[1:]
-        if key in seen:
-            raise ScenarioError("line %d: duplicate %s directive"
-                                % (lineno, key))
-        if key not in ("job", "crash"):
-            seen.add(key)
-
-        def expect(n):
-            if len(args) != n:
-                raise ScenarioError("line %d: %s takes %d argument%s"
-                                    % (lineno, key, n, "s" if n != 1 else ""))
-
-        if key == "machines":
-            expect(1)
-            sc.machines = _int(args[0], lineno, key)
-        elif key == "job":
-            if len(args) != 5 or args[1] != "demand" or args[3] != "semantics":
-                raise ScenarioError(
-                    "line %d: expected job <id> demand <n> semantics "
-                    "<fail|wait>" % lineno)
-            sc.jobs.append(JobSpec(args[0], _int(args[2], lineno, "demand"),
-                                   args[4]))
-        elif key == "timeout":
-            expect(1)
-            sc.timeout = None if args[0] == "off" else _int(args[0], lineno,
-                                                            key)
-        elif key == "zeroconf":
-            expect(1)
-            sc.zeroconf = _flag(args[0], lineno, key)
-        elif key == "failure-detector":
-            expect(1)
-            sc.failure_detector = _flag(args[0], lineno, key)
-        elif key == "crash":
-            if len(args) != 3 or args[1] != "at":
-                raise ScenarioError("line %d: expected crash <machine> at "
-                                    "<time>" % lineno)
-            sc.crashes.append((args[0], _int(args[2], lineno, "crash time")))
-        elif key == "bus-latency":
-            expect(1)
-            sc.bus_latency = _int(args[0], lineno, key)
-        elif key == "msg-latency":
-            expect(1)
-            sc.msg_latency = _int(args[0], lineno, key)
-        elif key == "job-duration":
-            expect(1)
-            sc.job_duration = _int(args[0], lineno, key)
-        elif key == "seed":
-            expect(1)
-            sc.seed = _int(args[0], lineno, key)
-        else:
-            raise ScenarioError("line %d: unknown directive %r"
-                                % (lineno, key))
-
+        words = raw.split("#", 1)[0].split()
+        if words:
+            try:
+                _read(sc, seen, words[0], words[1:])
+            except ValueError as exc:
+                raise ScenarioError("line %d: %s" % (lineno, exc)) from None
     if "machines" not in seen:
         raise ScenarioError("missing machines directive")
     errors = sc.validate()

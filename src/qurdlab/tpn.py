@@ -7,15 +7,14 @@ is enabled (``lfd = None`` means no upper bound).  Time is discrete: delays
 are nonnegative integers and each transition's clock is capped so the timed
 state space stays finite.
 
-By default clock ``t`` is capped at ``Net.clock_caps()``: ``lfd(t)`` when it
-is finite, otherwise ``efd(t)``.  A clock is read only by its own
+Clock ``t`` is capped at ``Net.clock_caps()``: ``lfd(t)`` when it is
+finite, otherwise ``efd(t)``.  A clock is read only by its own
 transition's guard (``c >= efd``) and urgency (``c <= lfd``), so every value
 at or above efd of an unbounded transition behaves alike, and a clock with a
 finite lfd never passes it anyway; this is the per-clock maximal constant of
-region and LU abstraction (Alur & Dill 1994; Behrmann et al. 2004).  The
-uniform cap ``default_cap()`` builds a larger graph that the smaller one
-equals once each clock is clipped to its own cap; tests use it as the
-oracle.
+region and LU abstraction (Alur & Dill 1994; Behrmann et al. 2004).  States
+read the caps from their net, so a net that overrides ``clock_caps`` (the
+tests' uniformly capped oracle does) explores under its own caps.
 
 Firing re-tests the enabling of only the transitions whose pre-set meets
 the fired transition's pre- or post-set; every other transition keeps its
@@ -128,18 +127,6 @@ class Net:
                 issues.append(f"negative initial marking on {p}")
         return issues
 
-    def default_cap(self):
-        """Smallest sound uniform clock cap: 1 + the largest finite bound in
-        the net.  States are capped per transition by default
-        (``clock_caps``); an explicit ``cap=net.default_cap()`` rebuilds the
-        larger uniformly capped graph, which tests compare against."""
-        bound = 0
-        for efd, lfd in self.interval.values():
-            bound = max(bound, efd)
-            if lfd is not None:
-                bound = max(bound, lfd)
-        return bound + 1
-
     def enabled(self, marking):
         """Transitions enabled in ``marking``, in declaration order."""
         out = []
@@ -219,23 +206,18 @@ class Net:
     def marking_dict(self, counts):
         return {p: n for p, n in zip(self.places, counts) if n}
 
-    def initial_state(self, marking=None, cap=None):
+    def initial_state(self, marking=None):
         """Timed state for ``marking`` (default: the net's initial marking)
-        with every enabled transition's clock at 0.  Clocks are capped at
-        ``clock_caps()``, or all at ``cap`` when an int is given."""
+        with every enabled transition's clock at 0."""
         if marking is None:
             marking = self.initial
-        if cap is None:
-            cap = self.clock_caps()
-        else:
-            cap = (cap,) * len(self.transitions)
         counts = self.marking_tuple(marking)
         _, pre, _, _, _ = self.compiled()
         clocks = tuple(
             0 if all(counts[p] >= w for p, w in pre[i]) else -1
             for i in range(len(self.transitions))
         )
-        return TimedState(net=self, counts=counts, clocks=clocks, cap=cap)
+        return TimedState(net=self, counts=counts, clocks=clocks)
 
 
 def _firing(net, ti, counts):
@@ -276,23 +258,20 @@ def _firing(net, ti, counts):
 class TimedState:
     """A marking plus one capped integer clock per enabled transition.
 
-    ``counts`` follows the net's place order; ``clocks`` and ``cap`` (the
-    per-transition clock caps) follow the net's transition order, with -1
-    marking disabled transitions; no clock exceeds its cap.  Equality
-    ignores the net reference, so states from the same net deduplicate by
-    value.  The hash covers ``counts`` and ``clocks`` only, since the
-    states of one exploration share ``cap``, and is computed once, when the
-    state is built: a set or dict probe reads it instead of hashing the
-    tuples again.
+    ``counts`` follows the net's place order and ``clocks`` its transition
+    order, with -1 marking disabled transitions; no clock exceeds its cap in
+    ``net.clock_caps()``.  Equality ignores the net reference, so states
+    from the same net deduplicate by value.  The hash is computed once,
+    when the state is built: a set or dict probe reads it instead of
+    hashing the tuples again.
     """
 
-    __slots__ = ("net", "counts", "clocks", "cap", "_hash")
+    __slots__ = ("net", "counts", "clocks", "_hash")
 
-    def __init__(self, net, counts, clocks, cap):
+    def __init__(self, net, counts, clocks):
         _set_net(self, net)
         _set_counts(self, counts)
         _set_clocks(self, clocks)
-        _set_cap(self, cap)
         _set_hash(self, hash((counts, clocks)))
 
     def __setattr__(self, name, value):
@@ -307,15 +286,14 @@ class TimedState:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.counts == other.counts and self.clocks == other.clocks
-                and self.cap == other.cap)
+        return self.counts == other.counts and self.clocks == other.clocks
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(counts={self.counts!r}, "
-                f"clocks={self.clocks!r}, cap={self.cap!r})")
+                f"clocks={self.clocks!r})")
 
     def __reduce__(self):
-        return type(self), (self.net, self.counts, self.clocks, self.cap)
+        return type(self), (self.net, self.counts, self.clocks)
 
     @property
     def marking(self):
@@ -324,10 +302,6 @@ class TimedState:
     @property
     def enabled(self):
         return [t for t, c in zip(self.net.transitions, self.clocks) if c >= 0]
-
-    @property
-    def clock_map(self):
-        return {t: c for t, c in zip(self.net.transitions, self.clocks) if c >= 0}
 
     def clock(self, t):
         c = self.clocks[self.net.transition_index(t)]
@@ -347,7 +321,7 @@ class TimedState:
         if d < 0:
             raise ValueError("delay must be nonnegative")
         _, _, _, _, lfd = self.net.compiled()
-        cap = self.cap
+        cap = self.net.clock_caps()
         clocks = list(self.clocks)
         for i, c in enumerate(clocks):
             if c < 0:
@@ -356,7 +330,7 @@ class TimedState:
             if lfd[i] is not None and nc > lfd[i]:
                 raise UrgencyViolation(self.net.transitions[i])
             clocks[i] = min(nc, cap[i])
-        return TimedState(net=self.net, counts=self.counts, clocks=tuple(clocks), cap=cap)
+        return TimedState(net=self.net, counts=self.counts, clocks=tuple(clocks))
 
     def fire(self, t):
         """Fire ``t``: consume pre, produce post, reset newly enabled clocks
@@ -372,7 +346,7 @@ class TimedState:
         clocks = list(self.clocks)
         for i, v in changes:
             clocks[i] = v
-        return TimedState(net=net, counts=after, clocks=tuple(clocks), cap=self.cap)
+        return TimedState(net=net, counts=after, clocks=tuple(clocks))
 
     def successors(self):
         """All one-step timed successors as ``((delay, transition), state)``.
@@ -391,8 +365,8 @@ class TimedState:
         net = self.net
         names = net.transitions
         efd, lfd = net.compiled()[3:]
+        cap = net.clock_caps()
         clocks = self.clocks
-        cap = self.cap
         counts = self.counts
         live = [i for i, c in enumerate(clocks) if c >= 0]
         top = max([cap[i] - clocks[i] for i in live], default=0)
@@ -418,7 +392,7 @@ class TimedState:
                     for j, v in changes:
                         nxt[j] = v
                     state = TimedState(net=net, counts=after,
-                                       clocks=tuple(nxt), cap=cap)
+                                       clocks=tuple(nxt))
                     if state not in seen:
                         seen.add(state)
                         out.append(((d, names[i]), state))
@@ -429,5 +403,4 @@ class TimedState:
 _set_net = TimedState.net.__set__
 _set_counts = TimedState.counts.__set__
 _set_clocks = TimedState.clocks.__set__
-_set_cap = TimedState.cap.__set__
 _set_hash = TimedState._hash.__set__

@@ -84,6 +84,33 @@ def random_net(rng, n_places=4, n_transitions=3):
     return net
 
 
+def default_cap(net):
+    """Smallest sound uniform clock cap: 1 + the largest finite bound in the
+    net, so at least every clock's own cap."""
+    return 1 + max((b for efd, lfd in net.interval.values()
+                    for b in (efd, lfd) if b is not None), default=0)
+
+
+class UniformCapNet(Net):
+    """A copy of ``net`` whose clocks are all capped at one value
+    (``default_cap(net)`` unless given): its timed graph is larger, and it
+    equals the per-transition graph once each clock is clipped to its own
+    cap.  Build it from a finished net; the two share their tables."""
+
+    def __init__(self, net, cap=None):
+        vars(self).update(vars(net))
+        self.cap = default_cap(net) if cap is None else cap
+
+    def clock_caps(self):
+        return (self.cap,) * len(self.transitions)
+
+
+def clock_map(state):
+    """The clocks of the enabled transitions, by name."""
+    return {t: c for t, c in zip(state.net.transitions, state.clocks)
+            if c >= 0}
+
+
 def bruteforce_successors(state):
     """Every delay up to the uniform cap, which is at least every clock's
     own cap, and every transition, each by ``elapse`` / ``fireable`` /
@@ -91,7 +118,7 @@ def bruteforce_successors(state):
     net = state.net
     out = []
     seen = set()
-    for d in range(net.default_cap() + 1):
+    for d in range(default_cap(net) + 1):
         try:
             elapsed = state.elapse(d)
         except UrgencyViolation:
@@ -105,9 +132,9 @@ def bruteforce_successors(state):
     return out
 
 
-def random_walk(rng, net, steps=30, cap=None):
+def random_walk(rng, net, steps=30):
     """Random alternation of elapse and fire, yielding reached states."""
-    state = net.initial_state(cap=cap)
+    state = net.initial_state()
     yield state
     for _ in range(steps):
         succ = state.successors()
@@ -194,23 +221,22 @@ def test_elapse_caps_clocks():
     net = Net()
     net.add_place("p", tokens=1)
     net.add_transition("t1", pre={"p": 1}, post={}, interval=(0, None))
-    state = net.initial_state(cap=10)
+    state = UniformCapNet(net, cap=10).initial_state()
     assert state.elapse(100).clock("t1") == 10
 
 
 def test_clock_caps_per_transition():
-    # lfd when finite, else efd; an int cap overrides them all
+    # lfd when finite, else efd; the uniform oracle caps them all at one
     net = Net()
     net.add_place("p", tokens=1)
     net.add_transition("bounded", pre={"p": 1}, interval=(2, 4))
     net.add_transition("open", pre={"p": 1}, interval=(3, None))
     net.add_transition("free", pre={"p": 1}, interval=(0, None))
     assert net.clock_caps() == (4, 3, 0)
-    assert net.default_cap() == 5
-    state = net.initial_state()
-    assert state.cap is net.clock_caps()
-    assert state.elapse(4).clocks == (4, 3, 0)
-    assert net.initial_state(cap=5).elapse(4).clocks == (4, 4, 4)
+    assert net.clock_caps() is net.clock_caps()
+    assert default_cap(net) == 5
+    assert net.initial_state().elapse(4).clocks == (4, 3, 0)
+    assert UniformCapNet(net).initial_state().elapse(4).clocks == (4, 4, 4)
     net.add_transition("late", pre={"p": 1}, interval=(7, None))
     assert net.clock_caps() == (4, 3, 0, 7)
 
@@ -231,7 +257,7 @@ def test_elapse_urgency_boundary_allowed():
 
 def test_elapse_ignores_disabled():
     net = simple_net()
-    state = net.initial_state(marking={}, cap=5)
+    state = UniformCapNet(net, cap=5).initial_state(marking={})
     assert state.elapse(99).clocks == state.clocks
 
 
@@ -292,7 +318,7 @@ def test_fire_matches_full_recomputation():
     for _ in range(60):
         net = random_net(rng, n_places=6, n_transitions=6)
         for state in random_walk(rng, net, steps=12):
-            for d in range(net.default_cap() + 1):
+            for d in range(default_cap(net) + 1):
                 try:
                     elapsed = state.elapse(d)
                 except UrgencyViolation:
@@ -347,26 +373,26 @@ def test_successors_against_bruteforce():
     for _ in range(150):
         net = random_net(rng, n_places=rng.randint(3, 6),
                          n_transitions=rng.randint(2, 6))
-        for cap in (None, net.default_cap()):
-            for state in random_walk(rng, net, steps=20, cap=cap):
+        for capped in (net, UniformCapNet(net)):
+            for state in random_walk(rng, capped, steps=20):
                 assert state.successors() == bruteforce_successors(state)
                 checked += 1
                 # a running clock under a finite lfd: the cut can bind
                 bounded += any(net.interval[t][1] is not None and c > 0
-                               for t, c in state.clock_map.items())
+                               for t, c in clock_map(state).items())
     assert checked > 1000 and bounded > 100
 
 
 def test_timed_state_value_contract():
     net = simple_net()
     state = net.initial_state().elapse(1)
-    twin = TimedState(net=simple_net(), counts=state.counts,
-                      clocks=state.clocks, cap=state.cap)
+    # equality and hash read the counts and clocks, not the net
+    twin = TimedState(net=UniformCapNet(simple_net()), counts=state.counts,
+                      clocks=state.clocks)
     assert twin == state and hash(twin) == hash(state)
-    assert twin != TimedState(net=net, counts=state.counts,
-                              clocks=state.clocks, cap=(9,))
+    assert twin != TimedState(net=net, counts=(0, 1), clocks=state.clocks)
     assert state != state.elapse(1)
-    assert repr(state) == "TimedState(counts=(1, 0), clocks=(1,), cap=(4,))"
+    assert repr(state) == "TimedState(counts=(1, 0), clocks=(1,))"
     assert pickle.loads(pickle.dumps(state)) == state
     with pytest.raises(AttributeError):
         state.clocks = (0,)
@@ -393,10 +419,10 @@ def test_clock_domain_invariant():
     for _ in range(40):
         net = random_net(rng)
         for state in random_walk(rng, net, steps=15):
-            assert set(state.clock_map) == naive_enabled(net, state.marking)
-            assert state.cap == net.clock_caps()
-            caps = dict(zip(net.transitions, state.cap))
-            assert all(0 <= c <= caps[t] for t, c in state.clock_map.items())
+            clocks = clock_map(state)
+            assert set(clocks) == naive_enabled(net, state.marking)
+            caps = dict(zip(net.transitions, net.clock_caps()))
+            assert all(0 <= c <= caps[t] for t, c in clocks.items())
 
 
 def test_fire_and_elapse_are_pure():
@@ -424,10 +450,10 @@ def test_cap_soundness_on_random_nets():
     rng = random.Random(17)
     for _ in range(15):
         net = random_net(rng, n_places=3, n_transitions=2)
-        base = net.default_cap()
+        base = default_cap(net)
         markings = []
         for cap in (base, base + 1):
-            seen = {net.initial_state(cap=cap)}
+            seen = {UniformCapNet(net, cap).initial_state()}
             queue = list(seen)
             reached = set()
             while queue:
@@ -460,7 +486,7 @@ def assert_caps_match_uniform(net, bound=DEFAULT_BOUND):
     replays to it.  Returns False, having compared nothing, when the
     uniformly capped graph hits ``bound``."""
     g = explore(net, bound=bound)
-    gu = explore(net, bound=bound, cap=net.default_cap())
+    gu = explore(UniformCapNet(net), bound=bound)
     if gu.truncated:
         return False
     assert not g.truncated
