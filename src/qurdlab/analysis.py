@@ -56,12 +56,16 @@ earliest firing delay.  ``check_reachable`` takes a predicate over
 markings or a covering goal ``{place: min_count}``; on a marking graph a
 covering goal reads only the columns it names.
 
-None of this knows about machine symmetry: ``qurdlab analyze`` hands
+Machine symmetry enters in two ways.  ``qurdlab analyze`` hands
 ``explore_markings`` the unfolding of ``colored.fold_machines(cnet)``,
 whose places count the machines in each local state, and the checks read
 that graph unchanged.  Its states are then orbits of the full graph's
 under machine permutations, and a folded path is lifted to a path of the
 full net (``colored.lift_machines``) before ``timed_walk`` times it.
+And ``explore`` keeps one timed state per machine orbit (scalarset
+symmetry; Ip & Dill, FMSD 9, 1996): a colored transition binds at most one
+machine, by variable patterns alone, so ``unfold``'s nets are invariant
+under machine permutations.
 Nor is ``mutex`` or ``machine-invariant`` checked here: where
 ``colored.fold_refusal`` lets the fold through, it has proved both on the
 colored net.
@@ -70,7 +74,7 @@ colored net.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -90,7 +94,9 @@ class ReachGraph:
     ``explore`` fills it with TimedStates of a plain net and
     ``explore_colored`` with the colored marking dicts of a colored net
     (``net`` is then the ColoredNet); ``marking_of`` maps a state to its
-    marking.
+    marking.  Where ``place_machines`` is set, a state stands for its
+    machine orbit: an edge ``(label, j)`` leads into ``state(j)``'s orbit,
+    and a BFS tree edge to ``state(j)`` itself, so paths stay concrete.
     """
 
     def __init__(self, net, bound, marking_of):
@@ -101,6 +107,7 @@ class ReachGraph:
         self.edges = []          # per state id: list of (label, succ id)
         self.parent = []         # per state id: (parent id, label) or None
         self.truncated = False
+        self.place_machines = None   # per place: machine index, for orbits
 
     @property
     def n_states(self):
@@ -161,12 +168,38 @@ def _identity(s):
 
 
 def explore(net, bound=DEFAULT_BOUND):
-    """Breadth-first closure of timed successors, up to ``bound`` states."""
+    """Breadth-first closure of timed successors, up to ``bound`` states.
+    Where ``net.machine_of`` names two machines or more, each machine orbit
+    is one state, the first one reached, and ``n_states`` and ``bound``
+    count orbits (edges: see ReachGraph); ask nothing of one machine."""
     g = ReachGraph(net, bound, attrgetter("marking"))
+    key = _orbit_key(net)
+    if key is not _identity:
+        g.place_machines = net.machine_of[0]
     # TimedState.successors is read at call time, so a wrapper installed on
     # the class (by a profiler, say) sees every call
-    return _closure(g, net.initial_state(), TimedState.successors,
-                    _identity)
+    return _closure(g, net.initial_state(), TimedState.successors, key)
+
+
+def _orbit_key(net):
+    """A key equal on two timed states exactly when a machine permutation
+    maps one onto the other: the machine-free counts and clocks, then the
+    sorted machine blocks, each a machine's place counts and transition
+    clocks in net order.  The identity unless two machines are recorded."""
+    places, transitions = net.machine_of or ((), ())
+    slots = {}                  # machine index -> positions in counts+clocks
+    for i, k in enumerate(places + transitions):
+        slots.setdefault(k, []).append(i)
+    free = slots.pop(None, ())
+    if len(slots) < 2:
+        return _identity
+    free = itemgetter(*free) if free else lambda v: ()
+    blocks = [itemgetter(*idx) for idx in slots.values()]
+
+    def key(s):
+        v = s.counts + s.clocks
+        return free(v), tuple(sorted([block(v) for block in blocks]))
+    return key
 
 
 def _require_open_intervals(net):
@@ -553,11 +586,18 @@ def check_reachable(g, goal):
     ``goal`` is a predicate over markings, or a covering goal
     ``{place: min_count}`` that holds where every listed place has at least
     its count.  On a MarkingGraph a covering goal is one column test over
-    the whole matrix."""
+    the whole matrix.  On a graph of machine orbits (``explore``) a
+    predicate must not single out a machine, and a covering goal that
+    names a machine's place raises ValueError."""
     _require_complete(g)
     if isinstance(goal, dict):
         if isinstance(g, MarkingGraph):
             return _first_covering(g, goal)
+        pidx = g.net.compiled()[0] if g.place_machines else {}
+        for p in goal:
+            if p in pidx and g.place_machines[pidx[p]] is not None:
+                raise ValueError(f"goal place {p!r} names one machine, but "
+                                 "the graph holds one state per machine orbit")
         mins = dict(goal)
         goal = lambda m: all(m.get(p, 0) >= n for p, n in mins.items())
     return next((i for i in range(g.n_states) if goal(g.marking(i))), None)

@@ -298,27 +298,35 @@ def unfold(cnet):
     transition one copy per binding, named ``base@J``, ``base@M`` or
     ``base@(M,J)`` after the color or binding.  Per-job multiplicities
     become integer arc weights, and an arc of multiplicity 0 disappears.
-    Intervals carry over unchanged.
+    Intervals carry over unchanged.  ``net.machine_of`` records the index
+    in the universe of each place's and transition's machine, or None;
+    every machine's places and transitions come in the same order of roles.
     """
     universe = cnet.universe
     net = Net(cnet.name)
-    domains = {
-        JOB: universe.jobs,
-        MACHINE: universe.machines,
-        PAIR: [(m, j) for m in universe.machines for j in universe.jobs],
+    machines = [(m, k) for k, m in enumerate(universe.machines)]
+    domains = {                 # sort -> (token, machine index) pairs
+        JOB: [(j, None) for j in universe.jobs],
+        MACHINE: machines,
+        PAIR: [((m, j), k) for m, k in machines for j in universe.jobs],
     }
+    index = dict(machines)
     place_of = {}               # (colored place, token) -> plain place
+    owners = ([], [])           # machine_of's two lists
     for p in cnet.places:
         initial = Counter(cnet.initial.get(p, ()))
-        for tok in domains[cnet.sort[p]]:
+        for tok, k in domains[cnet.sort[p]]:
             name = place_of[p, tok] = color_name(p, tok)
             net.add_place(name, tokens=initial[tok])
+            owners[0].append(k)
     for t in cnet.transitions:
         for b in cnet.bindings_of(t):
             consumed, produced = cnet.arcs(t, b)
             net.add_transition(binding_name(t, b), interval=cnet.interval[t],
                                pre={place_of[pt]: n for pt, n in consumed},
                                post={place_of[pt]: n for pt, n in produced})
+            owners[1].append(index.get(b.m))
+    net.machine_of = tuple(map(tuple, owners))
     return net
 
 

@@ -57,7 +57,9 @@ class Net:
     Construction is incremental (``add_place`` / ``add_transition``) and
     intentionally permissive: structural errors are reported by
     ``validate()`` rather than raised, so malformed nets can be inspected.
-    After construction a net is treated as immutable.
+    After construction a net is treated as immutable.  ``colored.unfold``
+    records each place's and transition's machine index, or None, in
+    ``machine_of``; adding a place or a transition drops the record.
     """
 
     def __init__(self, name="net"):
@@ -69,6 +71,7 @@ class Net:
         self.interval = {}          # transition -> (efd, lfd or None)
         self.initial = {}           # place -> token count
         self._compiled = None       # with _caps and _touched, see compiled()
+        self.machine_of = None      # (per place, per transition)
 
     # -- construction -----------------------------------------------------
 
@@ -76,7 +79,7 @@ class Net:
         self.places.append(name)
         if tokens:
             self.initial[name] = tokens
-        self._compiled = None
+        self._compiled = self.machine_of = None
         return name
 
     def add_transition(self, name, pre=None, post=None, interval=(0, None)):
@@ -84,7 +87,7 @@ class Net:
         self.pre[name] = dict(pre or {})
         self.post[name] = dict(post or {})
         self.interval[name] = tuple(interval)
-        self._compiled = None
+        self._compiled = self.machine_of = None
         return name
 
     # -- structural queries -----------------------------------------------

@@ -1,9 +1,21 @@
-"""Checks that only the tests make: a predicate scanned over every state of
-an explored graph, a P-invariant tested on a plain net's incidence matrix,
-and the unfolded names of one machine's places."""
+"""Checks that only the tests make: the full timed graph, with every
+machine permutation of a state kept apart, a predicate scanned over every
+state of an explored graph, a P-invariant tested on a plain net's
+incidence matrix, and the unfolded names of one machine's places."""
 
-from qurdlab.analysis import _incidence, _require_complete
+from operator import attrgetter
+
+from qurdlab.analysis import (DEFAULT_BOUND, ReachGraph, _closure,
+                              _identity, _incidence, _require_complete)
 from qurdlab.colored import MACHINE, PAIR, color_name
+from qurdlab.tpn import TimedState
+
+
+def full_explore(net, bound=DEFAULT_BOUND):
+    """``explore`` without the machine-orbit key: every timed state of the
+    net is a state of its own, whatever ``net.machine_of`` records."""
+    return _closure(ReachGraph(net, bound, attrgetter("marking")),
+                    net.initial_state(), TimedState.successors, _identity)
 
 
 def check_invariant(g, predicate):

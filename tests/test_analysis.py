@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qurdlab import analysis
-from net_checks import check_invariant, check_p_invariant, machine_places
+from net_checks import (check_invariant, check_p_invariant, full_explore,
+                        machine_places)
 from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
                               check_reachable, completion_skip, explore,
                               explore_colored, explore_markings,
@@ -70,7 +71,7 @@ def test_marking_explorer_matches_timed_markings():
                                  failure_detector=True)):
         net = build_net(params)
         gm = explore_markings(net)
-        gt = explore(net)
+        gt = full_explore(net)
         timed = {tuple(s.counts) for s in gt.states}
         untimed = {gm.counts(i) for i in range(gm.n_states)}
         assert timed == untimed, params
@@ -83,7 +84,7 @@ def test_open_intervals_cap_every_clock_at_zero():
     # every interval is [0, inf), so a timed state is just its marking
     net = contention(None)
     assert set(net.clock_caps()) == {0}
-    g = explore(net)
+    g = full_explore(net)
     assert g.n_states == explore_markings(net).n_states == 719
     # one edge per enabled transition of each marking, as in the DOT test
     assert sum(map(len, g.edges)) == 1849
@@ -496,7 +497,7 @@ def _witness_end(g, i):
 ], ids=["contention-off", "contention-t3", "crash-recovery"])
 def test_reach_and_marking_graphs_answer_alike(params):
     net = build_net(params)
-    graphs = (explore(net), explore_markings(net))
+    graphs = (full_explore(net), explore_markings(net))
     assert type(graphs[0]) is not type(graphs[1])
     dead = [_dead_markings(g, find_deadlocks(g)) for g in graphs]
     pending = [_dead_markings(g, pending_deadlocks(g)) for g in graphs]

@@ -21,7 +21,7 @@ STDOUT_SHA256 = {
     "colored_vs_unfolded":
         "b9d31cfb8fd40e0d4adb061950cffb972b31090fe4ee58a0dd179ababe4647f7",
     "contention_deadlock":
-        "6a03081c71a8be4ceb3fff8021ab339dc8d2f0e1a356cf9e81e07bdd8aef38c6",
+        "d8ba26ff9f118150a1487e80bc3531ee7fc9c78661479578c763a802b219db9d",
     "crash_recovery":
         "d1b0c7fb475c281c23a57f3e42bcaa7ad5c5000ac66b686ad15ac7eb78af2d1c",
     "machine_lifecycle":

@@ -12,8 +12,9 @@ from operator import attrgetter
 
 import pytest
 
+from net_checks import full_explore
 from qurdlab.analysis import (DEFAULT_BOUND, ReachGraph, _closure, _identity,
-                              explore, pending_deadlocks, replay_labels)
+                              pending_deadlocks, replay_labels)
 from qurdlab.catalog import CatalogParams, build_net
 from qurdlab.tpn import Net, NotFireable, TimedState, UrgencyViolation
 
@@ -485,8 +486,8 @@ def assert_caps_match_uniform(net, bound=DEFAULT_BOUND):
     same dead and pending-deadlock markings, and every dead state's path
     replays to it.  Returns False, having compared nothing, when the
     uniformly capped graph hits ``bound``."""
-    g = explore(net, bound=bound)
-    gu = explore(UniformCapNet(net), bound=bound)
+    g = full_explore(net, bound=bound)
+    gu = full_explore(UniformCapNet(net), bound=bound)
     if gu.truncated:
         return False
     assert not g.truncated
@@ -532,7 +533,7 @@ def test_clock_caps_match_uniform_cap_on_catalog(params):
 def test_explore_matches_bruteforce_closure(params, n_states, n_edges):
     # the same BFS fed the per-delay enumeration builds the same graph
     net = build_net(params)
-    g = explore(net)
+    g = full_explore(net)
     ref = _closure(ReachGraph(net, DEFAULT_BOUND, attrgetter("marking")),
                    net.initial_state(), bruteforce_successors, _identity)
     assert [(s.counts, s.clocks) for s in g.states] == \
