@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
@@ -50,13 +51,26 @@ class EventMap:
     internal: frozenset = DEFAULT_INTERNAL
 
 
+class _BuiltOnRead:
+    """A field whose ``partial`` value is called on its first read: a clean
+    replay's final marking is built only if someone asks for it."""
+
+    def __get__(self, report, owner=None):
+        if report is not None and type(report._final) is partial:
+            report._final = report._final()
+        return report and report._final    # no report: the field's default
+
+    def __set__(self, report, value):
+        report._final = value
+
+
 @dataclass
 class ReplayReport:
     ok: bool
     index: int = None               # first diverging step
     label: tuple = None             # (transition, binding) that failed
     marking: dict = None            # blocking marking
-    final_marking: dict = None
+    final_marking: dict = _BuiltOnRead()
     reason: str = None              # why the step or the run diverged
 
     def __str__(self):
@@ -89,8 +103,7 @@ def replay(projected, cnet):
     {(place, token): count} dict that each step's ``cnet.arcs`` pairs
     test and update in place, as ``colored_fire`` would."""
     held = _initial(cnet)
-    return (_fire(cnet, held, projected)
-            or ReplayReport(True, final_marking=_marking(cnet, held)))
+    return _fire(cnet, held, projected) or _replayed(cnet.places, held)
 
 
 def _initial(cnet):
@@ -102,18 +115,18 @@ def _initial(cnet):
 def _fire(cnet, held, steps, first=0):
     """Fire ``steps`` in place on ``held``; the report of the first one
     that diverges, numbered from ``first``, or None."""
-    get, jobs = held.get, cnet.universe.demand
+    get, jobs, places = held.get, cnet.universe.demand, cnet.places
     for i, (t, b) in enumerate(steps, first):
         if t not in cnet.pre:
-            return ReplayReport(False, i, (t, b), _marking(cnet, held),
+            return ReplayReport(False, i, (t, b), _marking(places, held),
                                 reason="not in the net")
         if b.j not in jobs and cnet.variables_of(t)[1]:
-            return ReplayReport(False, i, (t, b), _marking(cnet, held),
+            return ReplayReport(False, i, (t, b), _marking(places, held),
                                 reason=f"job {b.j} not in the net")
         consumed, produced = cnet.arcs(t, b)
         for pt, n in consumed:
             if get(pt, 0) < n:
-                return ReplayReport(False, i, (t, b), _marking(cnet, held),
+                return ReplayReport(False, i, (t, b), _marking(places, held),
                                     reason="not enabled")
         for pt, n in consumed:
             held[pt] -= n
@@ -148,17 +161,20 @@ def _replay_run(result, cnet, event_map):
         if diverged or Counter(held) == Counter(looped):  # zero equals none
             break
     diverged = diverged or _fire(cnet, held, tail, n_steps - len(tail))
-    return (diverged or ReplayReport(True, final_marking=_marking(cnet, held)),
-            n_steps, done)
+    return diverged or _replayed(cnet.places, held), n_steps, done
 
 
 def _done(events):
     return sum(e.kind == "job-done" for e in events)
 
 
-def _marking(cnet, held):
+def _replayed(places, held):
+    return ReplayReport(True, final_marking=partial(_marking, places, held))
+
+
+def _marking(places, held):
     """The colored marking, place -> sorted tuple, of flat token counts."""
-    toks = {p: [] for p in cnet.places}
+    toks = {p: [] for p in places}
     for (p, tok), n in held.items():
         toks.setdefault(p, []).extend([tok] * n)
     return {p: tuple(sorted(v)) for p, v in toks.items()}
@@ -192,7 +208,8 @@ def check_run(params, config, event_map=None):
     report, n_steps, done_events = _replay_run(
         result, conformance_net(params, config.crashes), event_map)
     if report.ok:
-        done_tokens = len(report.final_marking.get("job_done", ()))
+        held = report._final.args[1]        # flat counts, not yet built
+        done_tokens = sum(n for (p, _), n in held.items() if p == "job_done")
         if done_tokens != done_events:
             report = ReplayReport(
                 False, index=n_steps, marking=report.final_marking,

@@ -9,26 +9,34 @@ Each queued event names the method that handles it, messages included: a
 message over the reliable FIFO links is a call to the receiver's method
 one link latency after sending.  RESERVE, JOB and RELEASE are
 ``Daemon.reserve``, ``start`` and ``release``; OK, KO and DONE are
-``Launcher.ok``, ``ko`` and ``done``, which a killed launcher ignores.
-A crashed daemon sends nothing but keeps its reservation, as the net's
-crash consumes only running: the reservation's own deadline cancels it,
-or else the JOB for it lands, starts there and is lost with the machine.
-A RESERVE to a crashed daemon gets a suspected KO from the
-failure-detector oracle ``detect_delay + msg_latency`` after it arrives;
-any other JOB or RELEASE vanishes without a trace event.  An optional
-failure detector restarts a lost process, after a detection delay, on
-the lowest-id available daemon (queueing the request if none is free).
+``Launcher.ok``, ``ko`` and ``done``, which a killed launcher ignores
+(``ok`` and ``ko`` then step).  A crashed daemon sends nothing but keeps
+its reservation, as the net's crash consumes only running: the
+reservation's own deadline cancels it, or else the JOB for it lands,
+starts there and is lost with the machine.  A RESERVE to a crashed daemon
+gets a suspected KO from the failure-detector oracle
+``detect_delay + msg_latency`` after it arrives; any other JOB or RELEASE
+vanishes without a trace event.  An optional failure detector restarts a
+lost process, after a detection delay, on the lowest-id available daemon
+(queueing the request if none is free).
 
 The whole simulation is a pure function of (parameters, config), and the
 seed only shuffles job submission order.  Events at equal times are
 ordered crash < timer < delivery, then by scheduling sequence number.
-One bus event stands for all its subscribers, delivered in order: each
-(launcher, machine) pair is handled as if it had its own consecutive
-sequence number, which is exact because bus handlers only schedule later
-deliveries.  A launcher that is no longer discovering is skipped: none
-returns to discovering, and only a discovering one reads what the bus
-told it (in ``step`` and ``all_discovered_by``).  The result is an outcome
-per job plus the protocol trace consumed by the conformance checker.
+All launchers share one bus view, ``Simulation.bus``: the machines
+announced as published, in arrival order, updated once per bus event
+before each live, discovering launcher hears it.  A launcher reads an
+empty view until its submit notice joins it.  This is exact: every job is
+submitted at t=0, after the crashes and kills at t=0, and the notices
+carry one published tuple at consecutive sequence numbers.  No publish
+precedes them (freeing a machine needs a reservation); an unpublish can,
+by a crash at t=0 with bus latency 0, and a fail launcher stepping on it
+must see nothing.  One step per join contacts what a step per announced
+machine would: no reply arrives during a notice, and a fail launcher does
+not give up with a RESERVE pending.  A launcher stops discovering only by
+an irreversible step, which clears the snapshots, so no snapshot needs
+its frozen view.  The result is an outcome per job plus the protocol trace
+consumed by the conformance checker.
 
 A run whose whole state comes back at a later tick would loop forever, so
 ``run`` stops there, keeping the events of one period since that tick;
@@ -117,12 +125,12 @@ class TraceEvent:
     job: str = None
 
     def line(self):
-        parts = [f"t={self.time}", self.actor, self.kind]
-        if self.machine is not None:
-            parts.append(f"machine={self.machine}")
-        if self.job is not None:
-            parts.append(f"job={self.job}")
-        return " ".join(parts)
+        head = f"t={self.time} {self.actor} {self.kind}"
+        if self.machine is None:
+            return head if self.job is None else f"{head} job={self.job}"
+        if self.job is None:
+            return f"{head} machine={self.machine}"
+        return f"{head} machine={self.machine} job={self.job}"
 
 
 @dataclass
@@ -170,7 +178,7 @@ class SimResult:
         return trace
 
     def trace_text(self):
-        return "".join(e.line() + "\n" for e in self.trace)
+        return "\n".join([*map(TraceEvent.line, self.trace), ""])
 
 
 class Daemon:
@@ -193,26 +201,26 @@ class Daemon:
             # so the launcher is not stuck forever
             sim.schedule(sim.now + sim.config.detect_delay
                          + sim.config.msg_latency, DELIVER_PRIO,
-                         launcher.receive, launcher.ko, self.name, True)
+                         launcher.ko, self.name, True)
         elif self.state == "available":
             self.state = "reserved"
             self.client = job
             self.epoch += 1
             sim.announce(self, False)
-            sim.emit(self.name, "ok-sent", machine=self.name, job=job)
-            sim.send(launcher.receive, launcher.ok, self.name)
+            sim.emit(self.name, "ok-sent", self.name, job)
+            sim.send(launcher.ok, self.name)
             if sim.expiry is not None:
                 sim.timer(sim.now + sim.expiry, self.expire, self.epoch)
         else:
-            sim.emit(self.name, "ko-sent", machine=self.name, job=job)
-            sim.send(launcher.receive, launcher.ko, self.name, False)
+            sim.emit(self.name, "ko-sent", self.name, job)
+            sim.send(launcher.ko, self.name, False)
 
     def start(self, job):
         sim = self.sim
         if self.state == "reserved" and job == self.client:
             self.state = "running"
             self.epoch += 1
-            sim.emit(self.name, "job-accepted", machine=self.name, job=job)
+            sim.emit(self.name, "job-accepted", self.name, job)
             if self.crashed:
                 # the JOB consumes the reservation the crash left in
                 # place: the job starts on the dead machine and is lost
@@ -235,7 +243,7 @@ class Daemon:
     def cancel(self):
         # cancel first: becoming available may immediately hand the
         # machine to a failure-detector restart
-        self.sim.emit(self.name, "canceled", machine=self.name, job=self.client)
+        self.sim.emit(self.name, "canceled", self.name, self.client)
         self.become_available()
 
     def complete(self, epoch):
@@ -243,10 +251,9 @@ class Daemon:
             return
         sim = self.sim
         job = self.client
-        sim.emit(self.name, "process-finished", machine=self.name, job=job)
-        sim.emit(self.name, "done-sent", machine=self.name, job=job)
-        launcher = sim.launchers[job]
-        sim.send(launcher.receive, launcher.done)
+        sim.emit(self.name, "process-finished", self.name, job)
+        sim.emit(self.name, "done-sent", self.name, job)
+        sim.send(sim.launchers[job].done)
         self.become_available()
 
     def become_available(self):
@@ -267,7 +274,7 @@ class Launcher:
         self.needed = needed
         self.semantics = semantics
         self.phase = DISCOVERING
-        self.discovered = {}        # believed-published machines, arrival order
+        self.view = ()              # the bus view, once its notice joins it
         self.contacted = set()
         self.pending = set()        # machines with a RESERVE awaiting reply
         self.machines = []          # reserved machines
@@ -276,23 +283,9 @@ class Launcher:
         self.done_count = 0
         self.dead = False
 
-    def on_bus(self, machine, published):
-        if published:
-            self.discovered.setdefault(machine)
-            if self.semantics == "wait":
-                # a fresh publish makes the machine worth re-contacting;
-                # fail semantics keeps its single pass over each machine
-                self.contacted.discard(machine)
-        else:
-            self.discovered.pop(machine, None)
-
-    def receive(self, handler, *args):
-        """Handle a message unless killed, then contact more machines."""
-        if not self.dead:
-            handler(*args)
-            self.step()
-
     def ok(self, machine):
+        if self.dead:
+            return
         sim = self.sim
         self.pending.discard(machine)
         if self.phase != DISCOVERING:
@@ -306,23 +299,27 @@ class Launcher:
         if len(self.machines) == self.needed:
             self.phase = LAUNCHING
             sim.progress()
-            sim.emit(self.job, "launch", job=self.job)
+            sim.emit(self.job, "launch", None, self.job)
             for m in self.machines:
                 sim.send(sim.daemons[m].start, self.job)
+        self.step()
 
     def ko(self, machine, suspected):
+        if self.dead:
+            return
         if suspected:
-            self.sim.emit(self.job, "suspected", machine=machine, job=self.job)
+            self.sim.emit(self.job, "suspected", machine, self.job)
         self.pending.discard(machine)
+        self.step()
 
     def done(self):
-        if self.phase != LAUNCHING:
+        if self.dead or self.phase != LAUNCHING:
             return
         self.done_count += 1
         if self.done_count == self.needed:
             self.phase = DONE
             self.sim.progress()
-            self.sim.emit(self.job, "job-done", job=self.job)
+            self.sim.emit(self.job, "job-done", None, self.job)
 
     def unbook(self, machine, epoch):
         """Reservation timer: give the machine up if the job has not
@@ -332,7 +329,7 @@ class Launcher:
         if machine not in self.machines or self.res_epoch.get(machine) != epoch:
             return
         self.machines.remove(machine)
-        self.sim.emit(self.job, "released", machine=machine, job=self.job)
+        self.sim.emit(self.job, "released", machine, self.job)
         self.sim.send(self.sim.daemons[machine].release, self.job)
         self.step()
 
@@ -349,30 +346,27 @@ class Launcher:
             window = self.needed - self.oks - len(self.pending)
         else:
             window = self.needed - len(self.machines) - len(self.pending)
-        for m in self.discovered:
+        for m in self.view:
             if window <= 0:
                 break
             if m not in self.contacted and m not in self.machines:
                 self.contacted.add(m)
                 self.pending.add(m)
                 window -= 1
-                self.sim.emit(self.job, "reserve-sent", machine=m, job=self.job)
+                self.sim.emit(self.job, "reserve-sent", m, self.job)
                 self.sim.send(self.sim.daemons[m].reserve, self)
-        if self.pending or len(self.machines) >= self.needed:
+        if self.pending or len(self.machines) >= self.needed \
+                or self.semantics != "fail":
             return
-        if self.semantics != "fail":
-            return
-        can_grow = (self.needed - self.oks > 0
-                    and not self.sim.all_discovered_by(self))
-        if can_grow:
-            return
+        if self.needed > self.oks and not self.sim.all_discovered_by(self):
+            return      # discovery may still bring a machine
         for m in self.machines:
-            self.sim.emit(self.job, "released", machine=m, job=self.job)
+            self.sim.emit(self.job, "released", m, self.job)
             self.sim.send(self.sim.daemons[m].release, self.job)
         self.machines.clear()
         self.phase = FAILED
         self.sim.progress()
-        self.sim.emit(self.job, "failed", job=self.job)
+        self.sim.emit(self.job, "failed", None, self.job)
 
 
 class Simulation:
@@ -396,7 +390,7 @@ class Simulation:
         self.launchers = {}
         for i, (j, d) in enumerate(zip(params.jobs(), params.job_demands)):
             self.launchers[j] = Launcher(self, j, d, params.semantics_of(i))
-        self.subscribers = tuple(self.launchers.values())
+        self.bus = dict.fromkeys(self.daemons)  # all start published
         self.restart_queue = []      # jobs waiting for a machine to restart on
         # snapshots start this long after the last irreversible step
         self.quiet = 2 * max(config.bus_latency, config.job_duration,
@@ -429,27 +423,35 @@ class Simulation:
         """Publish or unpublish a daemon on the bus; every launcher hears
         of it one bus latency later."""
         self.emit(daemon.name, "published" if published else "unpublished",
-                  machine=daemon.name)
-        heapq.heappush(self.heap, (
-            self.now + self.config.bus_latency, DELIVER_PRIO, self.seq,
-            self.notify, (self.subscribers, (daemon.name,), published)))
-        self.seq += 1
+                  daemon.name)
+        self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
+                      self.notify, daemon.name, published)
 
-    def notify(self, launchers, machines, published):
-        """Hand one bus event to each live, discovering subscriber in turn,
-        machine by machine, as if each pair were its own event.  Each has
-        stepped since its own state last changed, so a wait launcher steps
-        only on a publish with a free slot; a fail one always steps, as it
-        reads every daemon's state (``all_discovered_by``)."""
-        for launcher in launchers:
+    def notify(self, machine, published):
+        """Apply one bus event to the shared view, then let each live,
+        discovering subscriber hear it in turn.  Each has stepped since its
+        own state last changed, so a wait launcher re-opens a published
+        machine and steps only with a free slot; a fail one, which never
+        re-contacts, always steps: it reads every daemon's state."""
+        if published:
+            self.bus[machine] = None
+        else:
+            del self.bus[machine]
+        for launcher in self.launchers.values():
             if launcher.dead or launcher.phase != DISCOVERING:
                 continue
-            fail = launcher.semantics == "fail"
-            for m in machines:
-                launcher.on_bus(m, published)
-                if fail or published and launcher.needed > len(
-                        launcher.machines) + len(launcher.pending):
+            if launcher.semantics == "fail":
+                launcher.step()
+            elif published:
+                launcher.contacted.discard(machine)
+                if launcher.needed > len(launcher.machines) + len(
+                        launcher.pending):
                     launcher.step()
+
+    def join(self, launcher, machines):
+        """A submit notice: its ``machines`` are the shared view by now."""
+        launcher.view = self.bus
+        launcher.step()
 
     def progress(self):
         """An irreversible step: no state before it can come back."""
@@ -464,19 +466,18 @@ class Simulation:
                       in [(time, prio, 0, handler, args), *sorted(self.heap)]),
                 tuple((d.state, d.client, d.crashed)
                       for d in self.daemons.values()),
-                tuple((lr.phase, tuple(lr.discovered),
+                tuple((lr.phase, lr.view is self.bus,
                        frozenset(lr.contacted), frozenset(lr.pending),
                        tuple(lr.machines), lr.done_count, lr.dead,
                        lr.oks if lr.semantics == "fail" else None)
                       for lr in self.launchers.values()),
-                tuple(self.restart_queue))
+                tuple(self.restart_queue), tuple(self.bus))
 
     def all_discovered_by(self, launcher):
         """No published machine remains unknown to the launcher, so fail
         semantics cannot hope for a further discovery."""
         return all(d.state != "available" or d.crashed
-                   or d.name in launcher.discovered
-                   for d in self.daemons.values())
+                   or d.name in launcher.view for d in self.daemons.values())
 
     # -- failure detector ---------------------------------------------------
 
@@ -487,7 +488,7 @@ class Simulation:
                 self.restart_on(d, job)
                 return
         self.restart_queue.append(job)
-        self.emit("detector", "restart-waiting", job=job)
+        self.emit("detector", "restart-waiting", None, job)
 
     def restart_on(self, daemon, job):
         self.progress()
@@ -495,33 +496,32 @@ class Simulation:
         daemon.client = job
         daemon.epoch += 1
         self.announce(daemon, False)
-        self.emit("detector", "restarted", machine=daemon.name, job=job)
+        self.emit("detector", "restarted", daemon.name, job)
         self.timer(self.now + self.config.job_duration,
                    daemon.complete, daemon.epoch)
 
     def detector_offer(self, daemon):
         """A machine just became available; serve a queued restart if any."""
         if self.restart_queue and not daemon.crashed:
-            job = self.restart_queue.pop(0)
-            self.restart_on(daemon, job)
+            self.restart_on(daemon, self.restart_queue.pop(0))
 
     # -- event handlers -----------------------------------------------------
 
     def submit(self, job):
         self.progress()
-        self.emit(job, "job-submitted", job=job)
+        self.emit(job, "job-submitted", None, job)
         launcher = self.launchers[job]
         published = tuple(m for m, d in self.daemons.items()
                           if d.state == "available" and not d.crashed)
         if published:
             self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
-                          self.notify, (launcher,), published, True)
+                          self.join, launcher, published)
         launcher.step()
 
     def kill(self, job):
         self.progress()
         self.launchers[job].dead = True
-        self.emit(job, "killed", job=job)
+        self.emit(job, "killed", None, job)
 
     def crash(self, name):
         d = self.daemons[name]
@@ -534,19 +534,19 @@ class Simulation:
         if d.state == "running":
             self.lose_job(name, d.client)
         else:
-            self.emit(name, "crashed-idle", machine=name)
+            self.emit(name, "crashed-idle", name)
 
     def lose_job(self, name, job):
         """Crashed machine ``name`` was running ``job``; the detector, if
         on, restarts the job."""
-        self.emit(name, "crashed", machine=name, job=job)
+        self.emit(name, "crashed", name, job)
         if self.params.failure_detector:
             self.timer(self.now + self.config.detect_delay, self.detect, job)
 
     def run(self):
-        rng = random.Random(self.config.seed)
         order = list(self.launchers)
-        rng.shuffle(order)
+        if len(order) > 1:      # one job draws nothing: build no Random
+            random.Random(self.config.seed).shuffle(order)
         for j in order:
             self.schedule(0, DELIVER_PRIO, self.submit, j)
         for m, t in self.config.crashes:
@@ -573,16 +573,9 @@ class Simulation:
                         break
                     self.snapshots[key] = now, len(self.trace)
             handler(*args)
-        outcomes = {}
-        for j, launcher in self.launchers.items():
-            if launcher.phase == DONE:
-                outcomes[j] = "completed"
-            elif launcher.phase == FAILED:
-                outcomes[j] = "failed"
-            elif launcher.dead:
-                outcomes[j] = "killed"
-            else:
-                outcomes[j] = unfinished
+        ends = {DONE: "completed", FAILED: "failed"}
+        outcomes = {j: ends.get(lr.phase, "killed" if lr.dead else unfinished)
+                    for j, lr in self.launchers.items()}
         # cut every link back to the simulation: reference counting frees it
         heap.clear()
         self.snapshots.clear()

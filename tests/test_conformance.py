@@ -1,6 +1,8 @@
 """Trace-to-net replay: projection, divergences, and the fuzz harness."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -146,6 +148,37 @@ def test_replay_matches_colored_fire_fold():
         assert report == reference_replay(projected, cnet)
         reasons[report.reason] += 1
     assert reasons == {None: 354, "not enabled": 829, "not in the net": 1}
+
+
+def test_clean_report_builds_its_final_marking_when_read(monkeypatch):
+    # a clean replay keeps its flat token counts, not the net, and builds
+    # the colored marking once, on the first read; check_run counts the
+    # job_done tokens without building it
+    built = Counter()
+    marking = conformance._marking
+
+    def counting(places, held):
+        built["markings"] += 1
+        return marking(places, held)
+
+    monkeypatch.setattr(conformance, "_marking", counting)
+    for k in range(100):
+        _, report = check_run(*random_case(random.Random(k)))
+        assert report.ok, k
+    assert built["markings"] == 0
+    p = CatalogParams(machine_count=64, job_demands=[4] * 16)
+    cnet = conformance_net(p)
+    steps = project(run(p, SimConfig()).trace)
+    expected = reference_replay(steps, cnet)
+    report = replay(steps, cnet)
+    ref = weakref.ref(cnet)
+    del cnet
+    gc.collect()
+    assert ref() is None and built["markings"] == 0
+    assert report.final_marking is report.final_marking
+    assert built["markings"] == 1
+    assert report == expected
+    assert len(report.final_marking["job_done"]) == 16
 
 
 def full_check(result, cnet, event_map=None):

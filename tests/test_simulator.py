@@ -137,17 +137,25 @@ PINNED_TRACES = [
 ]
 
 
+def late(launcher):
+    return not launcher.dead and launcher.phase != DISCOVERING
+
+
 class CountingSimulation(Simulation):
-    """Counts the bus deliveries, one per (launcher, machine) pair, that
-    reach a live launcher which is no longer discovering, and the
-    snapshots of the state taken."""
+    """Counts the (launcher, machine) pairs of the bus that reach a live
+    launcher which is no longer discovering (one per such subscriber of a
+    publish or unpublish, one per announced machine of such a launcher's
+    submit notice), and the snapshots of the state taken."""
 
     late = taken = 0
 
-    def notify(self, launchers, machines, published):
-        self.late += len(machines) * sum(
-            not lr.dead and lr.phase != DISCOVERING for lr in launchers)
-        super().notify(launchers, machines, published)
+    def notify(self, machine, published):
+        self.late += sum(map(late, self.launchers.values()))
+        super().notify(machine, published)
+
+    def join(self, launcher, machines):
+        self.late += len(machines) * late(launcher)
+        super().join(launcher, machines)
 
     def snapshot(self, *entry):
         self.taken += 1
@@ -172,15 +180,19 @@ def test_pinned_trace_digests(params, config, digest):
     assert (sim.taken > 0) == loops
 
 
+# 16 launchers of both semantics hear every bus event of 64 machines
+MANY_LAUNCHERS = (
+    CatalogParams(machine_count=64, job_demands=[4] * 16,
+                  semantics=["wait", "fail"] * 8, timeout=3,
+                  failure_detector=True, zeroconf=True),
+    SimConfig(timeout=3, crashes=[(f"M{i}", i) for i in range(3, 64, 5)],
+              seed=7))
+
+
 def test_many_launcher_trace_pinned():
-    # 16 launchers of both semantics hear every bus event of 64 machines;
-    # 1,232 of the 3,280 deliveries reach a launcher no longer discovering
-    params = CatalogParams(machine_count=64, job_demands=[4] * 16,
-                           semantics=["wait", "fail"] * 8, timeout=3,
-                           failure_detector=True, zeroconf=True)
-    config = SimConfig(timeout=3, crashes=[(f"M{i}", i)
-                                           for i in range(3, 64, 5)], seed=7)
-    sim = CountingSimulation(params, config)
+    # 1,232 of the 3,280 (launcher, machine) pairs the bus delivers reach
+    # a launcher no longer discovering
+    sim = CountingSimulation(*MANY_LAUNCHERS)
     r = sim.run()
     assert len(r.trace) == 1513
     assert set(r.outcomes.values()) == {"completed"}
@@ -207,33 +219,120 @@ def test_fuzz_space_traces_pinned():
         "5ba2bbd3f13fa085ce77956e5ca243b59ae9b823ad3ff79f7fa49375a3ad3a86"
 
 
-class EveryStepSimulation(Simulation):
-    """The bus with no step skipped: every live, discovering launcher
-    steps after every (launcher, machine) pair it hears."""
+class PerLauncherBus(Simulation):
+    """The bus copied into every launcher, with no step skipped: each
+    launcher keeps its own ``discovered`` dict (its ``view``), which
+    ``on_bus`` updates pair by pair, and every live, discovering launcher
+    steps after every (launcher, machine) pair it hears.  Its snapshots
+    hold every launcher's own view."""
 
-    def notify(self, launchers, machines, published):
+    def __init__(self, params, config):
+        super().__init__(params, config)
+        for launcher in self.launchers.values():
+            launcher.view = {}          # discovered machines, arrival order
+
+    def on_bus(self, launcher, machine, published):
+        if published:
+            launcher.view.setdefault(machine)
+            if launcher.semantics == "wait":
+                launcher.contacted.discard(machine)
+        else:
+            launcher.view.pop(machine, None)
+
+    def deliver(self, launchers, machines, published):
         for launcher in launchers:
             if launcher.dead or launcher.phase != DISCOVERING:
                 continue
             for m in machines:
-                launcher.on_bus(m, published)
+                self.on_bus(launcher, m, published)
                 launcher.step()
+
+    def notify(self, machine, published):
+        self.deliver(self.launchers.values(), (machine,), published)
+
+    def join(self, launcher, machines):
+        self.deliver((launcher,), machines, True)
+
+    def snapshot(self, *entry):
+        return (super().snapshot(*entry),
+                tuple(tuple(lr.view) for lr in self.launchers.values()))
+
+
+def wide_case(rng):
+    """A scenario wider than the fuzz space: 1-8 machines, 1-6 jobs of
+    both semantics, up to 3 crashes and a kill (at t=0 too), latencies and
+    detect delay down to 0."""
+    machines, jobs = rng.randint(1, 8), rng.randint(1, 6)
+    timeout = rng.choice((None, 1, 3))
+    params = CatalogParams(
+        machine_count=machines,
+        job_demands=[rng.randint(1, 3) for _ in range(jobs)],
+        semantics=[rng.choice(("fail", "wait")) for _ in range(jobs)],
+        timeout=timeout, failure_detector=rng.random() < 0.6)
+
+    def at():
+        return rng.choice((0, rng.randint(0, 8)))
+
+    config = SimConfig(
+        bus_latency=rng.randint(0, 2), msg_latency=rng.randint(0, 2),
+        timeout=timeout, job_duration=rng.randint(1, 3),
+        crashes=[(f"M{rng.randint(1, machines)}", at())
+                 for _ in range(rng.randint(0, 3))],
+        launcher_kills=([(f"J{rng.randint(1, jobs)}", at())]
+                        if rng.random() < 0.4 else []),
+        seed=rng.randrange(2**32), detect_delay=rng.randint(0, 2),
+        horizon=200)
+    return params, config
+
+
+def oracle_cases():
+    """Fuzz cases 0-299, the pinned 64-machine case, a 48-machine mixed
+    case and 2,000 wide runs."""
+    yield from (random_case(random.Random(k)) for k in range(300))
+    yield MANY_LAUNCHERS
+    yield (CatalogParams(machine_count=48, job_demands=[4] * 16,
+                         semantics=["wait", "fail"] * 8,
+                         failure_detector=True, zeroconf=True),
+           SimConfig(crashes=[(f"M{i}", i) for i in range(3, 48, 5)], seed=3))
+    yield from (wide_case(random.Random(k)) for k in range(2000))
 
 
 def test_skipped_bus_steps_change_nothing():
-    # a wait launcher is stepped by the bus only on a publish with a free
-    # slot; stepping it on every pair must give the same trace
-    cases = [random_case(random.Random(k)) for k in range(300)]
-    cases.append((CatalogParams(machine_count=48, job_demands=[4] * 16,
-                                semantics=["wait", "fail"] * 8,
-                                failure_detector=True, zeroconf=True),
-                  SimConfig(crashes=[(f"M{i}", i) for i in range(3, 48, 5)],
-                            seed=3)))
-    for params, config in cases:
-        expected = EveryStepSimulation(params, config).run()
+    # one shared bus view, a wait launcher stepped only on a publish with a
+    # free slot and one step per submit notice must give the trace of a
+    # bus copied into each launcher that steps on every pair
+    loops = 0
+    for params, config in oracle_cases():
+        expected = PerLauncherBus(params, config).run()
         r = Simulation(params, config).run()
-        assert r.trace_text() == expected.trace_text()
+        assert r.trace_text() == expected.trace_text(), (params, config)
         assert (r.outcomes, r.cycle) == (expected.outcomes, expected.cycle)
+        loops += r.cycle is not None
+    assert loops == 349
+
+
+class JoinCheckingSimulation(Simulation):
+    """Checks that every submit notice finds the shared view holding
+    exactly the machines it announces, in its order."""
+
+    joins = 0
+
+    def join(self, launcher, machines):
+        assert tuple(self.bus) == machines
+        self.joins += 1
+        super().join(launcher, machines)
+
+
+def test_every_join_finds_its_own_view():
+    # the shared view is exact only while every notice announces what the
+    # bus holds when it arrives: a change to when jobs are submitted
+    # shows here rather than as a silent divergence
+    joins = 0
+    for params, config in oracle_cases():
+        sim = JoinCheckingSimulation(params, config)
+        sim.run()
+        joins += sim.joins
+    assert joins == 6910
 
 
 def test_loops_copied_exactly():
