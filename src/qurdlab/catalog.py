@@ -2,22 +2,24 @@
 and machine daemons, and its unfolding into a plain net.
 
 The model is defined once, as a colored net: ``build_colored(params)``
-takes a ``CatalogParams`` and nothing else, and builds the color universe
-from the params' machines, jobs, demands and semantics.  ``build_net``
-validates the params and unfolds that net.  The CLI analyses the
-unfolding of the net's machine-folded copy (``colored.fold_machines``),
-whose size does not grow with the machine count; witnesses are always
-paths of ``build_net``.  Trace conformance replays on the colored net.  The
-Zeroconf and failure-detector layers are optional parts of the same net.
-Unfolded per-job places/transitions carry ``@J``, per-machine ones ``@M``
-and per-pair ones ``@(M,J)``.  ``build_machine`` cuts one machine's
-daemon out of the same colored net and keeps the plain names.
+takes a ``CatalogParams``, builds the color universe from the params'
+machines, jobs, demands and semantics, and shares the structure of the
+params' layers, built once per process.  ``build_net`` validates the
+params and unfolds that net.  The CLI analyses the unfolding of the net's
+machine-folded copy (``colored.fold_machines``), whose size does not grow
+with the machine count; witnesses are always paths of ``build_net``.
+Trace conformance replays on the colored net.  The Zeroconf and
+failure-detector layers are optional parts of the same net.  Unfolded
+per-job places/transitions carry ``@J``, per-machine ones ``@M`` and
+per-pair ones ``@(M,J)``.  ``build_machine`` cuts one machine's daemon out
+of the same colored net and keeps the plain names.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .colored import (FAIL, JOB, MACHINE, PAIR, WAIT, Binding, ColoredNet,
                       ColorUniverse, Inscription, color_name, unfold)
@@ -126,36 +128,45 @@ def build_net(params):
     return unfold(build_colored(params))
 
 
-def build_colored(params):
-    """The colored model for ``params``.
-
-    Its universe is the params' machines and jobs with each job's demand
-    and semantics; the params also supply the timeout and the optional
-    Zeroconf and failure-detector layers.  The params are not validated
-    here (``build_net`` does that).  cancel returns the job's token to
-    get_nodes with multiplicity W'(j): a wait job asks again, a fail job
-    does not.  The continue transition produces a pair token in running
-    (the only sort-correct reading).
+def build_colored(params, layers=None):
+    """The colored model for ``params``: the structure of its timeout and
+    optional Zeroconf and failure-detector layers, or of ``layers``, such a
+    triple (``conformance_net`` replays on wider ones), over the params'
+    machines and jobs with each job's demand and semantics.  The params are
+    not validated here (``build_net`` does that).
     """
     jobs = params.jobs()
     universe = ColorUniverse(
         params.machines(), jobs, dict(zip(jobs, params.job_demands)),
         {j: params.semantics_of(i) for i, j in enumerate(jobs)})
-    cnet = ColoredNet(universe, name="composed")
+    structure = _structure(*layers or (params.timeout, params.zeroconf,
+                                       params.failure_detector))
+    return structure.instance(universe, {"begin": universe.jobs,
+                                         "available": universe.machines})
 
-    cnet.add_place("begin", JOB, tokens=universe.jobs)
+
+# typed: a timeout of 3.0 keeps its interval, which validate reports
+@lru_cache(maxsize=16, typed=True)
+def _structure(timeout, zeroconf, failure_detector):
+    """The model's structure for one layer set, built once per process.
+    cancel returns the job's token to get_nodes with multiplicity W'(j): a
+    wait job asks again, a fail job does not.  The continue transition
+    produces a pair token in running (the only sort-correct reading)."""
+    cnet = ColoredNet(None, name="composed")
+
+    cnet.add_place("begin", JOB)
     cnet.add_place("get_nodes", JOB)
     cnet.add_place("answered", JOB)
     cnet.add_place("launching_job", JOB)
     cnet.add_place("job_finished", JOB)
     cnet.add_place("job_done", JOB)
-    cnet.add_place("available", MACHINE, tokens=universe.machines)
-    if params.zeroconf:
+    cnet.add_place("available", MACHINE)
+    if zeroconf:
         cnet.add_place("not_available", MACHINE)
     cnet.add_place("reserved", PAIR)
     cnet.add_place("running", PAIR)
     cnet.add_place("finished", PAIR)
-    if params.failure_detector:
+    if failure_detector:
         cnet.add_place("dead", MACHINE)
         cnet.add_place("failure_detector", JOB)
 
@@ -169,16 +180,16 @@ def build_colored(params):
     cnet.add_transition("t3", pre={"running": MJ}, post={"finished": MJ})
     cnet.add_transition("t4", pre={"finished": MJ},
                         post={"available": M_, "job_finished": J_})
-    if params.timeout is not None:
+    if timeout is not None:
         cnet.add_transition("cancel", pre={"reserved": MJ, "answered": J_},
                             post={"available": M_, "get_nodes": WJ},
-                            interval=(params.timeout, None))
-    if params.zeroconf:
+                            interval=(timeout, None))
+    if zeroconf:
         cnet.add_transition("publish", pre={"not_available": M_},
                             post={"available": M_})
         cnet.add_transition("unpublish", pre={"available": M_},
                             post={"not_available": M_})
-    if params.failure_detector:
+    if failure_detector:
         cnet.add_transition("crash", pre={"running": MJ},
                             post={"dead": M_, "failure_detector": J_})
         cnet.add_transition("continue", pre={"available": M_, "failure_detector": J_},

@@ -5,18 +5,19 @@ pairs ``(m, j)``.  Arcs carry one inscription each: a pattern over the
 variables m and j, optionally with a per-job multiplicity: P'(j), the
 job's demand, or W'(j), 1 for a job with wait semantics and 0 for one
 with fail semantics.  Only variable matching is supported; the
-reservation model needs no guards.  ``ColoredNet.arcs`` compiles each
-(transition, binding) into the tokens it consumes and produces once per
-process, in one bounded table keyed on the inscriptions, the binding and
-its job's demand and semantics.  That is the one definition of a firing,
-shared by ``colored_fire``, the conformance replay and ``unfold``: a
-binding is enabled exactly when every token it consumes is there.
-``unfold`` expands a colored net over its finite universe into an
-ordinary place/transition net with one place per (place, color) and one
-transition per (transition, binding), named ``base@J``, ``base@M`` and
+reservation model needs no guards.  A net is a structure, read-only and
+shared by every net of it (``ColoredNet.instance``), plus its own universe
+and initial marking (Jensen & Kristensen, Coloured Petri Nets, 2009).
+``ColoredNet.arcs`` compiles each firing into the tokens it consumes and
+produces once per structure, in one bounded table.  That is the one
+definition of a firing, shared by ``colored_fire``, the conformance replay
+and ``unfold``: a binding is enabled exactly when every token it consumes
+is there.  ``unfold`` expands a colored net over its finite universe into
+an ordinary place/transition net with one place per (place, color) and
+one transition per (transition, binding), named ``base@J``, ``base@M`` and
 ``base@(M,J)`` (``binding_name``).  The universe is not checked here (the
 reservation model builds it from ``CatalogParams``, whose ``validate``
-checks the parameters); ``ColoredNet.validate`` checks sorts,
+checks the parameters); ``ColoredNet.validate`` checks names, sorts,
 inscriptions, intervals and initial tokens.
 
 ``fold_machines`` merges every machine into the one color ``*``, so that
@@ -32,7 +33,7 @@ one of the original net's, binding concrete machines.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .tpn import Net, NotFireable
@@ -45,6 +46,10 @@ FAIL = "fail"
 WAIT = "wait"
 
 FOLDED = "*"                # the one machine color of a folded net
+
+# Firings a structure's table keeps: each of the fuzz space's structures
+# fires at most 319, a 512-machine cluster about 2,434, each about once.
+FIRINGS = 1024
 
 
 class ColorUniverse:
@@ -102,37 +107,53 @@ SORT_OF_PATTERN = {"m": MACHINE, "j": JOB, "mj": PAIR}
 
 
 class ColoredNet:
-    """Colored net structure; immutable after construction by convention."""
+    """A structure of places (``sort``: place -> JOB, MACHINE or PAIR) and
+    transitions (``pre``, ``post``: -> {place: Inscription}, ``interval``),
+    plus the net's own universe and ``initial`` marking (place -> tuple of
+    tokens).  Every net ``instance`` makes shares the structure, read-only:
+    ``add_place`` and ``add_transition`` extend a copy, with a new table."""
 
     def __init__(self, universe, name="colored"):
         self.name = name
         self.universe = universe
-        self.places = []
-        self.sort = {}              # place -> JOB | MACHINE | PAIR
-        self.transitions = []
-        self.pre = {}               # transition -> {place: Inscription}
-        self.post = {}
-        self.interval = {}
-        self.initial = {}           # place -> tuple of tokens
-        self._sides = {}            # transition -> its arcs, as first fired
+        self.initial = {}
+        self.places = self.transitions = ()
+        self.sort = self.pre = self.post = self.interval = \
+            MappingProxyType({})
+        self.firings = {}           # ``arcs``' key -> (consumed, produced)
 
     def add_place(self, name, sort, tokens=()):
-        self.places.append(name)
-        self.sort[name] = sort
+        self.places += (name,)
+        self.sort = MappingProxyType({**self.sort, name: sort})
         if tokens:
             self.initial[name] = tuple(tokens)
+        self.firings = {}
         return name
 
     def add_transition(self, name, pre, post, interval=(0, None)):
-        self.transitions.append(name)
-        self.pre[name] = dict(pre)
-        self.post[name] = dict(post)
-        self.interval[name] = tuple(interval)
-        self._sides.pop(name, None)
+        self.transitions += (name,)
+        self.pre = MappingProxyType({**self.pre,
+                                     name: MappingProxyType(dict(pre))})
+        self.post = MappingProxyType({**self.post,
+                                      name: MappingProxyType(dict(post))})
+        self.interval = MappingProxyType({**self.interval,
+                                          name: tuple(interval)})
+        self.firings = {}
         return name
 
+    def instance(self, universe, initial):
+        """A net of this structure, sharing it and its firing table, over
+        ``universe`` with its own ``initial`` marking."""
+        net = object.__new__(ColoredNet)
+        net.__dict__.update(self.__dict__, universe=universe,
+                            initial=dict(initial))
+        return net
+
     def validate(self):
-        issues = []
+        issues = [f"{kind} {name!r} declared twice"
+                  for kind, names in (("place", self.places),
+                                      ("transition", self.transitions))
+                  for name, n in Counter(names).items() if n > 1]
         pset = set(self.places)
         for t in self.transitions:
             for side, arcs in (("pre", self.pre[t]), ("post", self.post[t])):
@@ -192,35 +213,37 @@ class ColoredNet:
 
     def arcs(self, t, binding):
         """What firing t under binding consumes and produces: two tuples of
-        ((place, token), count) pairs in arc order, zero counts left out,
-        compiled once per process from t's inscriptions as it first fires
-        here, the binding and its job's demand and semantics."""
-        sides = self._sides.get(t)
-        if sides is None:
-            sides = self._sides[t] = (tuple(self.pre[t].items()),
-                                      tuple(self.post[t].items()))
+        ((place, token), count) pairs in arc order, zero counts left out."""
         m, j = binding
         u = self.universe
-        return _compile(sides, m, j, u.demand.get(j), u.semantics.get(j))
+        key = t, m, j, u.demand.get(j), u.semantics.get(j)
+        return self.firings.get(key) or self.compile(key)
+
+    def compile(self, key):
+        """The firing ``arcs`` keys on (transition, machine, job, demand,
+        semantics), compiled into the table, which drops its oldest firing
+        when full.  ValueError, with the reason, for a transition the net
+        lacks or one that binds a job with no demand, outside the universe."""
+        t, m, j, demand, semantics = key
+        if t not in self.pre:
+            raise ValueError("not in the net")
+        if demand is None and self.variables_of(t)[1]:
+            raise ValueError(f"job {j} not in the net")
+        firing = []
+        for arcs in (self.pre[t], self.post[t]):
+            side = []
+            for p, ins in arcs.items():
+                toks = ins.tokens(m, j, demand, semantics)
+                if toks:        # one token, repeated
+                    side.append(((p, toks[0]), len(toks)))
+            firing.append(tuple(side))
+        if len(self.firings) >= FIRINGS:
+            del self.firings[next(iter(self.firings))]
+        self.firings[key] = firing = tuple(firing)
+        return firing
 
     def initial_marking(self):
         return {p: tuple(sorted(self.initial.get(p, ()))) for p in self.places}
-
-
-# One table for every net in the process, so the fresh nets of a fuzz batch
-# share their firings; its keys are tuples, Inscription included, hashed in
-# C.  Bounded: 512 hold the fuzz space's 334, while the 2,434 of a
-# 512-machine cluster, each fired about once, would cost 1.5 MB.
-@lru_cache(maxsize=512)
-def _compile(sides, m, j, demand, semantics):
-    compiled = []
-    for arcs in sides:
-        need = {}
-        for p, ins in arcs:
-            for tok in ins.tokens(m, j, demand, semantics):
-                need[p, tok] = need.get((p, tok), 0) + 1
-        compiled.append(tuple(need.items()))
-    return tuple(compiled)
 
 
 def canonical(marking):
@@ -388,18 +411,14 @@ def _fold_token(sort, tok):
 
 
 def fold_machines(cnet):
-    """A copy of cnet whose universe has the single machine color ``*``,
-    with every machine in a MACHINE- or PAIR-sort initial token replaced by
-    it; exact only where ``fold_refusal(cnet)`` is None."""
+    """cnet's structure over the single machine color ``*``, with every
+    machine in a MACHINE- or PAIR-sort initial token replaced by it; exact
+    only where ``fold_refusal(cnet)`` is None."""
     u = cnet.universe
-    folded = ColoredNet(ColorUniverse((FOLDED,), u.jobs, u.demand, u.semantics),
-                        name=cnet.name)
-    for p in cnet.places:
-        folded.add_place(p, cnet.sort[p], [_fold_token(cnet.sort[p], tok)
-                                           for tok in cnet.initial.get(p, ())])
-    for t in cnet.transitions:
-        folded.add_transition(t, cnet.pre[t], cnet.post[t], cnet.interval[t])
-    return folded
+    return cnet.instance(
+        ColorUniverse((FOLDED,), u.jobs, u.demand, u.semantics),
+        {p: tuple(_fold_token(cnet.sort[p], tok) for tok in toks)
+         for p, toks in cnet.initial.items()})
 
 
 def lift_machines(cnet, names):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import colored as cpn
@@ -85,13 +85,13 @@ class ReplayReport:
 def project(trace, event_map=None):
     """Order-preserving projection of a trace onto (transition, binding)
     pairs, dropping internal events."""
-    event_map = event_map or EventMap()
+    mapping = DEFAULT_MAPPING if event_map is None else event_map.mapping
+    internal = DEFAULT_INTERNAL if event_map is None else event_map.internal
     out = []
     for ev in trace:
-        if ev.kind in event_map.mapping:
-            out.append((event_map.mapping[ev.kind],
-                        cpn.Binding(ev.machine, ev.job)))
-        elif ev.kind not in event_map.internal:
+        if ev.kind in mapping:
+            out.append((mapping[ev.kind], cpn.Binding(ev.machine, ev.job)))
+        elif ev.kind not in internal:
             raise UnknownEvent(ev.kind)
     return out
 
@@ -100,30 +100,38 @@ def replay(projected, cnet):
     """Fire the projected sequence from the initial colored marking,
     untimed; divergences, including a transition or job the net lacks,
     are reported, not raised.  The marking is kept as one flat
-    {(place, token): count} dict that each step's ``cnet.arcs`` pairs
-    test and update in place, as ``colored_fire`` would."""
+    {(place, token): count} dict that each step's firing (``cnet.arcs``)
+    tests and updates in place, as ``colored_fire`` would."""
     held = _initial(cnet)
     return _fire(cnet, held, projected) or _replayed(cnet.places, held)
 
 
 def _initial(cnet):
-    # a plain dict: a Counter's item updates cost over twice as much
-    return dict(Counter((p, t) for p, toks in cnet.initial.items()
-                        for t in toks))
+    held = {}
+    for p, toks in cnet.initial.items():
+        for tok in toks:
+            held[p, tok] = held.get((p, tok), 0) + 1
+    return held
 
 
 def _fire(cnet, held, steps, first=0):
     """Fire ``steps`` in place on ``held``; the report of the first one
-    that diverges, numbered from ``first``, or None."""
-    get, jobs, places = held.get, cnet.universe.demand, cnet.places
+    that diverges, numbered from ``first``, or None.  Each step reads the
+    firing table under ``cnet.arcs``' key; only a firing new to it is
+    compiled, which finds a transition or job the net lacks."""
+    get, places, table = held.get, cnet.places, cnet.firings
+    demand, semantics = cnet.universe.demand, cnet.universe.semantics
     for i, (t, b) in enumerate(steps, first):
-        if t not in cnet.pre:
-            return ReplayReport(False, i, (t, b), _marking(places, held),
-                                reason="not in the net")
-        if b.j not in jobs and cnet.variables_of(t)[1]:
-            return ReplayReport(False, i, (t, b), _marking(places, held),
-                                reason=f"job {b.j} not in the net")
-        consumed, produced = cnet.arcs(t, b)
+        m, j = b
+        key = t, m, j, demand.get(j), semantics.get(j)
+        firing = table.get(key)
+        if firing is None:
+            try:
+                firing = cnet.compile(key)
+            except ValueError as missing:
+                return ReplayReport(False, i, (t, b), _marking(places, held),
+                                    reason=str(missing))
+        consumed, produced = firing
         for pt, n in consumed:
             if get(pt, 0) < n:
                 return ReplayReport(False, i, (t, b), _marking(places, held),
@@ -194,9 +202,8 @@ def conformance_net(params, crashes=()):
     timeout = params.timeout
     if timeout is None and any_fail:
         timeout = DEFAULT_TIMEOUT
-    return build_colored(replace(
-        params, timeout=timeout,
-        failure_detector=params.failure_detector or bool(crashes)))
+    return build_colored(params, (timeout, params.zeroconf,
+                                  params.failure_detector or bool(crashes)))
 
 
 def check_run(params, config, event_map=None):

@@ -28,15 +28,16 @@ announced as published, in arrival order, updated once per bus event
 before each live, discovering launcher hears it.  A launcher reads an
 empty view until its submit notice joins it.  This is exact: every job is
 submitted at t=0, after the crashes and kills at t=0, and the notices
-carry one published tuple at consecutive sequence numbers.  No publish
+announce the same machines at consecutive sequence numbers.  No publish
 precedes them (freeing a machine needs a reservation); an unpublish can,
 by a crash at t=0 with bus latency 0, and a fail launcher stepping on it
 must see nothing.  One step per join contacts what a step per announced
 machine would: no reply arrives during a notice, and a fail launcher does
 not give up with a RESERVE pending.  A launcher stops discovering only by
 an irreversible step, which clears the snapshots, so no snapshot needs
-its frozen view.  The result is an outcome per job plus the protocol trace
-consumed by the conformance checker.
+its frozen view, and drops it from the launchers a bus event walks.  The
+result is an outcome per job plus the protocol trace consumed by the
+conformance checker.
 
 A run whose whole state comes back at a later tick would loop forever, so
 ``run`` stops there, keeping the events of one period since that tick;
@@ -298,7 +299,7 @@ class Launcher:
                       machine, self.res_epoch[machine])
         if len(self.machines) == self.needed:
             self.phase = LAUNCHING
-            sim.progress()
+            sim.progress(self)
             sim.emit(self.job, "launch", None, self.job)
             for m in self.machines:
                 sim.send(sim.daemons[m].start, self.job)
@@ -365,7 +366,7 @@ class Launcher:
             self.sim.send(self.sim.daemons[m].release, self.job)
         self.machines.clear()
         self.phase = FAILED
-        self.sim.progress()
+        self.sim.progress(self)
         self.sim.emit(self.job, "failed", None, self.job)
 
 
@@ -391,6 +392,7 @@ class Simulation:
         for i, (j, d) in enumerate(zip(params.jobs(), params.job_demands)):
             self.launchers[j] = Launcher(self, j, d, params.semantics_of(i))
         self.bus = dict.fromkeys(self.daemons)  # all start published
+        self.discovering = dict.fromkeys(self.launchers.values())  # in order
         self.restart_queue = []      # jobs waiting for a machine to restart on
         # snapshots start this long after the last irreversible step
         self.quiet = 2 * max(config.bus_latency, config.job_duration,
@@ -437,9 +439,7 @@ class Simulation:
             self.bus[machine] = None
         else:
             del self.bus[machine]
-        for launcher in self.launchers.values():
-            if launcher.dead or launcher.phase != DISCOVERING:
-                continue
+        for launcher in [*self.discovering]:    # a step may drop its own
             if launcher.semantics == "fail":
                 launcher.step()
             elif published:
@@ -448,15 +448,17 @@ class Simulation:
                         launcher.pending):
                     launcher.step()
 
-    def join(self, launcher, machines):
-        """A submit notice: its ``machines`` are the shared view by now."""
+    def join(self, launcher):
+        """A submit notice: what it announces is the shared view by now."""
         launcher.view = self.bus
         launcher.step()
 
-    def progress(self):
-        """An irreversible step: no state before it can come back."""
+    def progress(self, launcher=None):
+        """An irreversible step: no state before it can come back, and a
+        launcher that took it stops discovering."""
         self.progressed = self.now
         self.snapshots.clear()
+        self.discovering.pop(launcher, None)
 
     def snapshot(self, time, prio, handler, args):
         """The state at a tick boundary, popped event included, equal at two
@@ -511,15 +513,14 @@ class Simulation:
         self.progress()
         self.emit(job, "job-submitted", None, job)
         launcher = self.launchers[job]
-        published = tuple(m for m, d in self.daemons.items()
-                          if d.state == "available" and not d.crashed)
-        if published:
+        if any(d.state == "available" and not d.crashed
+               for d in self.daemons.values()):
             self.schedule(self.now + self.config.bus_latency, DELIVER_PRIO,
-                          self.join, launcher, published)
+                          self.join, launcher)
         launcher.step()
 
     def kill(self, job):
-        self.progress()
+        self.progress(self.launchers[job])
         self.launchers[job].dead = True
         self.emit(job, "killed", None, job)
 

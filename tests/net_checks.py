@@ -1,13 +1,15 @@
 """Checks that only the tests make: the full timed graph, with every
 machine permutation of a state kept apart, a predicate scanned over every
 state of an explored graph, a P-invariant tested on a plain net's
-incidence matrix, and the unfolded names of one machine's places."""
+incidence matrix, the unfolded names of one machine's places, and a
+colored net rebuilt with edited arcs."""
 
 from operator import attrgetter
+from types import SimpleNamespace
 
 from qurdlab.analysis import (DEFAULT_BOUND, ReachGraph, _closure,
                               _identity, _incidence, _require_complete)
-from qurdlab.colored import MACHINE, PAIR, color_name
+from qurdlab.colored import MACHINE, PAIR, ColoredNet, color_name
 from qurdlab.tpn import TimedState
 
 
@@ -40,3 +42,21 @@ def machine_places(cnet, m, sorts):
     colors = {MACHINE: [m], PAIR: [(m, j) for j in cnet.universe.jobs]}
     return [color_name(p, c) for p in cnet.places if cnet.sort[p] in sorts
             for c in colors.get(cnet.sort[p], ())]
+
+
+def mutant(cnet, change):
+    """A net built afresh from cnet's places, transitions and universe
+    after ``change(c)`` edited ``c.pre``, ``c.post`` and ``c.initial``,
+    mutable copies of cnet's: a built net's arcs are read-only, as every
+    net of its structure shares them."""
+    c = SimpleNamespace(pre={t: dict(arcs) for t, arcs in cnet.pre.items()},
+                        post={t: dict(arcs) for t, arcs in cnet.post.items()},
+                        initial=dict(cnet.initial))
+    change(c)
+    out = ColoredNet(cnet.universe, cnet.name)
+    for p in cnet.places:
+        out.add_place(p, cnet.sort[p])
+    for t in cnet.transitions:
+        out.add_transition(t, c.pre[t], c.post[t], cnet.interval[t])
+    out.initial = c.initial
+    return out

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from net_checks import mutant
 import qurdlab
 from qurdlab import analysis, cli, simulator
 from qurdlab.analysis import explore_colored, explore_markings, replay_labels
@@ -155,9 +156,7 @@ def test_unproved_machines_are_refused_with_a_reason():
     params = CatalogParams(machine_count=3, job_demands=[1], timeout=None)
 
     def refusal(change):
-        cnet = build_colored(params)
-        change(cnet)
-        return fold_refusal(cnet)
+        return fold_refusal(mutant(build_colored(params), change))
 
     unbalanced = "a transition creates or destroys a machine token"
     asymmetric = "initial marking not machine-symmetric"
@@ -265,9 +264,8 @@ def test_unproved_machines_are_not_folded(tmp_path, capsys, monkeypatch):
     # t3 also returns its machine to available, which no property list
     # gets past, deadlock alone included
     def minting(params):
-        cnet = build_colored(params)
-        cnet.post["t3"]["available"] = Inscription("m")
-        return cnet
+        return mutant(build_colored(params), lambda c: c.post["t3"].update(
+            available=Inscription("m")))
 
     monkeypatch.setattr(cli, "build_colored", minting)
     f = tmp_path / "mint.scn"

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from net_checks import mutant
 from qurdlab.colored import (Binding, ColoredNet, ColorUniverse, Inscription,
                              JOB, MACHINE, PAIR, binding_name, canonical,
                              colored_enabled, colored_fire, fold_machines,
@@ -51,8 +52,8 @@ def test_per_demand_needs_job_pattern():
 
 
 def test_unknown_pattern_is_reported():
-    cnet = build_colored(params(2, ["j1"], [1]))
-    cnet.pre["t3"]["running"] = Inscription("jm")
+    cnet = mutant(build_colored(params(2, ["j1"], [1])),
+                  lambda c: c.pre["t3"].update(running=Inscription("jm")))
     assert "unknown inscription pattern 'jm' on t3->running" in cnet.validate()
 
 
@@ -81,6 +82,15 @@ def test_validate_reports_a_bound_that_is_not_an_int(interval):
 
 
 # -- inscriptions and bindings ------------------------------------------------
+
+def test_a_float_timeout_gets_its_own_structure():
+    # structures are cached by layer set, and 3.0 == 3: only the float's
+    # interval is reported, whichever was built first
+    for timeout in (3, 3.0, 3):
+        cnet = build_colored(CatalogParams(machine_count=1, timeout=timeout))
+        assert cnet.interval["cancel"] == (timeout, None)
+        assert bool(cnet.validate()) == isinstance(timeout, float)
+
 
 def test_inscription_tokens():
     u = ColorUniverse(["m1"], ["j1", "j2"], {"j1": 3, "j2": 1}, {"j2": "fail"})
@@ -199,13 +209,63 @@ def test_same_transition_name_different_inscriptions_not_shared():
 
 
 def test_post_changed_before_first_firing_is_fired():
-    cnet = build_colored(tiny_params())
-    cnet.post["t4"]["finished"] = Inscription("mj")
+    cnet = mutant(build_colored(tiny_params()),
+                  lambda c: c.post["t4"].update(finished=Inscription("mj")))
     m = dict(cnet.initial_marking(), available=(), finished=(("M1", "j1"),))
     m = colored_fire(cnet, m, "t4", Binding("M1", "j1"))
     assert m["finished"] == (("M1", "j1"),)
     assert m["available"] == ("M1",)
     assert m["job_finished"] == ("j1",)
+
+
+def test_a_built_nets_structure_is_read_only():
+    # every net of the structure shares it, so an edit in place would
+    # reach them all; the initial marking is the net's own
+    cnet = build_colored(tiny_params())
+    with pytest.raises(TypeError):
+        cnet.post["t3"]["available"] = Inscription("m")
+    with pytest.raises(AttributeError):
+        cnet.pre["t3"].update(running=Inscription("jm"))
+    for mapping in (cnet.pre, cnet.post, cnet.interval, cnet.sort):
+        with pytest.raises(TypeError):
+            mapping["t3"] = {}
+    with pytest.raises(AttributeError):
+        cnet.transitions.append("t3")
+    cnet.initial["available"] = ()
+    assert build_colored(tiny_params()).initial["available"] == ("M1",)
+
+
+def test_extending_a_built_net_leaves_fresh_nets_alone():
+    p, b = params(2, ["j1"], [1]), Binding("M1", "j1")
+    fresh = build_colored(p)
+    running = dict(fresh.initial_marking(), running=(("M1", "j1"),))
+    fired = colored_fire(fresh, running, "t3", b)
+    shape = fresh.places, fresh.transitions, fresh.arcs("t3", b)
+    cnet = build_colored(p)
+    cnet.add_transition("t3", pre={"running": Inscription("mj")},
+                        post={"available": Inscription("m")})
+    assert cnet.arcs("t3", b)[1] == ((("available", "M1"), 1),)
+    cnet.add_place("spare", MACHINE)
+    cnet.add_transition("stop", pre={"available": Inscription("m")},
+                        post={"spare": Inscription("m")})
+    assert colored_fire(cnet, running, "stop", b)["spare"] == ("M1",)
+    for net in (fresh, build_colored(p)):
+        assert (net.places, net.transitions, net.arcs("t3", b)) == shape
+        assert colored_fire(net, running, "t3", b) == fired
+
+
+def test_a_name_declared_twice_is_reported():
+    # t3 added again is listed twice: its unfolding would repeat t3@(M1,j1)
+    cnet = build_colored(tiny_params())
+    assert cnet.validate() == []
+    cnet.add_transition("t3", pre={"running": Inscription("mj")},
+                        post={"finished": Inscription("mj")})
+    names = unfold(cnet).transitions
+    assert (len(names), len(set(names))) == (9, 8)
+    cnet.add_place("begin", JOB)
+    assert cnet.validate() == ["place 'begin' declared twice",
+                               "transition 't3' declared twice"]
+    assert fold_refusal(cnet) == "colored net does not validate"
 
 
 def test_fire_checks_enabling():
@@ -356,9 +416,8 @@ def test_fold_machines_counts_machines():
 
 def test_fold_refusal_reasons():
     def refusal(change):
-        cnet = build_colored(params(2, ["j1", "j2"], [1, 1]))
-        change(cnet)
-        return fold_refusal(cnet)
+        return fold_refusal(mutant(build_colored(params(2, ["j1", "j2"],
+                                                        [1, 1])), change))
 
     assert refusal(lambda c: None) is None
     # every machine equally often, per job for pairs, but twice

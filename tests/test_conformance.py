@@ -5,6 +5,7 @@ import random
 import weakref
 from collections import Counter
 from dataclasses import replace
+from hashlib import sha256
 
 import pytest
 
@@ -308,16 +309,16 @@ def test_unknown_job_reported_not_raised():
     assert report.marking == net.initial_marking()
 
 
-def test_compiled_firings_stay_within_the_bound():
-    cpn._compile.cache_clear()
-    p = CatalogParams(machine_count=64, job_demands=[4] * 32,
+def test_firing_table_stays_within_the_bound():
+    p = CatalogParams(machine_count=128, job_demands=[4] * 64,
                       failure_detector=True)
     config = SimConfig(crashes=[(f"M{i}", 5 * i % 60)
-                                for i in range(7, 65, 7)], seed=5)
-    assert check_run(p, config)[1].ok
-    info = cpn._compile.cache_info()
-    # the run fires more distinct firings than the table keeps
-    assert info.misses > info.maxsize >= info.currsize
+                                for i in range(7, 129, 7)], seed=5)
+    result, report = check_run(p, config)
+    assert report.ok
+    # the run fires more distinct firings than its structure's table keeps
+    table = conformance_net(p, config.crashes).firings
+    assert len(set(project(result.events))) > cpn.FIRINGS == len(table)
 
 
 # -- fuzz -------------------------------------------------------------------------
@@ -335,15 +336,21 @@ def test_fuzz_zero_cases():
 
 
 def test_swapped_event_map_diverges():
-    # negative control: claiming OKs are job acceptances cannot replay
+    # negative control: claiming OKs are job acceptances cannot replay;
+    # every report's step, label, reason and blocking marking is pinned
     mapping = dict(DEFAULT_MAPPING)
     mapping["ok-sent"], mapping["job-accepted"] = \
         mapping["job-accepted"], mapping["ok-sent"]
-    summary = fuzz_conformance(20, event_map=EventMap(mapping=mapping))
-    assert summary.failed >= 1
+    summary = fuzz_conformance(200, event_map=EventMap(mapping=mapping))
+    assert (summary.passed, summary.failed) == (11, 189)
     seed, desc, report = summary.failures[0]
     assert report.index is not None
     assert "divergence at step" in str(report)
+    markings = "".join(f"{r.marking!r}\n" for _, _, r in summary.failures)
+    assert [sha256(text.encode()).hexdigest()
+            for text in (str(summary), markings)] == [
+        "b8d318e20eaeece51dcca8f02ff9f4b837a2f1edacb2fcbcb097361698ea341f",
+        "3d4e84d35137fed38f7d8f34260606a90887782ddf2cf41c4ab75cd6de40a95d"]
 
 
 # -- trace text round-trip -----------------------------------------------------

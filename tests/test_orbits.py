@@ -15,7 +15,7 @@ from operator import itemgetter
 
 import pytest
 
-from net_checks import full_explore
+from net_checks import full_explore, mutant
 from qurdlab.analysis import (check_reachable, explore, find_deadlocks,
                               pending_deadlocks, replay_labels)
 from qurdlab.catalog import CatalogParams, build_colored, build_net
@@ -115,16 +115,16 @@ def test_orbits_on_random_params():
         assert assert_orbits(build_net(p), p.machines()), p
 
 
-def spare_reservation(cnet):
-    cnet.initial["reserved"] = (("M1", "J2"),)
+def spare_reservation(c):
+    c.initial["reserved"] = (("M1", "J2"),)
 
 
-def minted_machine(cnet):
-    cnet.post["t3"]["available"] = Inscription("m")
+def minted_machine(c):
+    c.post["t3"]["available"] = Inscription("m")
 
 
-def missing_machine(cnet):
-    cnet.initial["available"] = ("M1", "M2")
+def missing_machine(c):
+    c.initial["available"] = ("M1", "M2")
 
 
 @pytest.mark.parametrize("mutate", [spare_reservation, minted_machine,
@@ -134,8 +134,7 @@ def test_orbits_on_colored_mutants(mutate):
     # token, leaves the net invariant under machine permutations, so the
     # quotient stays exact
     params = CatalogParams(machine_count=3, job_demands=[2, 1], timeout=1)
-    cnet = build_colored(params)
-    mutate(cnet)
+    cnet = mutant(build_colored(params), mutate)
     assert assert_orbits(unfold(cnet), params.machines())
 
 

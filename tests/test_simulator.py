@@ -141,7 +141,29 @@ def late(launcher):
     return not launcher.dead and launcher.phase != DISCOVERING
 
 
-class CountingSimulation(Simulation):
+class Notices(Simulation):
+    """Records the machines each submit notice announces, the daemons
+    published when its job is submitted, and checks that each bus event
+    walks exactly the live, discovering launchers, in job order."""
+
+    def __init__(self, params, config):
+        super().__init__(params, config)
+        self.notices = {}
+
+    def submit(self, job):
+        self.notices[self.launchers[job]] = tuple(
+            m for m, d in self.daemons.items()
+            if d.state == "available" and not d.crashed)
+        super().submit(job)
+
+    def notify(self, machine, published):
+        assert list(self.discovering) == [
+            lr for lr in self.launchers.values()
+            if not lr.dead and lr.phase == DISCOVERING]
+        super().notify(machine, published)
+
+
+class CountingSimulation(Notices):
     """Counts the (launcher, machine) pairs of the bus that reach a live
     launcher which is no longer discovering (one per such subscriber of a
     publish or unpublish, one per announced machine of such a launcher's
@@ -153,9 +175,9 @@ class CountingSimulation(Simulation):
         self.late += sum(map(late, self.launchers.values()))
         super().notify(machine, published)
 
-    def join(self, launcher, machines):
-        self.late += len(machines) * late(launcher)
-        super().join(launcher, machines)
+    def join(self, launcher):
+        self.late += len(self.notices[launcher]) * late(launcher)
+        super().join(launcher)
 
     def snapshot(self, *entry):
         self.taken += 1
@@ -219,7 +241,7 @@ def test_fuzz_space_traces_pinned():
         "5ba2bbd3f13fa085ce77956e5ca243b59ae9b823ad3ff79f7fa49375a3ad3a86"
 
 
-class PerLauncherBus(Simulation):
+class PerLauncherBus(Notices):
     """The bus copied into every launcher, with no step skipped: each
     launcher keeps its own ``discovered`` dict (its ``view``), which
     ``on_bus`` updates pair by pair, and every live, discovering launcher
@@ -250,8 +272,8 @@ class PerLauncherBus(Simulation):
     def notify(self, machine, published):
         self.deliver(self.launchers.values(), (machine,), published)
 
-    def join(self, launcher, machines):
-        self.deliver((launcher,), machines, True)
+    def join(self, launcher):
+        self.deliver((launcher,), self.notices[launcher], True)
 
     def snapshot(self, *entry):
         return (super().snapshot(*entry),
@@ -311,16 +333,16 @@ def test_skipped_bus_steps_change_nothing():
     assert loops == 349
 
 
-class JoinCheckingSimulation(Simulation):
+class JoinCheckingSimulation(Notices):
     """Checks that every submit notice finds the shared view holding
     exactly the machines it announces, in its order."""
 
     joins = 0
 
-    def join(self, launcher, machines):
-        assert tuple(self.bus) == machines
+    def join(self, launcher):
+        assert tuple(self.bus) == self.notices[launcher]
         self.joins += 1
-        super().join(launcher, machines)
+        super().join(launcher)
 
 
 def test_every_join_finds_its_own_view():
