@@ -10,8 +10,8 @@ disagree and we get the exact index where.
 """
 
 from qurdlab.catalog import CatalogParams
-from qurdlab.conformance import (DEFAULT_MAPPING, EventMap, check_run,
-                                 fuzz_conformance, project)
+from qurdlab.conformance import (check_run, conformance_net,
+                                 fuzz_conformance, project, replay)
 from qurdlab.simulator import SimConfig, run
 
 params = CatalogParams(machine_count=3, job_demands=[2, 1])
@@ -33,10 +33,11 @@ summary = fuzz_conformance(100, seed=3)
 print(f"\nfuzz: {summary.passed}/{summary.passed + summary.failed} "
       f"random scenarios conform")
 
-# negative control: swap what ok-sent and job-accepted mean and the
-# very first reservation already refuses to replay
-bad = dict(DEFAULT_MAPPING)
-bad["ok-sent"], bad["job-accepted"] = bad["job-accepted"], bad["ok-sent"]
-_, report = check_run(params, config, event_map=EventMap(bad))
+# negative control: swap what ok-sent and job-accepted mean, that is t1
+# and t2 in the projection, and the very first reservation already
+# refuses to replay
+swap = {"t1": "t2", "t2": "t1"}
+bad = [(swap.get(t, t), b) for t, b in project(res.trace)]
+report = replay(bad, conformance_net(params))
 print(f"\nwith a corrupted event map: diverges at step {report.index} "
       f"on {report.label}")

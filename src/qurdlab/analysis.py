@@ -1,16 +1,15 @@
 """Reachability-graph construction and property checks.
 
-Three explorers build two graph classes.  ``explore`` builds the timed
+Two explorers build two graph classes.  ``explore`` builds the timed
 reachability graph over TimedState (clock vectors included), exactly as
-the semantics defines it, and ``explore_colored`` the untimed graph of a
-colored net; both are one dict-keyed BFS (``_closure``) into a
+the semantics defines it, by a dict-keyed BFS (``_closure``) into a
 ``ReachGraph``.  ``explore_markings`` is an untimed breadth-first closure
-over markings only, vectorized with numpy, into a ``MarkingGraph``.  The
-two untimed explorers refuse nets with a finite lfd, because dropping
-clocks is faithful exactly when no upper bound can force a firing: with
-every lfd unbounded, any untimed firing sequence can be realized in the
-timed net by waiting, so the reachable marking sets coincide and a
-marking is dead iff every timed state over it is timed-dead.  The catalog
+over markings only, vectorized with numpy, into a ``MarkingGraph``.  It
+refuses nets with a finite lfd, because dropping clocks is faithful
+exactly when no upper bound can force a firing: with every lfd
+unbounded, any untimed firing sequence can be realized in the timed net
+by waiting, so the reachable marking sets coincide and a marking is dead
+iff every timed state over it is timed-dead.  The catalog
 nets only ever bound `cancel` from below, so all scenario analyses can
 use the fast explorer; the equivalence is checked empirically in the test
 suite.
@@ -74,11 +73,10 @@ colored net.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
-from . import colored as cpn
 from .tpn import TimedState
 
 DEFAULT_BOUND = 2_000_000
@@ -89,20 +87,16 @@ class Truncated(Exception):
 
 
 class ReachGraph:
-    """Deduplicated states with labeled successor edges and BFS tree parents.
-
-    ``explore`` fills it with TimedStates of a plain net and
-    ``explore_colored`` with the colored marking dicts of a colored net
-    (``net`` is then the ColoredNet); ``marking_of`` maps a state to its
-    marking.  Where ``place_machines`` is set, a state stands for its
-    machine orbit: an edge ``(label, j)`` leads into ``state(j)``'s orbit,
-    and a BFS tree edge to ``state(j)`` itself, so paths stay concrete.
+    """Deduplicated TimedStates of a net with labeled successor edges and
+    BFS tree parents, as ``explore`` fills it.  Where ``place_machines`` is
+    set, a state stands for its machine orbit: an edge ``(label, j)`` leads
+    into ``state(j)``'s orbit, and a BFS tree edge to ``state(j)`` itself,
+    so paths stay concrete.
     """
 
-    def __init__(self, net, bound, marking_of):
+    def __init__(self, net, bound):
         self.net = net
         self.bound = bound
-        self.marking_of = marking_of
         self.states = []
         self.edges = []          # per state id: list of (label, succ id)
         self.parent = []         # per state id: (parent id, label) or None
@@ -117,14 +111,13 @@ class ReachGraph:
         return self.states[i]
 
     def marking(self, i):
-        return self.marking_of(self.states[i])
+        return self.states[i].marking
 
     def dead_ids(self):
         return [i for i, e in enumerate(self.edges) if not e]
 
     def path_labels(self, i):
-        """Labels along the BFS tree path to state i: (delay, transition)
-        in a timed graph, (transition, binding) in a colored one."""
+        """(delay, transition) labels along the BFS tree path to state i."""
         labels = []
         while self.parent[i] is not None:
             i, label = self.parent[i]
@@ -172,7 +165,7 @@ def explore(net, bound=DEFAULT_BOUND):
     Where ``net.machine_of`` names two machines or more, each machine orbit
     is one state, the first one reached, and ``n_states`` and ``bound``
     count orbits (edges: see ReachGraph); ask nothing of one machine."""
-    g = ReachGraph(net, bound, attrgetter("marking"))
+    g = ReachGraph(net, bound)
     key = _orbit_key(net)
     if key is not _identity:
         g.place_machines = net.machine_of[0]
@@ -204,7 +197,7 @@ def _orbit_key(net):
 
 def _require_open_intervals(net):
     """Untimed exploration is faithful only when no lfd is finite (see the
-    module docstring); refuse a plain or colored net with a finite one."""
+    module docstring); refuse a net with a finite one."""
     if any(lfd is not None for _, lfd in net.interval.values()):
         raise ValueError(
             "net has a finite lfd; untimed exploration would be unsound")
@@ -499,21 +492,6 @@ def _gather(blocks, starts, ids):
     return out
 
 
-def explore_colored(cnet, bound=DEFAULT_BOUND):
-    """Untimed BFS over colored markings via colored_successors.
-
-    About 100 times slower than ``explore_markings`` on the unfolded net,
-    which is what ``build_net`` returns; it is kept as the test oracle that
-    ``unfold`` plus ``explore_markings`` are checked against.  Same
-    finite-lfd guard as explore_markings.  Edges are labeled
-    ``(transition, binding)``.
-    """
-    _require_open_intervals(cnet)
-    return _closure(ReachGraph(cnet, bound, _identity),
-                    cnet.initial_marking(),
-                    lambda m: cpn.colored_successors(cnet, m), cpn.canonical)
-
-
 # -- witnesses ----------------------------------------------------------------
 
 def timed_witness(net, transitions):
@@ -566,9 +544,6 @@ def find_deadlocks(g, skip=None):
 def completion_skip(g):
     """Predicate over markings of ``g``: every job's job_done is populated
     (the regular terminal of a run where every job completed)."""
-    if isinstance(g.net, cpn.ColoredNet):
-        n_jobs = len(g.net.universe.jobs)
-        return lambda cm: len(cm.get("job_done", ())) == n_jobs
     names = [p for p in g.net.places if p.startswith("job_done@")]
     return lambda m: bool(names) and all(m.get(p, 0) >= 1 for p in names)
 

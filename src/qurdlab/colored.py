@@ -246,29 +246,6 @@ class ColoredNet:
         return {p: tuple(sorted(self.initial.get(p, ()))) for p in self.places}
 
 
-def canonical(marking):
-    """Canonical hashable form of a colored marking dict."""
-    return tuple(tuple(sorted(marking.get(p, ()))) for p in sorted(marking))
-
-
-def colored_enabled(cnet, marking):
-    """All (transition, binding) pairs enabled in the marking, in
-    declaration order then (machine, job) lexicographic binding order."""
-    return [label for label, _ in colored_successors(cnet, marking)]
-
-
-def colored_successors(cnet, marking):
-    """Each enabled (transition, binding) pair with the marking it leads
-    to, in ``colored_enabled`` order; every binding is fired once."""
-    for t in cnet.transitions:
-        for b in cnet.bindings_of(t):
-            try:
-                after = colored_fire(cnet, marking, t, b)
-            except NotFireable:
-                continue
-            yield (t, b), after
-
-
 def colored_fire(cnet, marking, t, binding):
     """Fire t under binding: remove the tokens ``cnet.arcs`` says it
     consumes (NotFireable when one is missing), then add those it

@@ -1,25 +1,26 @@
 """Trace conformance: every protocol run must be a firing sequence of the
 colored reservation net.
 
-Protocol events are projected onto colored transitions through an explicit
-event map (events without a net counterpart, like KO replies and bus
-notifications, are declared internal); the projection is then replayed
-untimed from the net's initial marking, checking enabling only.  A run
-conforms when every projected event fires and the final number of job_done
-tokens equals the number of completed jobs in the trace.
+Protocol events are projected onto colored transitions through
+``DEFAULT_MAPPING`` (events without a net counterpart, like KO replies and
+bus notifications, are declared internal in ``DEFAULT_INTERNAL``); the
+projection is then replayed untimed from the net's initial marking,
+checking enabling only.  A run conforms when every projected event fires
+and the final number of job_done tokens equals the number of completed
+jobs in the trace.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
                       build_colored)
-from .simulator import SimConfig, TraceEvent, run
+from .simulator import SimConfig, run
 
 
 class UnknownEvent(Exception):
@@ -43,12 +44,6 @@ DEFAULT_INTERNAL = frozenset({
     "published", "unpublished", "reserve-sent", "ko-sent", "released",
     "suspected", "failed", "crashed-idle", "restart-waiting", "killed",
 })
-
-
-@dataclass
-class EventMap:
-    mapping: dict = field(default_factory=lambda: dict(DEFAULT_MAPPING))
-    internal: frozenset = DEFAULT_INTERNAL
 
 
 class _BuiltOnRead:
@@ -82,11 +77,11 @@ class ReplayReport:
         return f"divergence at step {self.index}: {what}"
 
 
-def project(trace, event_map=None):
+def project(trace):
     """Order-preserving projection of a trace onto (transition, binding)
-    pairs, dropping internal events."""
-    mapping = DEFAULT_MAPPING if event_map is None else event_map.mapping
-    internal = DEFAULT_INTERNAL if event_map is None else event_map.internal
+    pairs, dropping internal events; the two tables are read at call
+    time."""
+    mapping, internal = DEFAULT_MAPPING, DEFAULT_INTERNAL
     out = []
     for ev in trace:
         if ev.kind in mapping:
@@ -143,7 +138,7 @@ def _fire(cnet, held, steps, first=0):
     return None
 
 
-def _replay_run(result, cnet, event_map):
+def _replay_run(result, cnet):
     """Project and replay a run: the report, the number of projected steps
     and the number of job-done events.  A run that ended in a loop is
     replayed from the events it simulated, never from ``result.trace``: its
@@ -152,12 +147,12 @@ def _replay_run(result, cnet, event_map):
     fire alike."""
     events = result.events
     if result.cycle is None:
-        steps = project(events, event_map)
+        steps = project(events)
         return replay(steps, cnet), len(steps), _done(events)
     start = result.cycle[0]
     full, cut = result.periods()
     parts = events[:start], events[start:], events[start:start + cut]
-    prefix, block, tail = (project(part, event_map) for part in parts)
+    prefix, block, tail = (project(part) for part in parts)
     n_steps = len(prefix) + full * len(block) + len(tail)
     done = _done(parts[0]) + full * _done(parts[1]) + _done(parts[2])
     held = _initial(cnet)
@@ -206,14 +201,14 @@ def conformance_net(params, crashes=()):
                                   params.failure_detector or bool(crashes)))
 
 
-def check_run(params, config, event_map=None):
+def check_run(params, config):
     """Simulate, project, replay; returns (SimResult, ReplayReport).
 
     On a clean replay the job_done count is also required to match the
     number of completed jobs in the trace."""
     result = run(params, config)
     report, n_steps, done_events = _replay_run(
-        result, conformance_net(params, config.crashes), event_map)
+        result, conformance_net(params, config.crashes))
     if report.ok:
         held = report._final.args[1]        # flat counts, not yet built
         done_tokens = sum(n for (p, _), n in held.items() if p == "job_done")
@@ -274,7 +269,7 @@ def random_case(rng):
     return params, config
 
 
-def fuzz_conformance(count, seed=0, event_map=None):
+def fuzz_conformance(count, seed=0):
     """Replay ``count`` randomized scenarios; failing case seeds are
     reported so a case can be reproduced with random_case(Random(s))."""
     passed, failures = 0, []
@@ -282,7 +277,7 @@ def fuzz_conformance(count, seed=0, event_map=None):
         case_seed = seed * 1_000_003 + k
         rng = random.Random(case_seed)
         params, config = random_case(rng)
-        _, report = check_run(params, config, event_map)
+        _, report = check_run(params, config)
         if report.ok:
             passed += 1
         else:
@@ -293,29 +288,3 @@ def fuzz_conformance(count, seed=0, event_map=None):
                     f"dur={config.job_duration}")
             failures.append((case_seed, desc, report))
     return FuzzSummary(passed, failures)
-
-
-def parse_trace(text):
-    """Parse the line format produced by SimResult.trace_text."""
-    events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if (len(parts) < 3 or not parts[0].startswith("t=")
-                or not parts[0][2:].isdecimal()):
-            raise ValueError(f"trace line {lineno}: cannot parse {raw!r}")
-        time = int(parts[0][2:])
-        actor, kind = parts[1], parts[2]
-        machine = job = None
-        for extra in parts[3:]:
-            key, _, value = extra.partition("=")
-            if key == "machine":
-                machine = value
-            elif key == "job":
-                job = value
-            else:
-                raise ValueError(f"trace line {lineno}: unknown field {key!r}")
-        events.append(TraceEvent(time, actor, kind, machine, job))
-    return events

@@ -6,8 +6,6 @@ same net or graph always serializes to the same bytes.
 
 from __future__ import annotations
 
-from .colored import token_name
-
 MAX_GRAPH_STATES = 10_000
 
 
@@ -55,18 +53,15 @@ def net_dot(net, name="net") -> str:
 
 
 def _marking_label(marking):
-    # a plain marking maps places to counts, a colored one to token tuples
-    entries = ["%s=%s" % (p, ",".join(map(token_name, n))
-                          if isinstance(n, tuple) else n)
-               for p, n in sorted(marking.items()) if n]
+    entries = ["%s=%s" % (p, n) for p, n in sorted(marking.items()) if n]
     return "\n".join(entries) or "(empty)"
 
 
 def reach_dot(graph, name="reach", limit=MAX_GRAPH_STATES) -> str:
     """Reachability graph as DOT; refuses graphs above ``limit`` states.
 
-    Edges read ``delay/transition`` (timed graphs), ``transition/binding``
-    (colored graphs) or ``transition`` (marking graphs).
+    Edges read ``delay/transition`` (timed graphs) or ``transition``
+    (marking graphs).
     """
     n = graph.n_states
     if n > limit:

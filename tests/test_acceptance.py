@@ -13,14 +13,16 @@ deterministic, exploration included.
 import itertools
 import time
 
-from net_checks import check_invariant, machine_places
+from net_checks import (check_invariant, colored_done, explore_colored,
+                        machine_places)
+from qurdlab import conformance
 from qurdlab.analysis import (check_reachable, completion_skip, explore,
-                              explore_colored, explore_markings,
-                              find_deadlocks, pending_deadlocks)
+                              explore_markings, find_deadlocks,
+                              pending_deadlocks)
 from qurdlab.catalog import CatalogParams, build_colored, build_net, jname
 from qurdlab.cli import main as cli_main
 from qurdlab.colored import MACHINE, PAIR, fold_refusal
-from qurdlab.conformance import DEFAULT_MAPPING, EventMap, fuzz_conformance
+from qurdlab.conformance import DEFAULT_MAPPING, fuzz_conformance
 from qurdlab.scenario import parse_scenario
 from qurdlab.simulator import run
 
@@ -160,7 +162,7 @@ def test_5_crash_recovery_completes(capsys):
 
 def test_6_colored_and_unfolded_agree(capsys):
     universes = ((1, [1], 8), (2, [2], 22), (2, [1, 1], 112),
-                 (3, [2, 1], 448))
+                 (2, [2, 1], 152), (3, [2, 1], 448))
     checked = 0
     for mc, demands, expected in universes:
         for timeout in (3, None):
@@ -174,7 +176,8 @@ def test_6_colored_and_unfolded_agree(capsys):
             if timeout == 3:
                 assert gc.n_states == expected
             jobs = cnet.universe.jobs
-            assert len(pending_deadlocks(gc)) == len(pending_deadlocks(gu))
+            assert len(find_deadlocks(gc, colored_done(cnet))) == \
+                len(pending_deadlocks(gu))
             done_c = check_reachable(gc, lambda cm: all(
                 j in cm.get("job_done", ()) for j in jobs))
             done_u = check_reachable(gu, {jname("job_done", j): 1
@@ -193,7 +196,7 @@ def test_6_colored_and_unfolded_agree(capsys):
            f"pairs agree on counts, deadlocks, completion and safety)")
 
 
-def test_7_simulated_traces_conform(capsys):
+def test_7_simulated_traces_conform(capsys, monkeypatch):
     assert cli_main(["conformance", "--fuzz", "200"]) == 0
     out = capsys.readouterr().out
     assert "200/200 traces conform" in out
@@ -202,7 +205,8 @@ def test_7_simulated_traces_conform(capsys):
     swapped = dict(DEFAULT_MAPPING)
     swapped["ok-sent"], swapped["job-accepted"] = (swapped["job-accepted"],
                                                    swapped["ok-sent"])
-    control = fuzz_conformance(200, event_map=EventMap(swapped))
+    monkeypatch.setattr(conformance, "DEFAULT_MAPPING", swapped)
+    control = fuzz_conformance(200)
     assert control.failed >= 1
     assert all(rep.index is not None for _, _, rep in control.failures)
     report(capsys,

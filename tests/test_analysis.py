@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qurdlab import analysis
-from net_checks import (check_invariant, check_p_invariant, full_explore,
-                        machine_places)
+from net_checks import (check_invariant, check_p_invariant, colored_done,
+                        explore_colored, full_explore, machine_places)
 from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
                               check_reachable, completion_skip, explore,
-                              explore_colored, explore_markings,
-                              find_deadlocks, pending_deadlocks,
-                              replay_labels, timed_witness)
+                              explore_markings, find_deadlocks,
+                              pending_deadlocks, replay_labels,
+                              timed_witness)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, jname)
 from qurdlab.colored import JOB, PAIR, ColoredNet, ColorUniverse, Inscription
@@ -547,4 +547,4 @@ def test_colored_completion_skip():
     p = CatalogParams(machine_count=2, job_demands=[1, 1])
     cnet = build_colored(p)
     g = explore_colored(cnet)
-    assert pending_deadlocks(g) == []
+    assert find_deadlocks(g, skip=colored_done(cnet)) == []

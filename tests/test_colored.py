@@ -9,11 +9,11 @@ import random
 
 import pytest
 
-from net_checks import mutant
+from net_checks import canonical, colored_enabled, mutant
 from qurdlab.colored import (Binding, ColoredNet, ColorUniverse, Inscription,
-                             JOB, MACHINE, PAIR, binding_name, canonical,
-                             colored_enabled, colored_fire, fold_machines,
-                             fold_refusal, lift_machines, token_name, unfold)
+                             JOB, MACHINE, PAIR, binding_name, colored_fire,
+                             fold_machines, fold_refusal, lift_machines,
+                             token_name, unfold)
 from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.tpn import NotFireable
 

@@ -13,11 +13,11 @@ from qurdlab import colored as cpn
 from qurdlab import conformance
 from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.colored import Binding, colored_fire
-from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING, EventMap,
+from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING,
                                  FuzzSummary, ReplayReport, UnknownEvent,
                                  check_run, conformance_net,
-                                 fuzz_conformance, parse_trace, project,
-                                 random_case, replay)
+                                 fuzz_conformance, project, random_case,
+                                 replay)
 from qurdlab.simulator import SimConfig, SimResult, TraceEvent, run
 from qurdlab.tpn import NotFireable
 
@@ -42,12 +42,6 @@ def test_project_rejects_unknown_event():
     trace = [TraceEvent(0, "J1", "teleported", job="J1")]
     with pytest.raises(UnknownEvent):
         project(trace)
-
-
-def test_project_custom_map():
-    trace = [TraceEvent(0, "J1", "blip", job="J1")]
-    em = EventMap(mapping={"blip": "start_job"}, internal=frozenset())
-    assert project(trace, em) == [("start_job", Binding(None, "J1"))]
 
 
 # -- replay ----------------------------------------------------------------------
@@ -182,9 +176,18 @@ def test_clean_report_builds_its_final_marking_when_read(monkeypatch):
     assert len(report.final_marking["job_done"]) == 16
 
 
-def full_check(result, cnet, event_map=None):
+def job_done_internal(monkeypatch):
+    """Map no event to t5: job-done becomes an internal event."""
+    mapping = dict(DEFAULT_MAPPING)
+    del mapping["job-done"]
+    monkeypatch.setattr(conformance, "DEFAULT_MAPPING", mapping)
+    monkeypatch.setattr(conformance, "DEFAULT_INTERNAL",
+                        DEFAULT_INTERNAL | {"job-done"})
+
+
+def full_check(result, cnet):
     """``check_run``'s report from the whole trace."""
-    steps = project(result.trace, event_map)
+    steps = project(result.trace)
     report = replay(steps, cnet)
     done_events = sum(e.kind == "job-done" for e in result.trace)
     done_tokens = len((report.final_marking or {}).get("job_done", ()))
@@ -246,15 +249,13 @@ def test_job_done_counted_in_every_period(monkeypatch, horizon, cut):
     trace = [e for e in trace if e.time <= horizon]
     looping = SimResult({"J1": "horizon"}, trace[:4], (1, 3, 2), horizon)
     assert (looping.periods(), looping.trace) == ((3, cut), trace)
-    mapping = dict(DEFAULT_MAPPING)
-    del mapping["job-done"]
-    em = EventMap(mapping, DEFAULT_INTERNAL | {"job-done"})
+    job_done_internal(monkeypatch)
     monkeypatch.setattr(conformance, "run", lambda params, config: looping)
-    _, report = check_run(p, SimConfig(timeout=3), em)
+    _, report = check_run(p, SimConfig(timeout=3))
     n_done = 3 + cut // 2
     assert (report.index, report.reason) == (
         1 + 2 * 3 + cut // 2, f"0 job_done tokens for {n_done} job-done events")
-    assert report == full_check(looping, conformance_net(p), em)
+    assert report == full_check(looping, conformance_net(p))
 
 
 def test_conformance_net_grows_detector_for_crashes():
@@ -279,7 +280,7 @@ def test_transition_missing_from_net_diverges():
     assert "cancel" not in conformance_net(p).transitions
 
 
-def test_divergence_text_names_the_reason():
+def test_divergence_text_names_the_reason(monkeypatch):
     missing = timeout_off_net_replays_timed_run()[1]
     assert str(missing) == ("divergence at step 12: "
                             "cancel Binding(m=M3, j=J1) not in the net")
@@ -289,11 +290,9 @@ def test_divergence_text_names_the_reason():
     assert str(blocked) == ("divergence at step 0: "
                             "t2 Binding(m=M1, j=J1) not enabled")
     # job-done declared internal: the run completes but t5 never fires
-    mapping = dict(DEFAULT_MAPPING)
-    del mapping["job-done"]
-    em = EventMap(mapping, DEFAULT_INTERNAL | {"job-done"})
+    job_done_internal(monkeypatch)
     unmatched = check_run(CatalogParams(machine_count=1, job_demands=[1]),
-                          SimConfig(), em)[1]
+                          SimConfig())[1]
     # the step after the last of start_job, t1, launch, t2, t3 and t4
     assert str(unmatched) == ("divergence at step 6: "
                               "0 job_done tokens for 1 job-done events")
@@ -301,8 +300,8 @@ def test_divergence_text_names_the_reason():
 
 def test_unknown_job_reported_not_raised():
     net = build_colored(CatalogParams(machine_count=2, job_demands=[1]))
-    report = replay(project(parse_trace("t=0 J9 job-submitted job=J9\n")),
-                    net)
+    submitted = TraceEvent(0, "J9", "job-submitted", job="J9")
+    report = replay(project([submitted]), net)
     assert not report.ok and report.index == 0
     assert str(report) == ("divergence at step 0: "
                            "start_job Binding(j=J9) job J9 not in the net")
@@ -335,13 +334,14 @@ def test_fuzz_zero_cases():
     assert (summary.passed, summary.failed) == (0, 0)
 
 
-def test_swapped_event_map_diverges():
+def test_swapped_event_map_diverges(monkeypatch):
     # negative control: claiming OKs are job acceptances cannot replay;
     # every report's step, label, reason and blocking marking is pinned
     mapping = dict(DEFAULT_MAPPING)
     mapping["ok-sent"], mapping["job-accepted"] = \
         mapping["job-accepted"], mapping["ok-sent"]
-    summary = fuzz_conformance(200, event_map=EventMap(mapping=mapping))
+    monkeypatch.setattr(conformance, "DEFAULT_MAPPING", mapping)
+    summary = fuzz_conformance(200)
     assert (summary.passed, summary.failed) == (11, 189)
     seed, desc, report = summary.failures[0]
     assert report.index is not None
@@ -351,20 +351,3 @@ def test_swapped_event_map_diverges():
             for text in (str(summary), markings)] == [
         "b8d318e20eaeece51dcca8f02ff9f4b837a2f1edacb2fcbcb097361698ea341f",
         "3d4e84d35137fed38f7d8f34260606a90887782ddf2cf41c4ab75cd6de40a95d"]
-
-
-# -- trace text round-trip -----------------------------------------------------
-
-def test_parse_trace_round_trip():
-    p, c = volatility_case()
-    result = run(p, c)
-    parsed = parse_trace(result.trace_text())
-    assert parsed == result.trace
-
-
-def test_parse_trace_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_trace("once upon a time")
-    for line in ("t=abc J1 job-submitted job=J1", "t= J1 job-submitted"):
-        with pytest.raises(ValueError, match="trace line 2: cannot parse"):
-            parse_trace("t=0 J1 job-submitted job=J1\n" + line)

@@ -18,8 +18,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of each demo's stdout
 STDOUT_SHA256 = {
-    "colored_vs_unfolded":
-        "b9d31cfb8fd40e0d4adb061950cffb972b31090fe4ee58a0dd179ababe4647f7",
     "contention_deadlock":
         "d8ba26ff9f118150a1487e80bc3531ee7fc9c78661479578c763a802b219db9d",
     "crash_recovery":
@@ -33,8 +31,8 @@ STDOUT_SHA256 = {
 }
 
 
-def test_six_demos_found():
-    assert len(DEMOS) == 6
+def test_five_demos_found():
+    assert len(DEMOS) == 5
     assert {d.stem for d in DEMOS} == set(STDOUT_SHA256)
 
 

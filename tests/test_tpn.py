@@ -8,7 +8,6 @@ than against the implementation itself.
 
 import pickle
 import random
-from operator import attrgetter
 
 import pytest
 
@@ -534,8 +533,8 @@ def test_explore_matches_bruteforce_closure(params, n_states, n_edges):
     # the same BFS fed the per-delay enumeration builds the same graph
     net = build_net(params)
     g = full_explore(net)
-    ref = _closure(ReachGraph(net, DEFAULT_BOUND, attrgetter("marking")),
-                   net.initial_state(), bruteforce_successors, _identity)
+    ref = _closure(ReachGraph(net, DEFAULT_BOUND), net.initial_state(),
+                   bruteforce_successors, _identity)
     assert [(s.counts, s.clocks) for s in g.states] == \
         [(s.counts, s.clocks) for s in ref.states]
     assert g.edges == ref.edges
