@@ -175,8 +175,9 @@ def cmd_simulate(args) -> Report:
     for j in sorted(result.outcomes):
         report.add("%s: %s" % (j, result.outcomes[j]))
     if result.cycle:
-        report.add("cycle: every %d ticks from t=%d" % (
-            result.cycle[2], result.events[result.cycle[0]].time))
+        _, block, _, _ = result.layout()
+        _, _, period = result.cycle
+        report.add("cycle: every %d ticks from t=%d" % (period, block[0].time))
     path = args.out or (args.scenario + ".trace")
     with open(path, "w") as fh:
         fh.write(result.trace_text())
@@ -198,11 +199,9 @@ def cmd_conformance(args) -> Report:
     report = Report("conformance %s" % args.scenario, _digest(sc))
     result, replay = conformance.check_run(sc.params(), sc.config())
     # a looping run's trace length, counted without building its copies
-    n_events = len(result.events)
-    if result.cycle:
-        full, tail = result.periods()
-        n_events += (full - 1) * result.cycle[1] + tail
-    report.add("trace events: %d" % n_events)
+    prefix, block, full, cut = result.layout()
+    report.add("trace events: %d" % (len(prefix) + full * len(block)
+                                      + len(cut)))
     if replay.ok:
         report.add("conformance: ok")
     else:

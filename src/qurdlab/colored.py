@@ -8,11 +8,11 @@ with fail semantics.  Only variable matching is supported; the
 reservation model needs no guards.  A net is a structure, read-only and
 shared by every net of it (``ColoredNet.instance``), plus its own universe
 and initial marking (Jensen & Kristensen, Coloured Petri Nets, 2009).
-``ColoredNet.arcs`` compiles each firing into the tokens it consumes and
-produces once per structure, in one bounded table.  That is the one
-definition of a firing, shared by ``colored_fire``, the conformance replay
-and ``unfold``: a binding is enabled exactly when every token it consumes
-is there.  ``unfold`` expands a colored net over its finite universe into
+``ColoredNet.arcs`` is the one definition of a firing: the tokens it
+consumes and produces, compiled once per structure into one bounded table.
+``colored_fire``, the conformance replay and ``unfold`` all fire through
+it, and a binding is enabled exactly when every token it consumes is
+there.  ``unfold`` expands a colored net over its finite universe into
 an ordinary place/transition net with one place per (place, color) and
 one transition per (transition, binding), named ``base@J``, ``base@M`` and
 ``base@(M,J)`` (``binding_name``).  The universe is not checked here (the
@@ -36,7 +36,7 @@ from collections import Counter
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .tpn import Net, NotFireable
+from .tpn import Net, NotFireable, interval_issues
 
 JOB = "job"
 MACHINE = "machine"
@@ -171,13 +171,7 @@ class ColoredNet:
                     if (ins.per_demand or ins.per_wait) and ins.pattern != "j":
                         issues.append(f"P'(j) or W'(j) multiplicity needs "
                                       f"pattern j on {t}->{p}")
-            efd, lfd = self.interval[t]
-            if not isinstance(efd, int) or not (lfd is None
-                                                or isinstance(lfd, int)):
-                issues.append(f"interval bound not an int on {t}: "
-                              f"({efd!r}, {lfd!r})")
-            elif efd < 0 or (lfd is not None and efd > lfd):
-                issues.append(f"bad interval on {t}")
+            issues += interval_issues(t, *self.interval[t])
         for p, toks in self.initial.items():
             for tok in toks:
                 if not self._token_ok(p, tok):
@@ -213,17 +207,18 @@ class ColoredNet:
 
     def arcs(self, t, binding):
         """What firing t under binding consumes and produces: two tuples of
-        ((place, token), count) pairs in arc order, zero counts left out."""
+        ((place, token), count) pairs in arc order, zero counts left out.
+        ValueError, with the reason, for a transition the net lacks or one
+        that binds a job with no demand, outside the universe."""
         m, j = binding
         u = self.universe
         key = t, m, j, u.demand.get(j), u.semantics.get(j)
-        return self.firings.get(key) or self.compile(key)
+        return self.firings.get(key) or self._compile(key)
 
-    def compile(self, key):
-        """The firing ``arcs`` keys on (transition, machine, job, demand,
-        semantics), compiled into the table, which drops its oldest firing
-        when full.  ValueError, with the reason, for a transition the net
-        lacks or one that binds a job with no demand, outside the universe."""
+    def _compile(self, key):
+        """``arcs``' miss path: the firing keyed on (transition, machine,
+        job, demand, semantics), compiled into the table, which drops its
+        oldest firing when full."""
         t, m, j, demand, semantics = key
         if t not in self.pre:
             raise ValueError("not in the net")

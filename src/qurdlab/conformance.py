@@ -13,7 +13,6 @@ jobs in the trace.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -68,6 +67,14 @@ class ReplayReport:
     final_marking: dict = _BuiltOnRead()
     reason: str = None              # why the step or the run diverged
 
+    def tokens(self, place):
+        """How many tokens a clean replay leaves in ``place``, counted on
+        its flat counts while its final marking is not built."""
+        if type(self._final) is partial:
+            held = self._final.args[1]
+            return sum(n for (p, _), n in held.items() if p == place)
+        return len(self._final[place])
+
     def __str__(self):
         if self.ok:
             return "replay ok"
@@ -95,38 +102,19 @@ def replay(projected, cnet):
     """Fire the projected sequence from the initial colored marking,
     untimed; divergences, including a transition or job the net lacks,
     are reported, not raised.  The marking is kept as one flat
-    {(place, token): count} dict that each step's firing (``cnet.arcs``)
-    tests and updates in place, as ``colored_fire`` would."""
-    held = _initial(cnet)
-    return _fire(cnet, held, projected) or _replayed(cnet.places, held)
-
-
-def _initial(cnet):
+    {(place, token): count} dict that each step tests and updates in
+    place, firing as ``cnet.arcs`` says, as ``colored_fire`` does."""
     held = {}
     for p, toks in cnet.initial.items():
         for tok in toks:
             held[p, tok] = held.get((p, tok), 0) + 1
-    return held
-
-
-def _fire(cnet, held, steps, first=0):
-    """Fire ``steps`` in place on ``held``; the report of the first one
-    that diverges, numbered from ``first``, or None.  Each step reads the
-    firing table under ``cnet.arcs``' key; only a firing new to it is
-    compiled, which finds a transition or job the net lacks."""
-    get, places, table = held.get, cnet.places, cnet.firings
-    demand, semantics = cnet.universe.demand, cnet.universe.semantics
-    for i, (t, b) in enumerate(steps, first):
-        m, j = b
-        key = t, m, j, demand.get(j), semantics.get(j)
-        firing = table.get(key)
-        if firing is None:
-            try:
-                firing = cnet.compile(key)
-            except ValueError as missing:
-                return ReplayReport(False, i, (t, b), _marking(places, held),
-                                    reason=str(missing))
-        consumed, produced = firing
+    get, places, arcs = held.get, cnet.places, cnet.arcs
+    for i, (t, b) in enumerate(projected):
+        try:
+            consumed, produced = arcs(t, b)
+        except ValueError as missing:
+            return ReplayReport(False, i, (t, b), _marking(places, held),
+                                reason=str(missing))
         for pt, n in consumed:
             if get(pt, 0) < n:
                 return ReplayReport(False, i, (t, b), _marking(places, held),
@@ -135,44 +123,28 @@ def _fire(cnet, held, steps, first=0):
             held[pt] -= n
         for pt, n in produced:
             held[pt] = get(pt, 0) + n
-    return None
+    return ReplayReport(True, final_marking=partial(_marking, places, held))
 
 
-def _replay_run(result, cnet):
-    """Project and replay a run: the report, the number of projected steps
-    and the number of job-done events.  A run that ended in a loop is
-    replayed from the events it simulated, never from ``result.trace``: its
-    block fires once per period up to one that brings the marking back,
-    from where every later period and the cut one, a prefix of the block,
-    fire alike."""
-    events = result.events
-    if result.cycle is None:
-        steps = project(events)
-        return replay(steps, cnet), len(steps), _done(events)
-    start = result.cycle[0]
-    full, cut = result.periods()
-    parts = events[:start], events[start:], events[start:start + cut]
-    prefix, block, tail = (project(part) for part in parts)
-    n_steps = len(prefix) + full * len(block) + len(tail)
-    done = _done(parts[0]) + full * _done(parts[1]) + _done(parts[2])
-    held = _initial(cnet)
-    diverged = _fire(cnet, held, prefix)
-    for n in range(full):
-        looped = held.copy()
-        diverged = diverged or _fire(cnet, held, block,
-                                     len(prefix) + n * len(block))
-        if diverged or Counter(held) == Counter(looped):  # zero equals none
-            break
-    diverged = diverged or _fire(cnet, held, tail, n_steps - len(tail))
-    return diverged or _replayed(cnet.places, held), n_steps, done
+def _moves(cnet, steps):
+    """Whether ``steps``, fired in full, change the marking: whether what
+    they consume differs from what they produce.  A step the net lacks
+    diverges where it fires, whatever the answer."""
+    change = {}
+    try:
+        for t, b in steps:
+            consumed, produced = cnet.arcs(t, b)
+            for pt, n in consumed:
+                change[pt] = change.get(pt, 0) - n
+            for pt, n in produced:
+                change[pt] = change.get(pt, 0) + n
+    except ValueError:
+        return True
+    return any(change.values())
 
 
 def _done(events):
-    return sum(e.kind == "job-done" for e in events)
-
-
-def _replayed(places, held):
-    return ReplayReport(True, final_marking=partial(_marking, places, held))
+    return [e.kind for e in events].count("job-done")
 
 
 def _marking(places, held):
@@ -204,19 +176,30 @@ def conformance_net(params, crashes=()):
 def check_run(params, config):
     """Simulate, project, replay; returns (SimResult, ReplayReport).
 
-    On a clean replay the job_done count is also required to match the
-    number of completed jobs in the trace."""
+    The run is replayed as ``result.layout()`` lays it out, its steps and
+    job-done events counted over every period up to the horizon.  A
+    looping run's block fires in every period only if it moves the
+    marking: one that brings the marking back fires alike in every later
+    period, so it fires once, and the cut period after it, a prefix of
+    the block fired from the same marking, cannot diverge.  On a clean
+    replay the job_done count must match the number of completed jobs in
+    the trace."""
     result = run(params, config)
-    report, n_steps, done_events = _replay_run(
-        result, conformance_net(params, config.crashes))
-    if report.ok:
-        held = report._final.args[1]        # flat counts, not yet built
-        done_tokens = sum(n for (p, _), n in held.items() if p == "job_done")
-        if done_tokens != done_events:
-            report = ReplayReport(
-                False, index=n_steps, marking=report.final_marking,
-                reason=f"{done_tokens} job_done tokens for {done_events} "
-                       "job-done events")
+    cnet = conformance_net(params, config.crashes)
+    prefix, block, full, cut = result.layout()
+    steps, looped, tail = project(prefix), project(block), project(cut)
+    n_steps = len(steps) + full * len(looped) + len(tail)
+    steps += looped * (full if _moves(cnet, looped) else 1) + tail
+    report = replay(steps, cnet)
+    if not report.ok:
+        return result, report
+    done_events = _done(prefix) + full * _done(block) + _done(cut)
+    done_tokens = report.tokens("job_done")
+    if done_tokens != done_events:
+        report = ReplayReport(
+            False, index=n_steps, marking=report.final_marking,
+            reason=f"{done_tokens} job_done tokens for {done_events} "
+                   "job-done events")
     return result, report
 
 

@@ -40,9 +40,11 @@ result is an outcome per job plus the protocol trace consumed by the
 conformance checker.
 
 A run whose whole state comes back at a later tick would loop forever, so
-``run`` stops there, keeping the events of one period since that tick;
-``SimResult.trace`` copies that period up to the horizon on its first
-read, which the conformance check never makes.
+``run`` stops there, keeping the events of one period since that tick.
+``SimResult.layout`` alone works out how that period repeats up to the
+horizon (the prefix before it, its block, the full periods and the cut
+one); ``SimResult.trace`` copies the block by it on its first read, which
+the conformance check, reading the layout itself, never makes.
 Snapshots (queued events, times relative to now, and every actor) start
 after a quiet stretch with no irreversible step; timer epochs are kept
 relative to their counters and ``oks`` only under fail semantics, which
@@ -148,17 +150,21 @@ class SimResult:
     cycle: tuple = None
     horizon: int = None
 
-    def periods(self):
-        """How many times a looping run's block occurs in full up to the
-        horizon, its simulated first period included, and how many of its
-        first events occur once more before the horizon cuts it."""
+    def layout(self):
+        """The run up to the horizon as (prefix, block, full, cut): the
+        events before the loop, the block that repeats every period, how
+        many times it occurs in full (its simulated first period
+        included), and its first events that occur once more before the
+        horizon cuts it.  A run that did not loop is all prefix."""
+        if self.cycle is None:
+            return self.events, [], 0, []
         start, _, period = self.cycle
         block = self.events[start:]
         # a block spans less than its period, so one copy at most is cut
         last = block[-1].time if block else self.horizon
         full = (self.horizon - last) // period + 1
-        return full, sum(e.time + full * period <= self.horizon
-                         for e in block)
+        cut = [e for e in block if e.time + full * period <= self.horizon]
+        return self.events[:start], block, full, cut
 
     @cached_property
     def trace(self):
@@ -167,15 +173,13 @@ class SimResult:
         ``check_run`` and ``fuzz_conformance`` never make."""
         if self.cycle is None:
             return self.events
-        start, _, period = self.cycle
-        full, tail = self.periods()
-        rows = [(e.time, e.actor, e.kind, e.machine, e.job)
-                for e in self.events[start:]]
+        _, block, full, cut = self.layout()
+        period = self.cycle[2]
         trace = self.events.copy()
-        for shift in range(period, full * period + 1, period):
-            trace += [TraceEvent(t + shift, a, k, m, j)
-                      for t, a, k, m, j in
-                      (rows if shift < full * period else rows[:tail])]
+        for n in range(1, full + 1):
+            trace += [TraceEvent(e.time + n * period, e.actor, e.kind,
+                                 e.machine, e.job)
+                      for e in (block if n < full else cut)]
         return trace
 
     def trace_text(self):

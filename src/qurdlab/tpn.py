@@ -51,6 +51,19 @@ class UrgencyViolation(Exception):
         super().__init__(f"time may not pass the upper bound of {transition!r}")
 
 
+def interval_issues(t, efd, lfd):
+    """What breaks the interval rule on transition t: int bounds, lfd
+    None for no bound, and 0 <= efd <= lfd."""
+    if not isinstance(efd, int) or not (lfd is None or isinstance(lfd, int)):
+        return [f"interval bound not an int on {t}: ({efd!r}, {lfd!r})"]
+    issues = []
+    if efd < 0:
+        issues.append(f"negative efd on {t}")
+    if lfd is not None and efd > lfd:
+        issues.append(f"efd > lfd on {t}")
+    return issues
+
+
 class Net:
     """A Time Petri net: places, transitions, weighted arcs, intervals.
 
@@ -114,15 +127,7 @@ class Net:
         for t, (efd, lfd) in self.interval.items():
             if t not in tset:
                 issues.append(f"interval for unknown transition: {t}")
-            if not isinstance(efd, int) or not (lfd is None
-                                                or isinstance(lfd, int)):
-                issues.append(f"interval bound not an int on {t}: "
-                              f"({efd!r}, {lfd!r})")
-                continue
-            if efd < 0:
-                issues.append(f"negative efd on {t}")
-            if lfd is not None and efd > lfd:
-                issues.append(f"efd > lfd on {t}")
+            issues += interval_issues(t, efd, lfd)
         for p, n in self.initial.items():
             if p not in pset:
                 issues.append(f"initial marking on unknown place: {p}")

@@ -15,7 +15,7 @@ from qurdlab.colored import (Binding, ColoredNet, ColorUniverse, Inscription,
                              fold_machines, fold_refusal, lift_machines,
                              token_name, unfold)
 from qurdlab.catalog import CatalogParams, build_colored
-from qurdlab.tpn import NotFireable
+from qurdlab.tpn import Net, NotFireable
 
 
 def tiny_universe():
@@ -55,6 +55,22 @@ def test_unknown_pattern_is_reported():
     cnet = mutant(build_colored(params(2, ["j1"], [1])),
                   lambda c: c.pre["t3"].update(running=Inscription("jm")))
     assert "unknown inscription pattern 'jm' on t3->running" in cnet.validate()
+
+
+@pytest.mark.parametrize("interval, expected", [
+    ((-1, None), ["negative efd on x"]), ((3, 2), ["efd > lfd on x"]),
+    ((-2, -3), ["negative efd on x", "efd > lfd on x"])])
+def test_validate_reports_the_nets_interval_rule(interval, expected):
+    # one rule, ``tpn.interval_issues``, for colored and plain nets
+    cnet = ColoredNet(tiny_universe())
+    cnet.add_place("available", MACHINE, tokens=["m1"])
+    cnet.add_transition("x", pre={"available": Inscription("m")},
+                        post={"available": Inscription("m")},
+                        interval=interval)
+    net = Net()
+    net.add_place("p", tokens=1)
+    net.add_transition("x", pre={"p": 1}, post={"p": 1}, interval=interval)
+    assert cnet.validate() == net.validate() == expected
 
 
 def test_initial_token_sort_checked():

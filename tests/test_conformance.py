@@ -145,6 +145,29 @@ def test_replay_matches_colored_fire_fold():
     assert reasons == {None: 354, "not enabled": 829, "not in the net": 1}
 
 
+def test_replay_follows_the_nets_arcs():
+    # replay fires each step as the net's ``arcs`` says: patched so that
+    # t1 also takes a job_done token, no t1 is enabled; another net of the
+    # same structure keeps the shared arcs
+    p = CatalogParams(machine_count=1, job_demands=[1])
+    steps = project(run(p).trace)
+    cnet = conformance_net(p)
+    assert replay(steps, cnet).ok
+    arcs = cnet.arcs
+
+    def patched(t, binding):
+        consumed, produced = arcs(t, binding)
+        if t == "t1":
+            consumed += ((("job_done", binding.j), 1),)
+        return consumed, produced
+
+    cnet.arcs = patched
+    report = replay(steps, cnet)
+    assert (report.index, report.label, report.reason) == (
+        1, ("t1", Binding("M1", "J1")), "not enabled")
+    assert replay(steps, conformance_net(p)).ok
+
+
 def test_clean_report_builds_its_final_marking_when_read(monkeypatch):
     # a clean replay keeps its flat token counts, not the net, and builds
     # the colored marking once, on the first read; check_run counts the
@@ -169,9 +192,10 @@ def test_clean_report_builds_its_final_marking_when_read(monkeypatch):
     ref = weakref.ref(cnet)
     del cnet
     gc.collect()
-    assert ref() is None and built["markings"] == 0
+    assert ref() is None and report.tokens("job_done") == 16
+    assert built["markings"] == 0
     assert report.final_marking is report.final_marking
-    assert built["markings"] == 1
+    assert built["markings"] == 1 and report.tokens("job_done") == 16
     assert report == expected
     assert len(report.final_marking["job_done"]) == 16
 
@@ -200,14 +224,14 @@ def full_check(result, cnet):
 
 
 def test_looping_runs_replay_one_period():
+    # looping or not, every run is replayed by the one path of check_run
     looping = 0
     for k in range(1000):
         params, config = random_case(random.Random(k))
         result, report = check_run(params, config)
-        if result.cycle is not None:
-            looping += 1
-            cnet = conformance_net(params, config.crashes)
-            assert report == full_check(result, cnet), k
+        looping += result.cycle is not None
+        cnet = conformance_net(params, config.crashes)
+        assert report == full_check(result, cnet), k
     assert looping == 74
 
 
@@ -234,6 +258,20 @@ def test_period_that_moves_the_marking_is_replayed_in_full(
     assert report == full_check(looping, conformance_net(p))
 
 
+def test_loop_through_a_job_the_net_lacks_diverges(monkeypatch):
+    # a made-up loop whose block submits a job outside the universe: its
+    # first period diverges there, as the full replay does
+    p = CatalogParams(machine_count=1, job_demands=[1])
+    trace = [TraceEvent(0, "J1", "job-submitted", job="J1")] + [
+        TraceEvent(t, "J9", "job-submitted", job="J9") for t in (2, 4, 6)]
+    looping = SimResult({"J1": "horizon"}, trace[:2], (1, 1, 2), horizon=6)
+    assert looping.trace == trace
+    monkeypatch.setattr(conformance, "run", lambda params, config: looping)
+    _, report = check_run(p, SimConfig())
+    assert (report.index, report.reason) == (1, "job J9 not in the net")
+    assert report == full_check(looping, conformance_net(p))
+
+
 @pytest.mark.parametrize("horizon, cut", [(8, 0), (9, 2)])
 def test_job_done_counted_in_every_period(monkeypatch, horizon, cut):
     # a made-up loop whose period reserves M1, reports J1 done and cancels:
@@ -248,7 +286,8 @@ def test_job_done_counted_in_every_period(monkeypatch, horizon, cut):
                   TraceEvent(4 + shift, "M1", "canceled", "M1", "J1")]
     trace = [e for e in trace if e.time <= horizon]
     looping = SimResult({"J1": "horizon"}, trace[:4], (1, 3, 2), horizon)
-    assert (looping.periods(), looping.trace) == ((3, cut), trace)
+    assert looping.layout() == (trace[:1], trace[1:4], 3, trace[1:1 + cut])
+    assert looping.trace == trace
     job_done_internal(monkeypatch)
     monkeypatch.setattr(conformance, "run", lambda params, config: looping)
     _, report = check_run(p, SimConfig(timeout=3))
