@@ -128,19 +128,18 @@ def build_net(params):
     return unfold(build_colored(params))
 
 
-def build_colored(params, layers=None):
-    """The colored model for ``params``: the structure of its timeout and
-    optional Zeroconf and failure-detector layers, or of ``layers``, such a
-    triple (``conformance_net`` replays on wider ones), over the params'
-    machines and jobs with each job's demand and semantics.  The params are
-    not validated here (``build_net`` does that).
+def build_colored(params):
+    """The colored model for ``params``: the structure of the params'
+    layers (timeout, Zeroconf, failure detector) over their machines and
+    jobs, with each job's demand and semantics.  The params are not
+    validated here (``build_net`` does that).
     """
     jobs = params.jobs()
     universe = ColorUniverse(
         params.machines(), jobs, dict(zip(jobs, params.job_demands)),
         {j: params.semantics_of(i) for i, j in enumerate(jobs)})
-    structure = _structure(*layers or (params.timeout, params.zeroconf,
-                                       params.failure_detector))
+    structure = _structure(params.timeout, params.zeroconf,
+                           params.failure_detector)
     return structure.instance(universe, {"begin": universe.jobs,
                                          "available": universe.machines})
 

@@ -13,7 +13,7 @@ jobs in the trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import colored as cpn
@@ -46,7 +46,7 @@ DEFAULT_INTERNAL = frozenset({
 
 
 class _BuiltOnRead:
-    """A field whose ``partial`` value is called on its first read: a clean
+    """A field whose ``partial`` value is called on its first read: a
     replay's final marking is built only if someone asks for it."""
 
     def __get__(self, report, owner=None):
@@ -60,10 +60,13 @@ class _BuiltOnRead:
 
 @dataclass
 class ReplayReport:
+    """Where a replay stopped: ``final_marking`` is the marking in which
+    step ``index`` could not fire, or the one after the last step, built
+    on its first read."""
+
     ok: bool
     index: int = None               # first diverging step
     label: tuple = None             # (transition, binding) that failed
-    marking: dict = None            # blocking marking
     final_marking: dict = _BuiltOnRead()
     reason: str = None              # why the step or the run diverged
 
@@ -108,22 +111,21 @@ def replay(projected, cnet):
     for p, toks in cnet.initial.items():
         for tok in toks:
             held[p, tok] = held.get((p, tok), 0) + 1
-    get, places, arcs = held.get, cnet.places, cnet.arcs
+    get, arcs = held.get, cnet.arcs
+    end = partial(_marking, cnet.places, held)     # reads held when called
     for i, (t, b) in enumerate(projected):
         try:
             consumed, produced = arcs(t, b)
         except ValueError as missing:
-            return ReplayReport(False, i, (t, b), _marking(places, held),
-                                reason=str(missing))
+            return ReplayReport(False, i, (t, b), end, str(missing))
         for pt, n in consumed:
             if get(pt, 0) < n:
-                return ReplayReport(False, i, (t, b), _marking(places, held),
-                                    reason="not enabled")
+                return ReplayReport(False, i, (t, b), end, "not enabled")
         for pt, n in consumed:
             held[pt] -= n
         for pt, n in produced:
             held[pt] = get(pt, 0) + n
-    return ReplayReport(True, final_marking=partial(_marking, places, held))
+    return ReplayReport(True, final_marking=end)
 
 
 def _moves(cnet, steps):
@@ -156,7 +158,8 @@ def _marking(places, held):
 
 
 def conformance_net(params, crashes=()):
-    """Colored net matching a scenario for replay purposes.
+    """Colored net matching a scenario for replay purposes: the model's own
+    net, or a wider one when the run needs it.
 
     The failure-detector layer is present whenever the schedule can crash
     a machine, since crash events then appear in traces.  The cancel
@@ -164,13 +167,13 @@ def conformance_net(params, crashes=()):
     the timeout off: giving machines back on failure maps to cancel, and
     untimed replay ignores the interval anyway.
     """
-    any_fail = any(params.semantics_of(i) == FAIL
-                   for i in range(len(params.job_demands)))
-    timeout = params.timeout
-    if timeout is None and any_fail:
-        timeout = DEFAULT_TIMEOUT
-    return build_colored(params, (timeout, params.zeroconf,
-                                  params.failure_detector or bool(crashes)))
+    if params.timeout is None and any(
+            params.semantics_of(i) == FAIL
+            for i in range(len(params.job_demands))):
+        params = replace(params, timeout=DEFAULT_TIMEOUT)
+    if crashes and not params.failure_detector:
+        params = replace(params, failure_detector=True)
+    return build_colored(params)
 
 
 def check_run(params, config):
@@ -197,7 +200,7 @@ def check_run(params, config):
     done_tokens = report.tokens("job_done")
     if done_tokens != done_events:
         report = ReplayReport(
-            False, index=n_steps, marking=report.final_marking,
+            False, index=n_steps, final_marking=report.final_marking,
             reason=f"{done_tokens} job_done tokens for {done_events} "
                    "job-done events")
     return result, report

@@ -1,4 +1,4 @@
-"""Graphviz DOT export for nets and reachability graphs.
+"""Graphviz DOT export for nets and marking graphs.
 
 Output is plain DOT text with nodes emitted in declaration order, so the
 same net or graph always serializes to the same bytes.
@@ -57,16 +57,13 @@ def _marking_label(marking):
     return "\n".join(entries) or "(empty)"
 
 
-def reach_dot(graph, name="reach", limit=MAX_GRAPH_STATES) -> str:
-    """Reachability graph as DOT; refuses graphs above ``limit`` states.
-
-    Edges read ``delay/transition`` (timed graphs) or ``transition``
-    (marking graphs).
-    """
+def reach_dot(graph, name="reach") -> str:
+    """The ``MarkingGraph`` of ``explore_markings`` as DOT, edges labelled
+    by transition; refuses graphs above ``MAX_GRAPH_STATES`` states."""
     n = graph.n_states
-    if n > limit:
+    if n > MAX_GRAPH_STATES:
         raise GraphTooLarge("%d states exceeds the %d-state export limit"
-                            % (n, limit))
+                            % (n, MAX_GRAPH_STATES))
     lines = ["digraph %s {" % _q(name)]
     lines.append("  node [shape=box, fontsize=9];")
     dead = set(graph.dead_ids())
@@ -74,23 +71,13 @@ def reach_dot(graph, name="reach", limit=MAX_GRAPH_STATES) -> str:
         label = "s%d\n%s" % (i, _marking_label(graph.marking(i)))
         extra = ", style=filled, fillcolor=lightgray" if i in dead else ""
         lines.append("  s%d [label=%s%s];" % (i, _q(label), extra))
-    for i, label, j in _edge_iter(graph):
-        lines.append("  s%d -> s%d [label=%s];" % (i, j, _q(label)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _edge_iter(graph):
-    if hasattr(graph, "edges"):                    # ReachGraph: edges stored
-        for i, succs in enumerate(graph.edges):
-            for label, j in succs:
-                yield i, "%s/%s" % label, j
-        return
-    net = graph.net                                # marking graph, recompute
-    ids = {graph.counts(i): i for i in range(graph.n_states)}
-    for i in range(graph.n_states):
+    # the graph stores no edges: fire each enabled transition again
+    net, ids = graph.net, {graph.counts(i): i for i in range(n)}
+    for i in range(n):
         m = graph.marking(i)
         for t in net.enabled(m):
             j = ids.get(net.marking_tuple(net.fire_marking(m, t)))
             if j is not None:
-                yield i, t, j
+                lines.append("  s%d -> s%d [label=%s];" % (i, j, _q(t)))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

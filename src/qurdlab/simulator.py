@@ -58,6 +58,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .catalog import DEFAULT_TIMEOUT
+
 CRASH_PRIO = 0
 TIMER_PRIO = 1
 DELIVER_PRIO = 2
@@ -78,7 +80,7 @@ class SimConfig:
 
     bus_latency: int = 1
     msg_latency: int = 1
-    timeout: object = 3              # reservation timeout, None = no timers
+    timeout: object = DEFAULT_TIMEOUT  # reservation timeout, None = no timers
     job_duration: int = 2
     crashes: list = field(default_factory=list)        # (machine id, time)
     seed: int = 0
@@ -215,7 +217,8 @@ class Daemon:
             sim.emit(self.name, "ok-sent", self.name, job)
             sim.send(launcher.ok, self.name)
             if sim.expiry is not None:
-                sim.timer(sim.now + sim.expiry, self.expire, self.epoch)
+                sim.schedule(sim.now + sim.expiry, TIMER_PRIO, self.expire,
+                             self.epoch)
         else:
             sim.emit(self.name, "ko-sent", self.name, job)
             sim.send(launcher.ko, self.name, False)
@@ -231,8 +234,8 @@ class Daemon:
                 # place: the job starts on the dead machine and is lost
                 sim.lose_job(self.name, job)
             else:
-                sim.timer(sim.now + sim.config.job_duration,
-                          self.complete, self.epoch)
+                sim.schedule(sim.now + sim.config.job_duration, TIMER_PRIO,
+                             self.complete, self.epoch)
 
     def release(self, job):
         # only the reserving client may free the machine; a stale
@@ -299,8 +302,8 @@ class Launcher:
         self.machines.append(machine)
         self.res_epoch[machine] = self.res_epoch.get(machine, 0) + 1
         if sim.config.timeout is not None:
-            sim.timer(sim.now + sim.config.timeout, self.unbook,
-                      machine, self.res_epoch[machine])
+            sim.schedule(sim.now + sim.config.timeout, TIMER_PRIO,
+                         self.unbook, machine, self.res_epoch[machine])
         if len(self.machines) == self.needed:
             self.phase = LAUNCHING
             sim.progress(self)
@@ -411,10 +414,6 @@ class Simulation:
         heapq.heappush(self.heap, (time, prio, self.seq, handler, args))
         self.seq += 1
 
-    def timer(self, time, handler, *args):
-        heapq.heappush(self.heap, (time, TIMER_PRIO, self.seq, handler, args))
-        self.seq += 1
-
     def send(self, handler, *args):
         """Send a message: the receiver runs ``handler(*args)`` one link
         latency from now."""
@@ -503,8 +502,8 @@ class Simulation:
         daemon.epoch += 1
         self.announce(daemon, False)
         self.emit("detector", "restarted", daemon.name, job)
-        self.timer(self.now + self.config.job_duration,
-                   daemon.complete, daemon.epoch)
+        self.schedule(self.now + self.config.job_duration, TIMER_PRIO,
+                      daemon.complete, daemon.epoch)
 
     def detector_offer(self, daemon):
         """A machine just became available; serve a queued restart if any."""
@@ -546,7 +545,8 @@ class Simulation:
         on, restarts the job."""
         self.emit(name, "crashed", name, job)
         if self.params.failure_detector:
-            self.timer(self.now + self.config.detect_delay, self.detect, job)
+            self.schedule(self.now + self.config.detect_delay, TIMER_PRIO,
+                          self.detect, job)
 
     def run(self):
         order = list(self.launchers)

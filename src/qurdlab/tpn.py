@@ -36,11 +36,8 @@ Marking = dict  # place name -> token count (absent = 0)
 
 
 class NotFireable(Exception):
-    """Raised when firing a transition that is not fireable."""
-
-    def __init__(self, transition):
-        self.transition = transition
-        super().__init__(f"transition {transition!r} is not fireable")
+    """Raised when firing a transition that is not fireable; its argument
+    names the step."""
 
 
 class UrgencyViolation(Exception):

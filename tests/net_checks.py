@@ -1,9 +1,11 @@
 """Checks that only the tests make: the full timed graph, with every
-machine permutation of a state kept apart, the untimed graph of a colored
-net (the reference that ``unfold`` plus ``explore_markings`` are checked
-against), a predicate scanned over every state of an explored graph, a
-P-invariant tested on a plain net's incidence matrix, the unfolded names
-of one machine's places, and a colored net rebuilt with edited arcs."""
+machine permutation of a state kept apart, a plain net's enabling and
+firing rules read from its pre and post sets alone, the untimed graph of
+a colored net (the reference that ``unfold`` plus ``explore_markings``
+are checked against), a predicate scanned over every state of an
+explored graph, a P-invariant tested on a plain net's incidence matrix,
+the unfolded names of one machine's places, and a colored net rebuilt
+with edited arcs."""
 
 from types import SimpleNamespace
 
@@ -20,6 +22,26 @@ def full_explore(net, bound=DEFAULT_BOUND):
     net is a state of its own, whatever ``net.machine_of`` records."""
     return _closure(ReachGraph(net, bound), net.initial_state(),
                     TimedState.successors, _identity)
+
+
+def naive_enabled(net, marking):
+    """The transitions of a plain net enabled in ``marking``, read from
+    its pre sets alone."""
+    out = set()
+    for t in net.transitions:
+        if all(marking.get(p, 0) >= w for p, w in net.pre[t].items()):
+            out.add(t)
+    return out
+
+
+def naive_fire_marking(net, marking, t):
+    """marking - pre(t) + post(t), zeros dropped, with no enabling test."""
+    m = dict(marking)
+    for p, w in net.pre[t].items():
+        m[p] = m.get(p, 0) - w
+    for p, w in net.post[t].items():
+        m[p] = m.get(p, 0) + w
+    return {p: n for p, n in m.items() if n}
 
 
 def check_invariant(g, predicate):

@@ -10,10 +10,10 @@ import random
 import pytest
 
 from net_checks import canonical, colored_enabled, mutant
-from qurdlab.colored import (Binding, ColoredNet, ColorUniverse, Inscription,
-                             JOB, MACHINE, PAIR, binding_name, colored_fire,
-                             fold_machines, fold_refusal, lift_machines,
-                             token_name, unfold)
+from qurdlab.colored import (FOLDED, Binding, ColoredNet, ColorUniverse,
+                             Inscription, JOB, MACHINE, PAIR, binding_name,
+                             colored_fire, fold_machines, fold_refusal,
+                             lift_machines, token_name, unfold)
 from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.tpn import Net, NotFireable
 
@@ -288,6 +288,25 @@ def test_fire_checks_enabling():
     cnet = build_colored(tiny_params())
     with pytest.raises(NotFireable):
         colored_fire(cnet, cnet.initial_marking(), "t1", Binding("M1", "j1"))
+
+
+def test_not_fireable_names_the_step():
+    # each firing rule raises NotFireable with the step as its argument:
+    # the transition, with its binding where the net is colored
+    cnet = build_colored(tiny_params())
+    net = unfold(cnet)
+    t1 = Binding("M1", "j1")
+    for fire, step in (
+            (lambda: colored_fire(cnet, cnet.initial_marking(), "t1", t1),
+             ("t1", t1)),
+            (lambda: net.fire_marking(dict(net.initial), "t1@(M1,j1)"),
+             "t1@(M1,j1)"),
+            (lambda: net.initial_state().fire("t1@(M1,j1)"), "t1@(M1,j1)"),
+            (lambda: lift_machines(cnet, ["t1@(*,j1)"]),
+             ("t1", Binding(FOLDED, "j1")))):
+        with pytest.raises(NotFireable) as caught:
+            fire()
+        assert caught.value.args == (step,)
 
 
 def test_sort_preserved_by_firing():

@@ -11,7 +11,7 @@ import pytest
 
 from qurdlab import colored as cpn
 from qurdlab import conformance
-from qurdlab.catalog import CatalogParams, build_colored
+from qurdlab.catalog import DEFAULT_TIMEOUT, CatalogParams, build_colored
 from qurdlab.colored import Binding, colored_fire
 from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING,
                                  FuzzSummary, ReplayReport, UnknownEvent,
@@ -214,10 +214,10 @@ def full_check(result, cnet):
     steps = project(result.trace)
     report = replay(steps, cnet)
     done_events = sum(e.kind == "job-done" for e in result.trace)
-    done_tokens = len((report.final_marking or {}).get("job_done", ()))
+    done_tokens = len(report.final_marking["job_done"])
     if report.ok and done_tokens != done_events:
         report = ReplayReport(
-            False, index=len(steps), marking=report.final_marking,
+            False, index=len(steps), final_marking=report.final_marking,
             reason=f"{done_tokens} job_done tokens for {done_events} "
                    "job-done events")
     return report
@@ -303,6 +303,19 @@ def test_conformance_net_grows_detector_for_crashes():
     assert "crash" in conformance_net(p, crashes=[("M1", 2)]).transitions
 
 
+def test_conformance_net_widens_only_what_the_run_needs():
+    # a fail job with the timeout off gives machines back through cancel,
+    # and crashes need the detector; nothing else widens the model's net
+    fail = CatalogParams(machine_count=2, job_demands=[1], semantics="fail",
+                         timeout=None)
+    assert "cancel" not in build_colored(fail).transitions
+    assert conformance_net(fail).interval["cancel"] == (DEFAULT_TIMEOUT, None)
+    for p in (CatalogParams(machine_count=2, job_demands=[1], timeout=None),
+              replace(fail, timeout=2, failure_detector=True)):
+        assert conformance_net(p, [("M1", 0)]).firings is \
+            build_colored(replace(p, failure_detector=True)).firings
+
+
 def timeout_off_net_replays_timed_run():
     """Replay a run with timeout 3 on the net of the same model with the
     timeout off: that net has no cancel, while the run cancels
@@ -344,7 +357,7 @@ def test_unknown_job_reported_not_raised():
     assert not report.ok and report.index == 0
     assert str(report) == ("divergence at step 0: "
                            "start_job Binding(j=J9) job J9 not in the net")
-    assert report.marking == net.initial_marking()
+    assert report.final_marking == net.initial_marking()
 
 
 def test_firing_table_stays_within_the_bound():
@@ -385,7 +398,8 @@ def test_swapped_event_map_diverges(monkeypatch):
     seed, desc, report = summary.failures[0]
     assert report.index is not None
     assert "divergence at step" in str(report)
-    markings = "".join(f"{r.marking!r}\n" for _, _, r in summary.failures)
+    markings = "".join(f"{r.final_marking!r}\n"
+                       for _, _, r in summary.failures)
     assert [sha256(text.encode()).hexdigest()
             for text in (str(summary), markings)] == [
         "b8d318e20eaeece51dcca8f02ff9f4b837a2f1edacb2fcbcb097361698ea341f",

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from net_checks import full_explore
+from net_checks import full_explore, naive_enabled, naive_fire_marking
 from qurdlab.analysis import (DEFAULT_BOUND, ReachGraph, _closure, _identity,
                               pending_deadlocks, replay_labels)
 from qurdlab.catalog import CatalogParams, build_net
@@ -37,23 +37,6 @@ def cancel_only_net(interval=(3, None)):
 
 
 # -- oracles ----------------------------------------------------------------
-
-def naive_enabled(net, marking):
-    out = set()
-    for t in net.transitions:
-        if all(marking.get(p, 0) >= w for p, w in net.pre[t].items()):
-            out.add(t)
-    return out
-
-
-def naive_fire_marking(net, marking, t):
-    m = dict(marking)
-    for p, w in net.pre[t].items():
-        m[p] = m.get(p, 0) - w
-    for p, w in net.post[t].items():
-        m[p] = m.get(p, 0) + w
-    return {p: n for p, n in m.items() if n}
-
 
 def naive_fire_clocks(net, state, t):
     """Clocks after firing t, every transition re-tested from scratch:
