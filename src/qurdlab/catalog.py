@@ -61,11 +61,9 @@ class CatalogParams:
     def validate(self):
         """Problems with these parameters, one message each; empty when
         they describe a model that can be built and simulated."""
-        issues = []
         jobs = self.jobs()
         n_jobs = len(self.job_demands)
-        if self.machine_count < 1:
-            issues.append("machines must be >= 1")
+        issues = int_issues("machines", self.machine_count, 1)
         if not n_jobs:
             issues.append("at least one job is required")
         if len(jobs) != n_jobs:
@@ -75,18 +73,27 @@ class CatalogParams:
         if len(semantics) != n_jobs:
             issues.append(f"{len(semantics)} semantics for {n_jobs} jobs")
         for j, demand, sem in zip(jobs, self.job_demands, semantics):
-            if demand < 1:
-                issues.append(f"job {j}: demand must be >= 1")
+            issues += int_issues(f"job {j}: demand", demand, 1)
             if sem not in (FAIL, WAIT):
                 issues.append(f"job {j}: semantics must be fail or wait")
         issues += [f"duplicate job {j}"
                    for j, n in Counter(jobs).items() if n > 1]
-        machines = set(self.machines())
-        issues += [f"job id {j} collides with a machine id"
-                   for j in jobs if j in machines]
-        if self.timeout is not None and self.timeout < 1:
-            issues.append("timeout must be >= 1 or off")
+        if isinstance(self.machine_count, int):
+            machines = set(self.machines())
+            issues += [f"job id {j} collides with a machine id"
+                       for j in jobs if j in machines]
+        if self.timeout is not None:
+            issues += [issue + " or off"
+                       for issue in int_issues("timeout", self.timeout, 1)]
         return issues
+
+
+def int_issues(what, value, low):
+    """What is wrong with ``value`` for a parameter that must be an int of
+    at least ``low``: a list of at most one message."""
+    if not isinstance(value, int):
+        return [f"{what} must be an integer"]
+    return [f"{what} must be >= {low}"] if value < low else []
 
 
 def jname(base, j):

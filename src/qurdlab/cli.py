@@ -37,6 +37,7 @@ from .colored import (PAIR, color_name, fold_machines, fold_refusal,
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulator import run as run_sim
 
+MAX_GRAPH_STATES = 10_000    # the most markings export-dot --reach draws
 PROPERTIES = ("deadlock", "mutex", "machine-invariant", "job-done-reachable")
 # at most one job holds a machine, and each machine is in exactly one
 # state: proved on the colored net (``colored.fold_refusal``)
@@ -224,12 +225,15 @@ def _selector_net(selector):
 
 
 def cmd_export_dot(args) -> Report:
+    """The net as DOT, or with ``--reach`` its marking graph, explored up to
+    ``min(--bound, MAX_GRAPH_STATES)`` markings: a larger one is truncated."""
     report = Report("export-dot %s" % args.selector)
     net = _selector_net(args.selector)
     if args.reach:
-        g = analysis.explore_markings(net, bound=args.bound)
+        bound = min(args.bound, MAX_GRAPH_STATES)
+        g = analysis.explore_markings(net, bound=bound)
         if g.truncated:
-            report.add("truncated: bound of %d states exceeded" % args.bound)
+            report.add("truncated: bound of %d states exceeded" % bound)
             report.exit_status = 2
             return report
         text = dot.reach_dot(g, name=net.name)
@@ -286,7 +290,7 @@ def build_parser():
                         "a scenario file")
     p.add_argument("--reach", action="store_true",
                    help="export the reachability graph instead of the net")
-    p.add_argument("--bound", type=count, default=dot.MAX_GRAPH_STATES)
+    p.add_argument("--bound", type=count, default=MAX_GRAPH_STATES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_export_dot)
     return parser
@@ -308,7 +312,7 @@ def main(argv=None) -> int:
         parser.error("conformance needs a scenario file or --fuzz COUNT")
     try:
         report = args.func(args)
-    except (ScenarioError, OSError, dot.GraphTooLarge, analysis.Truncated,
+    except (ScenarioError, OSError, analysis.Truncated,
             analysis.ExplorationError, MemoryError) as exc:
         print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2

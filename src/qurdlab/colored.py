@@ -111,7 +111,7 @@ class ColoredNet:
     transitions (``pre``, ``post``: -> {place: Inscription}, ``interval``),
     plus the net's own universe and ``initial`` marking (place -> tuple of
     tokens).  Every net ``instance`` makes shares the structure, read-only:
-    ``add_place`` and ``add_transition`` extend a copy, with a new table."""
+    ``add_place`` extends a copy, ``add_transition`` one with a new table."""
 
     def __init__(self, universe, name="colored"):
         self.name = name
@@ -122,12 +122,9 @@ class ColoredNet:
             MappingProxyType({})
         self.firings = {}           # ``arcs``' key -> (consumed, produced)
 
-    def add_place(self, name, sort, tokens=()):
+    def add_place(self, name, sort):
         self.places += (name,)
         self.sort = MappingProxyType({**self.sort, name: sort})
-        if tokens:
-            self.initial[name] = tuple(tokens)
-        self.firings = {}
         return name
 
     def add_transition(self, name, pre, post, interval=(0, None)):
@@ -172,20 +169,16 @@ class ColoredNet:
                         issues.append(f"P'(j) or W'(j) multiplicity needs "
                                       f"pattern j on {t}->{p}")
             issues += interval_issues(t, *self.interval[t])
+        machines, jobs = set(self.universe.machines), set(self.universe.jobs)
+        colors = {MACHINE: machines, JOB: jobs}
         for p, toks in self.initial.items():
-            for tok in toks:
-                if not self._token_ok(p, tok):
-                    issues.append(f"initial token {tok!r} has wrong sort for {p}")
+            sort = self.sort[p]
+            issues += [f"initial token {tok!r} has wrong sort for {p}"
+                       for tok in toks if not (
+                           tok in colors[sort] if sort in colors else
+                           isinstance(tok, tuple) and len(tok) == 2
+                           and tok[0] in machines and tok[1] in jobs)]
         return issues
-
-    def _token_ok(self, place, tok):
-        sort = self.sort[place]
-        if sort == MACHINE:
-            return tok in self.universe.machines
-        if sort == JOB:
-            return tok in self.universe.jobs
-        return (isinstance(tok, tuple) and len(tok) == 2
-                and tok[0] in self.universe.machines and tok[1] in self.universe.jobs)
 
     def variables_of(self, t):
         """Which of m, j the transition's inscriptions mention."""
@@ -400,15 +393,25 @@ def lift_machines(cnet, names):
 
     Where ``fold_refusal(cnet)`` is None some machine is always enabled,
     and the lifted sequence reaches a marking whose machine counts are the
-    folded marking; NotFireable is raised otherwise."""
+    folded marking; NotFireable is raised otherwise.  A step's machine
+    holds the token of its transition's one machine-carrying input, so
+    only the machines that hold it are tried."""
     folded = fold_machines(cnet)
     step_of = {binding_name(t, b): (t, b) for t in folded.transitions
                for b in folded.bindings_of(t)}
+    source = {t: (p, ins.pattern) for t in cnet.transitions
+              for p, ins in cnet.pre[t].items() if ins.pattern != "j"}
     marking = cnet.initial_marking()
     lifted = []
     for name in names:
         t, b = step_of[name]
-        for m in cnet.universe.machines if b.m == FOLDED else (None,):
+        machines = (None,)
+        if b.m == FOLDED:
+            p, pattern = source[t]
+            held = set(marking[p]) if pattern == "m" else {
+                m for m, j in marking[p] if j == b.j}
+            machines = (m for m in cnet.universe.machines if m in held)
+        for m in machines:
             try:
                 marking = colored_fire(cnet, marking, t, Binding(m, b.j))
             except NotFireable:

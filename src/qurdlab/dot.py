@@ -1,16 +1,10 @@
 """Graphviz DOT export for nets and marking graphs.
 
 Output is plain DOT text with nodes emitted in declaration order, so the
-same net or graph always serializes to the same bytes.
-"""
+same net or graph always serializes to the same bytes, and whole: how
+large a graph gets is decided by the exploration that builds it."""
 
 from __future__ import annotations
-
-MAX_GRAPH_STATES = 10_000
-
-
-class GraphTooLarge(ValueError):
-    """Reachability graph exceeds the export limit."""
 
 
 def _q(name):
@@ -59,11 +53,8 @@ def _marking_label(marking):
 
 def reach_dot(graph, name="reach") -> str:
     """The ``MarkingGraph`` of ``explore_markings`` as DOT, edges labelled
-    by transition; refuses graphs above ``MAX_GRAPH_STATES`` states."""
+    by transition."""
     n = graph.n_states
-    if n > MAX_GRAPH_STATES:
-        raise GraphTooLarge("%d states exceeds the %d-state export limit"
-                            % (n, MAX_GRAPH_STATES))
     lines = ["digraph %s {" % _q(name)]
     lines.append("  node [shape=box, fontsize=9];")
     dead = set(graph.dead_ids())

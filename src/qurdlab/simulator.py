@@ -58,7 +58,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .catalog import DEFAULT_TIMEOUT
+from .catalog import DEFAULT_TIMEOUT, int_issues
 
 CRASH_PRIO = 0
 TIMER_PRIO = 1
@@ -93,30 +93,32 @@ class SimConfig:
         params' own first, each message once; empty when the run can
         start."""
         issues = params.validate()
-        # a negative delay or event time would move the clock backwards
+        # the clock counts whole ticks, and a negative delay or event time
+        # would move it backwards
         for label, v in (("bus-latency", self.bus_latency),
                          ("msg-latency", self.msg_latency),
                          ("detect-delay", self.detect_delay),
                          ("horizon", self.horizon)):
-            if v < 0:
-                issues.append(f"{label} must be >= 0")
-        if self.job_duration < 1:
-            issues.append("job duration must be >= 1")
-        if self.timeout != params.timeout:
+            issues += int_issues(label, v, 0)
+        issues += int_issues("job duration", self.job_duration, 1)
+        if self.timeout != params.timeout or \
+                type(self.timeout) is not type(params.timeout):
             # daemons cancel on the run's timeout, the replay net on the model's
             issues.append(f"run timeout {self.timeout} differs from the "
                           f"model timeout {params.timeout}")
-        machines, jobs = set(params.machines()), set(params.jobs())
+        jobs = set(params.jobs())
+        # no machine ids to check a crash against where the count is not
+        # an int, which params.validate reports
+        machines = (set(params.machines())
+                    if isinstance(params.machine_count, int) else None)
         for m, t in self.crashes:
-            if m not in machines:
+            if machines is not None and m not in machines:
                 issues.append(f"unknown machine {m} in crash")
-            if t < 0:
-                issues.append("crash time must be >= 0")
+            issues += int_issues("crash time", t, 0)
         for j, t in self.launcher_kills:
             if j not in jobs:
                 issues.append(f"unknown job {j} in kill schedule")
-            if t < 0:
-                issues.append("kill time must be >= 0")
+            issues += int_issues("kill time", t, 0)
         # repeated crash or kill entries repeat their problem: report it once
         return list(dict.fromkeys(issues))
 

@@ -97,7 +97,8 @@ def test_marking_explorer_refuses_finite_lfd():
     with pytest.raises(ValueError):
         explore_markings(net)
     cnet = ColoredNet(ColorUniverse(["M1"], ["J1"], {"J1": 1}))
-    cnet.add_place("p", JOB, tokens=["J1"])
+    cnet.add_place("p", JOB)
+    cnet.initial["p"] = ("J1",)
     cnet.add_transition("t", pre={"p": Inscription("j")}, post={},
                         interval=(0, 2))
     with pytest.raises(ValueError):

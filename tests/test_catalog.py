@@ -45,6 +45,16 @@ def rejected(p, message):
         build_net(p)
 
 
+@pytest.mark.parametrize("p, message", [
+    (CatalogParams(timeout=2.5), "timeout must be an integer or off"),
+    (CatalogParams(job_demands=[1.5]), "job J1: demand must be an integer"),
+    (CatalogParams(machine_count=2.0), "machines must be an integer")])
+def test_params_reject_a_number_that_is_not_an_int(p, message):
+    # reported, not built into an interval or raised on
+    assert p.validate() == [message]
+    rejected(p, message)
+
+
 def test_params_reject_duplicate_job_ids():
     rejected(CatalogParams(machine_count=2, job_demands=[1, 1],
                            job_ids=["J1", "J1"]), "duplicate job J1")

@@ -10,12 +10,12 @@ import pytest
 
 from net_checks import mutant, naive_enabled, naive_fire_marking
 import qurdlab
-from qurdlab import analysis, cli, dot, simulator
+from qurdlab import analysis, cli, simulator
 from qurdlab.analysis import explore_markings, replay_labels
 from qurdlab.catalog import CatalogParams, build_colored, build_net
 from qurdlab.cli import main
 from qurdlab.colored import Inscription, fold_refusal
-from qurdlab.dot import GraphTooLarge, net_dot, reach_dot
+from qurdlab.dot import net_dot, reach_dot
 from qurdlab.scenario import parse_scenario
 from qurdlab.simulator import TraceEvent
 from qurdlab.tpn import Net
@@ -470,6 +470,28 @@ def test_export_reach_graph_stable(capsys, contention_file):
     assert first == second
 
 
+@pytest.mark.parametrize("bound", [(), ("--bound", 50)],
+                         ids=["default-bound", "bound-above-limit"])
+def test_export_reach_explores_at_most_the_limit(capsys, contention_file,
+                                                  monkeypatch, bound):
+    # a --bound above the limit is capped: the exploration stops at the
+    # limit, and nothing larger is explored to be thrown away
+    bounds = []
+
+    def explore(net, bound):
+        bounds.append(bound)
+        return explore_markings(net, bound)
+
+    monkeypatch.setattr(cli, "MAX_GRAPH_STATES", 10)
+    monkeypatch.setattr(analysis, "explore_markings", explore)
+    status, out = run_cli(capsys, "export-dot", contention_file, "--reach",
+                          *bound)
+    assert status == 2
+    assert out.splitlines()[1:] == ["truncated: bound of 10 states exceeded",
+                                    "exit: 2"]
+    assert bounds == [10]
+
+
 def test_token_overflow_exits_2(capsys, contention_file, monkeypatch):
     net = Net("generator")
     net.add_place("q", tokens=1)
@@ -576,14 +598,6 @@ def test_reach_dot_edges_fire():
             assert t in naive_enabled(net, g.marking(int(i)))
             assert naive_fire_marking(net, g.marking(int(i)), t) == \
                 g.marking(int(j))
-
-
-def test_reach_dot_refuses_large_graphs(contention_file, monkeypatch):
-    net = build_net(parse_scenario(CONTENTION).params())
-    g = explore_markings(net)
-    monkeypatch.setattr(dot, "MAX_GRAPH_STATES", 10)
-    with pytest.raises(GraphTooLarge):
-        reach_dot(g)
 
 
 def test_net_dot_marks_interval():

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from net_checks import canonical, colored_enabled, mutant
+from qurdlab import colored
 from qurdlab.colored import (FOLDED, Binding, ColoredNet, ColorUniverse,
                              Inscription, JOB, MACHINE, PAIR, binding_name,
                              colored_fire, fold_machines, fold_refusal,
@@ -36,7 +37,8 @@ def tiny_params():
 
 def test_sort_mismatch_is_reported():
     cnet = ColoredNet(tiny_universe())
-    cnet.add_place("available", MACHINE, tokens=["m1"])
+    cnet.add_place("available", MACHINE)
+    cnet.initial["available"] = ("m1",)
     cnet.add_place("get_nodes", JOB)
     cnet.add_transition("t", pre={"available": Inscription("j")},
                         post={"get_nodes": Inscription("j")})
@@ -63,7 +65,8 @@ def test_unknown_pattern_is_reported():
 def test_validate_reports_the_nets_interval_rule(interval, expected):
     # one rule, ``tpn.interval_issues``, for colored and plain nets
     cnet = ColoredNet(tiny_universe())
-    cnet.add_place("available", MACHINE, tokens=["m1"])
+    cnet.add_place("available", MACHINE)
+    cnet.initial["available"] = ("m1",)
     cnet.add_transition("x", pre={"available": Inscription("m")},
                         post={"available": Inscription("m")},
                         interval=interval)
@@ -75,7 +78,8 @@ def test_validate_reports_the_nets_interval_rule(interval, expected):
 
 def test_initial_token_sort_checked():
     cnet = ColoredNet(tiny_universe())
-    cnet.add_place("begin", JOB, tokens=["m1"])
+    cnet.add_place("begin", JOB)
+    cnet.initial["begin"] = ("m1",)
     assert any("wrong sort" in msg for msg in cnet.validate())
 
 
@@ -85,7 +89,8 @@ def test_validate_reports_a_bound_that_is_not_an_int(interval):
     # reported, not raised, so that the fold guard refuses the net
     def net(interval):
         cnet = ColoredNet(tiny_universe())
-        cnet.add_place("available", MACHINE, tokens=["m1"])
+        cnet.add_place("available", MACHINE)
+        cnet.initial["available"] = ("m1",)
         cnet.add_transition("x", pre={"available": Inscription("m")},
                             post={"available": Inscription("m")},
                             interval=interval)
@@ -215,7 +220,8 @@ def test_same_transition_name_different_inscriptions_not_shared():
     nets = []
     for ins in (Inscription("j"), Inscription("j", per_demand=True)):
         cnet = ColoredNet(ColorUniverse(["m1"], ["j1"], {"j1": 2}))
-        cnet.add_place("p", JOB, tokens=["j1"])
+        cnet.add_place("p", JOB)
+        cnet.initial["p"] = ("j1",)
         cnet.add_place("q", JOB)
         cnet.add_transition("t", pre={"p": Inscription("j")}, post={"q": ins})
         nets.append(cnet)
@@ -319,9 +325,7 @@ def test_sort_preserved_by_firing():
             break
         t, b = rng.choice(fired)
         m = colored_fire(cnet, m, t, b)
-        for p, toks in m.items():
-            for tok in toks:
-                assert cnet._token_ok(p, tok), (p, tok)
+        assert cnet.instance(cnet.universe, m).validate() == []
 
 
 # -- canonical encoding --------------------------------------------------------
@@ -490,3 +494,21 @@ def test_lift_machines_binds_lowest_enabled_machine():
     assert marking["running@(M2,j1)"] == 1
     with pytest.raises(NotFireable):
         lift_machines(cnet, ["t1@(*,j1)"])
+
+
+def test_lift_machines_fires_each_step_once(monkeypatch):
+    # only a machine that holds the step's token is tried, and the lowest
+    # holder fires: here M2 and M3 for j1's t1 steps, M2 for its t2
+    fired = []
+
+    def fire(cnet, marking, t, binding):
+        fired.append((t, binding))
+        return colored_fire(cnet, marking, t, binding)
+
+    monkeypatch.setattr(colored, "colored_fire", fire)
+    names = ["start_job@j2", "t1@(*,j2)", "start_job@j1", "t1@(*,j1)",
+             "t1@(*,j1)", "launch@j1", "t2@(*,j1)"]
+    lifted = lift_machines(build_colored(params(3, ["j1", "j2"], [2, 1])),
+                           names)
+    assert [binding_name(t, b) for t, b in fired] == lifted
+    assert lifted[3:5] == ["t1@(M2,j1)", "t1@(M3,j1)"]

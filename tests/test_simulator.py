@@ -709,6 +709,28 @@ def test_desk_scale_liveness():
 
 # -- scenario validation ------------------------------------------------------------
 
+def test_a_time_that_is_not_an_int_is_rejected():
+    # the clock counts whole ticks: no event may happen at t=0.5
+    good = CatalogParams(machine_count=1, job_demands=[1])
+    for config, message in (
+            (SimConfig(bus_latency=0.5), "bus-latency"),
+            (SimConfig(msg_latency=1.5), "msg-latency"),
+            (SimConfig(job_duration=2.0), "job duration"),
+            (SimConfig(detect_delay=0.5), "detect-delay"),
+            (SimConfig(horizon=100.0), "horizon"),
+            (SimConfig(crashes=[("M1", 2.5)]), "crash time"),
+            (SimConfig(launcher_kills=[("J1", 0.5)]), "kill time")):
+        assert config.validate(good) == [message + " must be an integer"]
+        with pytest.raises(InvalidScenario, match=message):
+            run(good, config)
+    assert SimConfig(timeout=3.0).validate(good) == [
+        "run timeout 3.0 differs from the model timeout 3"]
+    # a machine count that is not an int is reported, not raised on
+    assert SimConfig(crashes=[("M1", 1)]).validate(
+        CatalogParams(machine_count=1.0, job_demands=[1])) == [
+        "machines must be an integer"]
+
+
 def test_invalid_scenarios_rejected():
     good = CatalogParams(machine_count=1, job_demands=[1])
     with pytest.raises(InvalidScenario):
