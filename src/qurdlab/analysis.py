@@ -40,7 +40,9 @@ still cheap:
    states' sorted keys over their ids; a hit's stored row is read back
    from its level's block (all hits nearly always fall in one level) and
    compared;
-4. the new keys and their ids are merged into the index in one pass.
+4. the new keys and their ids are merged into the index in one pass,
+   which writes them at their positions and the old columns around them
+   through one boolean mask.
 
 A level whose counts fit int8 is computed in int8.  Each level's counts
 are kept as one column block in the dtype they were computed in, and
@@ -60,7 +62,7 @@ Machine symmetry enters in two ways.  ``qurdlab analyze`` hands
 whose places count the machines in each local state, and the checks read
 that graph unchanged.  Its states are then orbits of the full graph's
 under machine permutations, and a folded path is lifted to a path of the
-full net (``colored.lift_machines``) before ``timed_walk`` times it.
+full net (``colored.lift_machines``) before ``timed_witness`` times it.
 And ``explore`` keeps one timed state per machine orbit (scalarset
 symmetry; Ip & Dill, FMSD 9, 1996): a colored transition binds at most one
 machine, by variable patterns alone, so ``unfold``'s nets are invariant
@@ -251,7 +253,6 @@ INT8_MAX = np.iinfo(np.int8).max
 INT16_MAX = np.iinfo(np.int16).max
 KEY_ATTEMPTS = 3
 TRANSPOSE_ROWS = 4096
-MERGE_RUN = 1024
 
 
 class ExplorationError(Exception):
@@ -452,30 +453,17 @@ def _columns(rows):
 
 def _merge(index, at, keys, ids):
     """``index`` with the columns ``(keys, ids)`` inserted before its
-    columns ``at`` (non-decreasing); both rows share the positions.
-
-    The old columns move in runs, one run between two insertion points.
-    Runs averaging ``MERGE_RUN`` columns or more are copied slice by slice;
-    shorter ones by one boolean mask per row, which costs no Python step
-    per run but a few ns per column (np.insert chooses alike, between one
-    insertion and several)."""
-    k = len(at)
-    grown = np.empty((2, index.shape[1] + k), dtype=index.dtype)
-    dest = at + np.arange(k)
-    if index.shape[1] >= MERGE_RUN * k:
-        bounds = [0, *at.tolist(), index.shape[1]]
-        for j in range(k + 1):
-            grown[:, bounds[j] + j:bounds[j + 1] + j] = \
-                index[:, bounds[j]:bounds[j + 1]]
-        old_at = None
-    else:
-        old_at = np.ones(grown.shape[1], dtype=bool)
-        old_at[dest] = False
+    columns ``at`` (non-decreasing); both rows share the positions.  The
+    old columns keep their order, placed by one boolean mask per row,
+    which costs no Python step per insertion but a few ns per column."""
+    grown = np.empty((2, index.shape[1] + len(at)), dtype=index.dtype)
+    dest = at + np.arange(len(at))
+    old_at = np.ones(grown.shape[1], dtype=bool)
+    old_at[dest] = False
     # row by row: 1-D fancy and boolean indexing are numpy's fast paths
     for row, old, added in zip(grown, index, (keys, ids)):
         row[dest] = added
-        if old_at is not None:
-            row[old_at] = old
+        row[old_at] = old
     return grown
 
 
@@ -499,12 +487,6 @@ def timed_witness(net, transitions):
     waiting out each transition's remaining earliest firing delay.  Only
     valid when no finite lfd can block the wait, which the caller
     guarantees by having used marking-level exploration."""
-    return timed_walk(net, transitions)[0]
-
-
-def timed_walk(net, transitions):
-    """``timed_witness`` labels and the TimedState they lead to, from one
-    walk."""
     state = net.initial_state()
     efd = net.compiled()[3]
     labels = []
@@ -513,7 +495,7 @@ def timed_walk(net, transitions):
         d = max(0, efd[ti] - state.clocks[ti])
         state = state.elapse(d).fire(t)
         labels.append((d, t))
-    return labels, state
+    return labels
 
 
 def replay_labels(net, labels):

@@ -27,6 +27,7 @@ import argparse
 import functools
 import hashlib
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import analysis, conformance, dot
@@ -83,9 +84,13 @@ def _digest(sc: Scenario) -> str:
 
 
 def _format_witness(labels, marking):
+    """The labels, then the colored ``marking`` as ``# place=count`` lines
+    under ``unfold``'s place names, sorted."""
+    counts = Counter(color_name(p, tok)
+                     for p, toks in marking.items() for tok in toks)
     lines = ["%d %s" % (d, t) for d, t in labels]
     lines.append("")
-    lines.extend("# %s=%d" % (p, n) for p, n in sorted(marking.items()))
+    lines.extend("# %s=%d" % (p, n) for p, n in sorted(counts.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -94,15 +99,15 @@ def _machine_list(machines):
 
 
 def _holdings(cnet, marking):
-    """Which machines each job holds in a marking of ``unfold(cnet)``, as
+    """Which machines each job holds in a colored marking of ``cnet``, as
     ``J1 holds M1,M2 (needs 3)`` joined by ``; ``; a machine is held while
     it is reserved, running or finished for the job."""
     u = cnet.universe
-    pairs = [p for p in cnet.places if cnet.sort[p] == PAIR]
+    pairs = {tok for p in cnet.places if cnet.sort[p] == PAIR
+             for tok in marking[p]}
     held = []
     for j in u.jobs:
-        ms = [m for m in u.machines
-              if any(marking.get(color_name(p, (m, j))) for p in pairs)]
+        ms = [m for m in u.machines if (m, j) in pairs]
         if ms:
             held.append("%s holds %s (needs %d)"
                         % (j, _machine_list(ms), u.demand[j]))
@@ -142,16 +147,15 @@ def cmd_analyze(args) -> Report:
             if bad:
                 report.add("deadlock: FOUND (%d dead states)" % len(bad))
                 # a concrete path through the first dead orbit
-                labels, end = analysis.timed_walk(
-                    build_net(params),
-                    lift_machines(cnet, g.path_transitions(bad[0])))
-                report.add("deadlock witness: %s"
-                           % _holdings(cnet, end.marking))
+                names, end = lift_machines(cnet,
+                                           g.path_transitions(bad[0]))
+                labels = analysis.timed_witness(build_net(params), names)
+                report.add("deadlock witness: %s" % _holdings(cnet, end))
                 report.witness_path = args.out or (args.scenario
                                                    + ".witness")
                 with open(report.witness_path, "w") as fh:
                     fh.write("property: deadlock\n"
-                             + _format_witness(labels, end.marking))
+                             + _format_witness(labels, end))
                 report.exit_status = 1
             else:
                 report.add("deadlock: none")
@@ -177,7 +181,7 @@ def cmd_simulate(args) -> Report:
         report.add("%s: %s" % (j, result.outcomes[j]))
     if result.cycle:
         _, block, _, _ = result.layout()
-        _, _, period = result.cycle
+        _, period = result.cycle
         report.add("cycle: every %d ticks from t=%d" % (period, block[0].time))
     path = args.out or (args.scenario + ".trace")
     with open(path, "w") as fh:

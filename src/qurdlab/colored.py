@@ -27,7 +27,8 @@ machines, and ``t1@(*,J)`` moves one of them.  ``fold_refusal`` says when
 that net would not behave as the original up to machine names, or when a
 machine is not proved to hold one token in every reachable marking, and
 ``lift_machines`` turns a firing sequence of the folded unfolding back into
-one of the original net's, binding concrete machines.
+one of the original net's, binding concrete machines, and returns the
+colored marking it reaches.
 """
 
 from __future__ import annotations
@@ -389,13 +390,14 @@ def fold_machines(cnet):
 def lift_machines(cnet, names):
     """Lift a firing sequence of ``unfold(fold_machines(cnet))``, given by
     transition names, to cnet: each step binds the lowest-indexed machine
-    for which it is enabled.  Returns the steps' names in ``unfold(cnet)``.
+    for which it is enabled.  Returns the steps' names in ``unfold(cnet)``
+    and the colored marking they reach.
 
     Where ``fold_refusal(cnet)`` is None some machine is always enabled,
-    and the lifted sequence reaches a marking whose machine counts are the
-    folded marking; NotFireable is raised otherwise.  A step's machine
-    holds the token of its transition's one machine-carrying input, so
-    only the machines that hold it are tried."""
+    and that marking's machine counts are the folded marking; NotFireable
+    is raised otherwise.  A step's machine holds the token of its
+    transition's one machine-carrying input, so only the machines that
+    hold it are tried."""
     folded = fold_machines(cnet)
     step_of = {binding_name(t, b): (t, b) for t in folded.transitions
                for b in folded.bindings_of(t)}
@@ -420,4 +422,4 @@ def lift_machines(cnet, names):
             break
         else:
             raise NotFireable((t, b))
-    return lifted
+    return lifted, marking

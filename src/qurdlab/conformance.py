@@ -13,8 +13,8 @@ jobs in the trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
@@ -45,38 +45,33 @@ DEFAULT_INTERNAL = frozenset({
 })
 
 
-class _BuiltOnRead:
-    """A field whose ``partial`` value is called on its first read: a
-    replay's final marking is built only if someone asks for it."""
-
-    def __get__(self, report, owner=None):
-        if report is not None and type(report._final) is partial:
-            report._final = report._final()
-        return report and report._final    # no report: the field's default
-
-    def __set__(self, report, value):
-        report._final = value
-
-
 @dataclass
 class ReplayReport:
     """Where a replay stopped: ``final_marking`` is the marking in which
     step ``index`` could not fire, or the one after the last step, built
-    on its first read."""
+    from the replay's flat counts ``held`` on its first read."""
 
     ok: bool
     index: int = None               # first diverging step
     label: tuple = None             # (transition, binding) that failed
-    final_marking: dict = _BuiltOnRead()
     reason: str = None              # why the step or the run diverged
+    # the replay's flat {(place, token): count} marking and the net's
+    # places, both left out of comparisons and the repr
+    held: dict = field(default_factory=dict, compare=False, repr=False)
+    places: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def final_marking(self):
+        """The colored marking, place -> sorted tuple, of ``held``."""
+        toks = {p: [] for p in self.places}
+        for (p, tok), n in self.held.items():
+            toks.setdefault(p, []).extend([tok] * n)
+        return {p: tuple(sorted(v)) for p, v in toks.items()}
 
     def tokens(self, place):
-        """How many tokens a clean replay leaves in ``place``, counted on
-        its flat counts while its final marking is not built."""
-        if type(self._final) is partial:
-            held = self._final.args[1]
-            return sum(n for (p, _), n in held.items() if p == place)
-        return len(self._final[place])
+        """How many tokens the replay leaves in ``place``, counted on its
+        flat counts."""
+        return sum(n for (p, _), n in self.held.items() if p == place)
 
     def __str__(self):
         if self.ok:
@@ -106,26 +101,27 @@ def replay(projected, cnet):
     untimed; divergences, including a transition or job the net lacks,
     are reported, not raised.  The marking is kept as one flat
     {(place, token): count} dict that each step tests and updates in
-    place, firing as ``cnet.arcs`` says, as ``colored_fire`` does."""
+    place, firing as ``cnet.arcs`` says, as ``colored_fire`` does; the
+    report keeps that dict and the net's places, not the net."""
     held = {}
     for p, toks in cnet.initial.items():
         for tok in toks:
             held[p, tok] = held.get((p, tok), 0) + 1
-    get, arcs = held.get, cnet.arcs
-    end = partial(_marking, cnet.places, held)     # reads held when called
+    get, arcs, places = held.get, cnet.arcs, cnet.places
     for i, (t, b) in enumerate(projected):
         try:
             consumed, produced = arcs(t, b)
         except ValueError as missing:
-            return ReplayReport(False, i, (t, b), end, str(missing))
+            return ReplayReport(False, i, (t, b), str(missing), held, places)
         for pt, n in consumed:
             if get(pt, 0) < n:
-                return ReplayReport(False, i, (t, b), end, "not enabled")
+                return ReplayReport(False, i, (t, b), "not enabled", held,
+                                    places)
         for pt, n in consumed:
             held[pt] -= n
         for pt, n in produced:
             held[pt] = get(pt, 0) + n
-    return ReplayReport(True, final_marking=end)
+    return ReplayReport(True, held=held, places=places)
 
 
 def _moves(cnet, steps):
@@ -147,14 +143,6 @@ def _moves(cnet, steps):
 
 def _done(events):
     return [e.kind for e in events].count("job-done")
-
-
-def _marking(places, held):
-    """The colored marking, place -> sorted tuple, of flat token counts."""
-    toks = {p: [] for p in places}
-    for (p, tok), n in held.items():
-        toks.setdefault(p, []).extend([tok] * n)
-    return {p: tuple(sorted(v)) for p, v in toks.items()}
 
 
 def conformance_net(params, crashes=()):
@@ -199,8 +187,8 @@ def check_run(params, config):
     done_events = _done(prefix) + full * _done(block) + _done(cut)
     done_tokens = report.tokens("job_done")
     if done_tokens != done_events:
-        report = ReplayReport(
-            False, index=n_steps, final_marking=report.final_marking,
+        report = replace(
+            report, ok=False, index=n_steps,
             reason=f"{done_tokens} job_done tokens for {done_events} "
                    "job-done events")
     return result, report

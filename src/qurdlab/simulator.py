@@ -40,11 +40,13 @@ result is an outcome per job plus the protocol trace consumed by the
 conformance checker.
 
 A run whose whole state comes back at a later tick would loop forever, so
-``run`` stops there, keeping the events of one period since that tick.
-``SimResult.layout`` alone works out how that period repeats up to the
-horizon (the prefix before it, its block, the full periods and the cut
-one); ``SimResult.trace`` copies the block by it on its first read, which
-the conformance check, reading the layout itself, never makes.
+``run`` stops there, keeping the events of one period since that tick:
+``SimResult.cycle`` is (start, period), the block running from event
+start to the end of the events.  ``SimResult.layout`` alone works out how
+that period repeats up to the horizon (the prefix before it, its block,
+the full periods and the cut one); ``SimResult.trace`` copies the block by
+it on its first read, which the conformance check, reading the layout
+itself, never makes.
 Snapshots (queued events, times relative to now, and every actor) start
 after a quiet stretch with no irreversible step; timer epochs are kept
 relative to their counters and ``oks`` only under fail semantics, which
@@ -149,8 +151,8 @@ class SimResult:
     # the simulated events: the whole trace, or for a looping run the
     # events up to the end of its first period
     events: list
-    # (start, length, period) when the run ended in a loop: from trace index
-    # start, the block of length events repeats every period ticks
+    # (start, period) when the run ended in a loop: the events from index
+    # start to the end repeat every period ticks
     cycle: tuple = None
     horizon: int = None
 
@@ -162,7 +164,7 @@ class SimResult:
         horizon cuts it.  A run that did not loop is all prefix."""
         if self.cycle is None:
             return self.events, [], 0, []
-        start, _, period = self.cycle
+        start, period = self.cycle
         block = self.events[start:]
         # a block spans less than its period, so one copy at most is cut
         last = block[-1].time if block else self.horizon
@@ -178,7 +180,7 @@ class SimResult:
         if self.cycle is None:
             return self.events
         _, block, full, cut = self.layout()
-        period = self.cycle[2]
+        period = self.cycle[1]
         trace = self.events.copy()
         for n in range(1, full + 1):
             trace += [TraceEvent(e.time + n * period, e.actor, e.kind,
@@ -576,7 +578,7 @@ class Simulation:
                     if key in self.snapshots:
                         unfinished = "horizon"
                         tick, start = self.snapshots[key]
-                        cycle = start, len(self.trace) - start, now - tick
+                        cycle = start, now - tick
                         break
                     self.snapshots[key] = now, len(self.trace)
             handler(*args)

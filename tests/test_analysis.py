@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qurdlab import analysis
@@ -301,6 +301,35 @@ def test_token_count_at_int16_max_is_kept():
     net.add_transition("put", pre={"q": 1}, post={"p": 1})
     g = explore_markings(net)
     assert g.counts(1) == (0, 32_767)
+
+
+KEYS = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def merges(draw):
+    """A sorted index's keys, and the keys inserted at non-decreasing
+    positions into it, the ends and repeated positions among them."""
+    keys = sorted(draw(st.lists(KEYS, max_size=40)))
+    at = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=20)))
+    return keys, at, draw(st.lists(KEYS, min_size=len(at),
+                                   max_size=len(at)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merges())
+@example(([], [], []))
+@example(([3, 7, 11], [], []))
+@example(([3, 7, 11], [0, 0, 1, 3, 3], [1, 2, 5, 12, 13]))
+def test_merge_matches_np_insert(case):
+    keys, at, added = case
+    n, k = len(keys), len(at)
+    index = np.array([keys, range(n)], dtype=np.int64).reshape(2, n)
+    at = np.array(at, dtype=np.intp)
+    added = np.array([added, range(n, n + k)], dtype=np.int64).reshape(2, k)
+    merged = analysis._merge(index, at, *added)
+    assert merged.dtype == np.int64
+    assert np.array_equal(merged, np.insert(index, at, added, axis=1))
 
 
 # -- deadlocks ------------------------------------------------------------------

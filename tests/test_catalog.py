@@ -477,7 +477,7 @@ def test_folded_graph_is_the_full_graph_up_to_machine_names():
         complete = completion_skip(folded)
         for i in pending_deadlocks(folded):
             labels = timed_witness(net, lift_machines(
-                cnet, folded.path_transitions(i)))
+                cnet, folded.path_transitions(i))[0])
             final = replay_labels(net, labels)
             assert final.enabled == [], (p, i)
             assert not complete(final.marking), (p, i)

@@ -86,19 +86,46 @@ def test_analyze_finds_contention_deadlock(capsys, contention_file):
     assert witness.exists()
 
 
-def test_analyze_witness_replays_to_dead_state(capsys, contention_file):
-    witness = contention_file.with_suffix(".witness")
-    run_cli(capsys, "analyze", contention_file, "--property", "deadlock",
-            "--out", witness)
-    labels = []
-    for line in witness.read_text().splitlines():
-        if not line or line.startswith(("property:", "#")):
-            continue
-        d, t = line.split(" ", 1)
-        labels.append((int(d), t))
-    net = build_net(parse_scenario(CONTENTION).params())
-    state = replay_labels(net, labels)
-    assert not state.enabled
+HELD_PLACE = re.compile(r"(?:reserved|running|finished)@\((\w+),(\w+)\)")
+
+
+def test_analyze_witness_replays_to_dead_state(capsys, tmp_path):
+    # contention with the timeout off, the volatility scenario, a fail job
+    # whose witness holds no machine, and the benchmark's 4-machine case:
+    # each witness replays on the plain net to the dead marking it
+    # records, and its stdout line names the machines held there
+    for text in (CONTENTION, VOLATILITY,
+                 "machines 2\njob J1 demand 2 semantics fail\ntimeout 3\n",
+                 "machines 4\njob J1 demand 2 semantics wait\n"
+                 "job J2 demand 2 semantics fail\nzeroconf on\n"
+                 "failure-detector on\n"):
+        scenario, witness = tmp_path / "s.scn", tmp_path / "s.witness"
+        scenario.write_text(text)
+        status, out = run_cli(capsys, "analyze", scenario, "--property",
+                              "deadlock", "--out", witness)
+        assert status == 1, text
+        labels, recorded = [], {}
+        for line in witness.read_text().splitlines():
+            if line.startswith("# "):
+                p, n = line[2:].split("=")
+                recorded[p] = int(n)
+            elif line and not line.startswith("property:"):
+                d, t = line.split(" ", 1)
+                labels.append((int(d), t))
+        state = replay_labels(build_net(parse_scenario(text).params()),
+                              labels)
+        assert recorded == state.marking, text
+        assert not state.enabled, text
+        named = set()
+        line = re.search(r"^deadlock witness: (.*)$", out, re.M).group(1)
+        if line != "no job holds a machine":
+            for part in line.split("; "):
+                j, ms = re.fullmatch(r"(\w+) holds ([\w,]+) \(needs \d+\)",
+                                     part).groups()
+                named |= {(m, j) for m in ms.split(",")}
+        held = {pair.groups() for p in state.marking
+                if (pair := HELD_PLACE.fullmatch(p))}
+        assert named == held, text
 
 
 def test_python_dash_m_runs_the_cli(capsys, contention_file):

@@ -482,9 +482,9 @@ def test_fold_refusal_reasons():
 
 def test_lift_machines_binds_lowest_enabled_machine():
     cnet = build_colored(params(3, ["j1", "j2"], [2, 1]))
-    lifted = lift_machines(cnet, ["start_job@j2", "t1@(*,j2)", "start_job@j1",
-                                  "t1@(*,j1)", "t1@(*,j1)", "launch@j1",
-                                  "t2@(*,j1)"])
+    lifted, end = lift_machines(cnet, [
+        "start_job@j2", "t1@(*,j2)", "start_job@j1", "t1@(*,j1)",
+        "t1@(*,j1)", "launch@j1", "t2@(*,j1)"])
     assert lifted == ["start_job@j2", "t1@(M1,j2)", "start_job@j1",
                       "t1@(M2,j1)", "t1@(M3,j1)", "launch@j1", "t2@(M2,j1)"]
     net = unfold(cnet)
@@ -492,6 +492,7 @@ def test_lift_machines_binds_lowest_enabled_machine():
     for t in lifted:                # raises NotFireable on a wrong step
         marking = net.fire_marking(marking, t)
     assert marking["running@(M2,j1)"] == 1
+    assert _renamed(end) == {p: n for p, n in marking.items() if n}
     with pytest.raises(NotFireable):
         lift_machines(cnet, ["t1@(*,j1)"])
 
@@ -508,7 +509,7 @@ def test_lift_machines_fires_each_step_once(monkeypatch):
     monkeypatch.setattr(colored, "colored_fire", fire)
     names = ["start_job@j2", "t1@(*,j2)", "start_job@j1", "t1@(*,j1)",
              "t1@(*,j1)", "launch@j1", "t2@(*,j1)"]
-    lifted = lift_machines(build_colored(params(3, ["j1", "j2"], [2, 1])),
-                           names)
+    lifted, _ = lift_machines(
+        build_colored(params(3, ["j1", "j2"], [2, 1])), names)
     assert [binding_name(t, b) for t, b in fired] == lifted
     assert lifted[3:5] == ["t1@(M2,j1)", "t1@(M3,j1)"]

@@ -92,19 +92,18 @@ def test_mixed_semantics_fail_cancel_gives_up_the_request():
 
 
 def reference_replay(projected, cnet):
-    """``replay`` as a fold of ``colored_fire`` over the steps, each step
-    copying the dict-of-sorted-tuples marking."""
+    """``replay``'s report and final marking, as a fold of
+    ``colored_fire`` over the steps, each step copying the
+    dict-of-sorted-tuples marking."""
     marking = cnet.initial_marking()
     for i, (t, b) in enumerate(projected):
         if t not in cnet.pre:
-            return ReplayReport(False, i, (t, b), marking,
-                                reason="not in the net")
+            return ReplayReport(False, i, (t, b), "not in the net"), marking
         try:
             marking = colored_fire(cnet, marking, t, b)
         except NotFireable:
-            return ReplayReport(False, i, (t, b), marking,
-                                reason="not enabled")
-    return ReplayReport(True, final_marking=marking)
+            return ReplayReport(False, i, (t, b), "not enabled"), marking
+    return ReplayReport(True), marking
 
 
 def mutated_projections(k, steps, machines):
@@ -131,7 +130,8 @@ def test_replay_matches_colored_fire_fold():
         for projected in [steps, *mutated_projections(k, steps,
                                                       params.machines())]:
             report = replay(projected, cnet)
-            assert report == reference_replay(projected, cnet), k
+            assert (report, report.final_marking) == \
+                reference_replay(projected, cnet), k
             reasons[report.reason] += 1
     # a transition the net lacks, and t1 with its machine available but no
     # get_nodes token, so one of its two inputs is missing
@@ -140,7 +140,8 @@ def test_replay_matches_colored_fire_fold():
                        ("teleport", Binding("M1", "J1"))],
                       [("t1", Binding("M1", "J1"))]):
         report = replay(projected, cnet)
-        assert report == reference_replay(projected, cnet)
+        assert (report, report.final_marking) == \
+            reference_replay(projected, cnet)
         reasons[report.reason] += 1
     assert reasons == {None: 354, "not enabled": 829, "not in the net": 1}
 
@@ -173,13 +174,13 @@ def test_clean_report_builds_its_final_marking_when_read(monkeypatch):
     # the colored marking once, on the first read; check_run counts the
     # job_done tokens without building it
     built = Counter()
-    marking = conformance._marking
+    build = ReplayReport.final_marking.func
 
-    def counting(places, held):
+    def counting(report):
         built["markings"] += 1
-        return marking(places, held)
+        return build(report)
 
-    monkeypatch.setattr(conformance, "_marking", counting)
+    monkeypatch.setattr(ReplayReport.final_marking, "func", counting)
     for k in range(100):
         _, report = check_run(*random_case(random.Random(k)))
         assert report.ok, k
@@ -196,7 +197,7 @@ def test_clean_report_builds_its_final_marking_when_read(monkeypatch):
     assert built["markings"] == 0
     assert report.final_marking is report.final_marking
     assert built["markings"] == 1 and report.tokens("job_done") == 16
-    assert report == expected
+    assert (report, report.final_marking) == expected
     assert len(report.final_marking["job_done"]) == 16
 
 
@@ -210,17 +211,18 @@ def job_done_internal(monkeypatch):
 
 
 def full_check(result, cnet):
-    """``check_run``'s report from the whole trace."""
+    """``check_run``'s report and its final marking, from the whole
+    trace."""
     steps = project(result.trace)
     report = replay(steps, cnet)
     done_events = sum(e.kind == "job-done" for e in result.trace)
     done_tokens = len(report.final_marking["job_done"])
     if report.ok and done_tokens != done_events:
-        report = ReplayReport(
-            False, index=len(steps), final_marking=report.final_marking,
+        report = replace(
+            report, ok=False, index=len(steps),
             reason=f"{done_tokens} job_done tokens for {done_events} "
                    "job-done events")
-    return report
+    return report, report.final_marking
 
 
 def test_looping_runs_replay_one_period():
@@ -231,16 +233,16 @@ def test_looping_runs_replay_one_period():
         result, report = check_run(params, config)
         looping += result.cycle is not None
         cnet = conformance_net(params, config.crashes)
-        assert report == full_check(result, cnet), k
+        assert (report, report.final_marking) == full_check(result, cnet), k
     assert looping == 74
 
 
-@pytest.mark.parametrize("machines, cycle, index", [
-    ("M1 M1 M1", (1, 1, 2), 2), ("M1 M1 M1", (2, 1, 2), 2),
-    ("M1 M2 M1", (1, 2, 4), 3)],
+@pytest.mark.parametrize("machines, n_events, cycle, index", [
+    ("M1 M1 M1", 2, (1, 2), 2), ("M1 M1 M1", 3, (2, 2), 2),
+    ("M1 M2 M1", 3, (1, 4), 3)],
     ids=["second-period", "first-period", "cut-period"])
 def test_period_that_moves_the_marking_is_replayed_in_full(
-        monkeypatch, machines, cycle, index):
+        monkeypatch, machines, n_events, cycle, index):
     # a made-up loop whose period takes machines without giving them back:
     # a period that fires but moves the marking is replayed in full, one
     # that diverges reports where, and both as the full replay does
@@ -248,14 +250,14 @@ def test_period_that_moves_the_marking_is_replayed_in_full(
     trace = [TraceEvent(0, "J1", "job-submitted", job="J1")] + [
         TraceEvent(t, m, "ok-sent", m, "J1")
         for t, m in zip((2, 4, 6), machines.split())]
-    start, length, _ = cycle
-    looping = SimResult({"J1": "horizon"}, trace[:start + length], cycle,
+    looping = SimResult({"J1": "horizon"}, trace[:n_events], cycle,
                         horizon=6)
     assert looping.trace == trace
     monkeypatch.setattr(conformance, "run", lambda params, config: looping)
     _, report = check_run(p, SimConfig())
     assert (report.index, report.reason) == (index, "not enabled")
-    assert report == full_check(looping, conformance_net(p))
+    assert (report, report.final_marking) == \
+        full_check(looping, conformance_net(p))
 
 
 def test_loop_through_a_job_the_net_lacks_diverges(monkeypatch):
@@ -264,12 +266,13 @@ def test_loop_through_a_job_the_net_lacks_diverges(monkeypatch):
     p = CatalogParams(machine_count=1, job_demands=[1])
     trace = [TraceEvent(0, "J1", "job-submitted", job="J1")] + [
         TraceEvent(t, "J9", "job-submitted", job="J9") for t in (2, 4, 6)]
-    looping = SimResult({"J1": "horizon"}, trace[:2], (1, 1, 2), horizon=6)
+    looping = SimResult({"J1": "horizon"}, trace[:2], (1, 2), horizon=6)
     assert looping.trace == trace
     monkeypatch.setattr(conformance, "run", lambda params, config: looping)
     _, report = check_run(p, SimConfig())
     assert (report.index, report.reason) == (1, "job J9 not in the net")
-    assert report == full_check(looping, conformance_net(p))
+    assert (report, report.final_marking) == \
+        full_check(looping, conformance_net(p))
 
 
 @pytest.mark.parametrize("horizon, cut", [(8, 0), (9, 2)])
@@ -285,7 +288,7 @@ def test_job_done_counted_in_every_period(monkeypatch, horizon, cut):
                   TraceEvent(3 + shift, "J1", "job-done", job="J1"),
                   TraceEvent(4 + shift, "M1", "canceled", "M1", "J1")]
     trace = [e for e in trace if e.time <= horizon]
-    looping = SimResult({"J1": "horizon"}, trace[:4], (1, 3, 2), horizon)
+    looping = SimResult({"J1": "horizon"}, trace[:4], (1, 2), horizon)
     assert looping.layout() == (trace[:1], trace[1:4], 3, trace[1:1 + cut])
     assert looping.trace == trace
     job_done_internal(monkeypatch)
@@ -294,7 +297,8 @@ def test_job_done_counted_in_every_period(monkeypatch, horizon, cut):
     n_done = 3 + cut // 2
     assert (report.index, report.reason) == (
         1 + 2 * 3 + cut // 2, f"0 job_done tokens for {n_done} job-done events")
-    assert report == full_check(looping, conformance_net(p))
+    assert (report, report.final_marking) == \
+        full_check(looping, conformance_net(p))
 
 
 def test_conformance_net_grows_detector_for_crashes():

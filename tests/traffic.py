@@ -55,6 +55,10 @@ SCENARIOS = {
     "broken.scn": "machines 2\njob J1 demand 1 semantics maybe\n",
     "wide.scn": ("machines 5\njob J1 demand 3 semantics wait\n"     # 12,856
                  "job J2 demand 2 semantics wait\n"),              # markings
+    # after M1 crashes the demand-3 job loops: the run ends in a cycle
+    "lock.scn": ("machines 4\njob J1 demand 3 semantics wait\n"
+                 "failure-detector on\ncrash M1 at 3\nmsg-latency 2\n"
+                 "job-duration 3\n"),
 }
 # the scenario files they name are written to the work directory
 COMMANDS = (
@@ -69,7 +73,9 @@ COMMANDS = (
     ["simulate", "contention.scn", "--out", "contention.trace"],
     ["simulate", "volatile.scn"],
     ["simulate", "missing.scn"],
+    ["simulate", "lock.scn"],
     ["conformance", "volatile.scn"],
+    ["conformance", "lock.scn"],
     ["conformance", "--fuzz", "20"],
     ["conformance"],
     ["export-dot", "machine"],
