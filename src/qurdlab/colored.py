@@ -79,16 +79,17 @@ class Inscription(NamedTuple):
     per_wait: bool = False
 
     def tokens(self, m, j, demand, semantics):
-        """Tokens for m and job j of that demand and semantics, as a list."""
+        """The token for m and job j of that demand and semantics, and how
+        many of it the arc carries, as (token, count)."""
         if self.pattern == "m":
-            return [m]
+            return m, 1
         if self.pattern == "j":
             if self.per_demand:
-                return [j] * demand
+                return j, demand
             if self.per_wait:
-                return [j] if semantics == WAIT else []
-            return [j]
-        return [(m, j)]
+                return j, int(semantics == WAIT)
+            return j, 1
+        return (m, j), 1
 
 
 class Binding(NamedTuple):
@@ -222,9 +223,9 @@ class ColoredNet:
         for arcs in (self.pre[t], self.post[t]):
             side = []
             for p, ins in arcs.items():
-                toks = ins.tokens(m, j, demand, semantics)
-                if toks:        # one token, repeated
-                    side.append(((p, toks[0]), len(toks)))
+                tok, n = ins.tokens(m, j, demand, semantics)
+                if n:
+                    side.append(((p, tok), n))
             firing.append(tuple(side))
         if len(self.firings) >= FIRINGS:
             del self.firings[next(iter(self.firings))]

@@ -41,7 +41,7 @@ DEFAULT_MAPPING = {
 
 DEFAULT_INTERNAL = frozenset({
     "published", "unpublished", "reserve-sent", "ko-sent", "released",
-    "suspected", "failed", "crashed-idle", "restart-waiting", "killed",
+    "suspected", "failed", "crashed-idle", "restart-waiting",
 })
 
 

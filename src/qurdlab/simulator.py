@@ -9,29 +9,28 @@ Each queued event names the method that handles it, messages included: a
 message over the reliable FIFO links is a call to the receiver's method
 one link latency after sending.  RESERVE, JOB and RELEASE are
 ``Daemon.reserve``, ``start`` and ``release``; OK, KO and DONE are
-``Launcher.ok``, ``ko`` and ``done``, which a killed launcher ignores
-(``ok`` and ``ko`` then step).  A crashed daemon sends nothing but keeps
-its reservation, as the net's crash consumes only running: the
-reservation's own deadline cancels it, or else the JOB for it lands,
-starts there and is lost with the machine.  A RESERVE to a crashed daemon
-gets a suspected KO from the failure-detector oracle
-``detect_delay + msg_latency`` after it arrives; any other JOB or RELEASE
-vanishes without a trace event.  An optional failure detector restarts a
-lost process, after a detection delay, on the lowest-id available daemon
-(queueing the request if none is free).
+``Launcher.ok``, ``ko`` and ``done`` (``ok`` and ``ko`` then step).  A
+crashed daemon sends nothing but keeps its reservation, as the net's crash
+consumes only running: the reservation's own deadline cancels it, or else
+the JOB for it lands, starts there and is lost with the machine.  A
+RESERVE to a crashed daemon gets a suspected KO from the failure-detector
+oracle ``DETECT_DELAY + msg_latency`` after it arrives; any other JOB or
+RELEASE vanishes without a trace event.  An optional failure detector
+restarts a lost process, after a detection delay, on the lowest-id
+available daemon (queueing the request if none is free).
 
 The whole simulation is a pure function of (parameters, config), and the
 seed only shuffles job submission order.  Events at equal times are
 ordered crash < timer < delivery, then by scheduling sequence number.
 All launchers share one bus view, ``Simulation.bus``: the machines
 announced as published, in arrival order, updated once per bus event
-before each live, discovering launcher hears it.  A launcher reads an
-empty view until its submit notice joins it.  This is exact: every job is
-submitted at t=0, after the crashes and kills at t=0, and the notices
-announce the same machines at consecutive sequence numbers.  No publish
-precedes them (freeing a machine needs a reservation); an unpublish can,
-by a crash at t=0 with bus latency 0, and a fail launcher stepping on it
-must see nothing.  One step per join contacts what a step per announced
+before each discovering launcher hears it.  A launcher reads an empty
+view until its submit notice joins it.  This is exact: every job is
+submitted at t=0, after the crashes at t=0, and the notices announce the
+same machines at consecutive sequence numbers.  No publish precedes them
+(freeing a machine needs a reservation); an unpublish can, by a crash at
+t=0 with bus latency 0, and a fail launcher stepping on it must see
+nothing.  One step per join contacts what a step per announced
 machine would: no reply arrives during a notice, and a fail launcher does
 not give up with a RESERVE pending.  A launcher stops discovering only by
 an irreversible step, which clears the snapshots, so no snapshot needs
@@ -66,6 +65,8 @@ CRASH_PRIO = 0
 TIMER_PRIO = 1
 DELIVER_PRIO = 2
 
+DETECT_DELAY = 1    # failure-detector reaction time
+
 DISCOVERING = "discovering"
 LAUNCHING = "launching"
 DONE = "done"
@@ -78,7 +79,7 @@ class InvalidScenario(ValueError):
 
 @dataclass
 class SimConfig:
-    """Timing and fault parameters of one simulation run."""
+    """What a scenario sets for one simulation run, plus the horizon."""
 
     bus_latency: int = 1
     msg_latency: int = 1
@@ -86,9 +87,7 @@ class SimConfig:
     job_duration: int = 2
     crashes: list = field(default_factory=list)        # (machine id, time)
     seed: int = 0
-    detect_delay: int = 1            # failure-detector reaction time
     horizon: int = 1000              # hard stop for the event loop
-    launcher_kills: list = field(default_factory=list)  # (job id, time)
 
     def validate(self, params):
         """Problems with simulating ``params`` under this config, the
@@ -99,7 +98,6 @@ class SimConfig:
         # would move it backwards
         for label, v in (("bus-latency", self.bus_latency),
                          ("msg-latency", self.msg_latency),
-                         ("detect-delay", self.detect_delay),
                          ("horizon", self.horizon)):
             issues += int_issues(label, v, 0)
         issues += int_issues("job duration", self.job_duration, 1)
@@ -108,7 +106,6 @@ class SimConfig:
             # daemons cancel on the run's timeout, the replay net on the model's
             issues.append(f"run timeout {self.timeout} differs from the "
                           f"model timeout {params.timeout}")
-        jobs = set(params.jobs())
         # no machine ids to check a crash against where the count is not
         # an int, which params.validate reports
         machines = (set(params.machines())
@@ -117,11 +114,7 @@ class SimConfig:
             if machines is not None and m not in machines:
                 issues.append(f"unknown machine {m} in crash")
             issues += int_issues("crash time", t, 0)
-        for j, t in self.launcher_kills:
-            if j not in jobs:
-                issues.append(f"unknown job {j} in kill schedule")
-            issues += int_issues("kill time", t, 0)
-        # repeated crash or kill entries repeat their problem: report it once
+        # repeated crash entries repeat their problem: report it once
         return list(dict.fromkeys(issues))
 
 
@@ -144,7 +137,7 @@ class TraceEvent:
 
 @dataclass
 class SimResult:
-    # job id -> completed|failed|killed, or for an unfinished job
+    # job id -> completed|failed, or for an unfinished job
     # horizon (the run was cut with events still queued) or stalled (the
     # event queue emptied first)
     outcomes: dict
@@ -210,9 +203,8 @@ class Daemon:
         if self.crashed:
             # the eventually-perfect detector answers for the dead machine
             # so the launcher is not stuck forever
-            sim.schedule(sim.now + sim.config.detect_delay
-                         + sim.config.msg_latency, DELIVER_PRIO,
-                         launcher.ko, self.name, True)
+            sim.schedule(sim.now + DETECT_DELAY + sim.config.msg_latency,
+                         DELIVER_PRIO, launcher.ko, self.name, True)
         elif self.state == "available":
             self.state = "reserved"
             self.client = job
@@ -293,11 +285,8 @@ class Launcher:
         self.res_epoch = {}         # machine -> reservation generation
         self.oks = 0                # positive answers ever received
         self.done_count = 0
-        self.dead = False
 
     def ok(self, machine):
-        if self.dead:
-            return
         sim = self.sim
         self.pending.discard(machine)
         if self.phase != DISCOVERING:
@@ -317,15 +306,13 @@ class Launcher:
         self.step()
 
     def ko(self, machine, suspected):
-        if self.dead:
-            return
         if suspected:
             self.sim.emit(self.job, "suspected", machine, self.job)
         self.pending.discard(machine)
         self.step()
 
     def done(self):
-        if self.dead or self.phase != LAUNCHING:
+        if self.phase != LAUNCHING:
             return
         self.done_count += 1
         if self.done_count == self.needed:
@@ -336,7 +323,7 @@ class Launcher:
     def unbook(self, machine, epoch):
         """Reservation timer: give the machine up if the job has not
         launched by now (the daemon side expires simultaneously)."""
-        if self.dead or self.phase != DISCOVERING:
+        if self.phase != DISCOVERING:
             return
         if machine not in self.machines or self.res_epoch.get(machine) != epoch:
             return
@@ -352,7 +339,7 @@ class Launcher:
         received (a reservation given up to the timeout is not replaced:
         the single-pass algorithm fails instead); fail semantics gives up
         once discovery is exhausted."""
-        if self.dead or self.phase != DISCOVERING:
+        if self.phase != DISCOVERING:
             return
         if self.semantics == "fail":
             window = self.needed - self.oks - len(self.pending)
@@ -407,7 +394,7 @@ class Simulation:
         self.restart_queue = []      # jobs waiting for a machine to restart on
         # snapshots start this long after the last irreversible step
         self.quiet = 2 * max(config.bus_latency, config.job_duration,
-                             config.detect_delay + self.latency,
+                             DETECT_DELAY + self.latency,
                              self.expiry or 0)
         self.progressed = 0          # time of the last irreversible step
         self.snapshots = {}          # state -> (tick, trace length) since then
@@ -437,7 +424,7 @@ class Simulation:
                       self.notify, daemon.name, published)
 
     def notify(self, machine, published):
-        """Apply one bus event to the shared view, then let each live,
+        """Apply one bus event to the shared view, then let each
         discovering subscriber hear it in turn.  Each has stepped since its
         own state last changed, so a wait launcher re-opens a published
         machine and steps only with a free slot; a fail one, which never
@@ -477,7 +464,7 @@ class Simulation:
                       for d in self.daemons.values()),
                 tuple((lr.phase, lr.view is self.bus,
                        frozenset(lr.contacted), frozenset(lr.pending),
-                       tuple(lr.machines), lr.done_count, lr.dead,
+                       tuple(lr.machines), lr.done_count,
                        lr.oks if lr.semantics == "fail" else None)
                       for lr in self.launchers.values()),
                 tuple(self.restart_queue), tuple(self.bus))
@@ -526,11 +513,6 @@ class Simulation:
                           self.join, launcher)
         launcher.step()
 
-    def kill(self, job):
-        self.progress(self.launchers[job])
-        self.launchers[job].dead = True
-        self.emit(job, "killed", None, job)
-
     def crash(self, name):
         d = self.daemons[name]
         if d.crashed:
@@ -549,7 +531,7 @@ class Simulation:
         on, restarts the job."""
         self.emit(name, "crashed", name, job)
         if self.params.failure_detector:
-            self.schedule(self.now + self.config.detect_delay, TIMER_PRIO,
+            self.schedule(self.now + DETECT_DELAY, TIMER_PRIO,
                           self.detect, job)
 
     def run(self):
@@ -560,8 +542,6 @@ class Simulation:
             self.schedule(0, DELIVER_PRIO, self.submit, j)
         for m, t in self.config.crashes:
             self.schedule(t, CRASH_PRIO, self.crash, m)
-        for j, t in self.config.launcher_kills:
-            self.schedule(t, CRASH_PRIO, self.kill, j)
         unfinished, cycle, now = "stalled", None, self.now
         heap, pop, horizon = self.heap, heapq.heappop, self.config.horizon
         while heap:
@@ -583,7 +563,7 @@ class Simulation:
                     self.snapshots[key] = now, len(self.trace)
             handler(*args)
         ends = {DONE: "completed", FAILED: "failed"}
-        outcomes = {j: ends.get(lr.phase, "killed" if lr.dead else unfinished)
+        outcomes = {j: ends.get(lr.phase, unfinished)
                     for j, lr in self.launchers.items()}
         # cut every link back to the simulation: reference counting frees it
         heap.clear()

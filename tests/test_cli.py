@@ -533,6 +533,21 @@ def test_token_overflow_exits_2(capsys, contention_file, monkeypatch):
     assert captured.out == ""
 
 
+def test_huge_demand_needs_no_memory(capsys, tmp_path):
+    # an arc weight is a count: a demand of 2**62 compiles without a list
+    # of that many tokens, so conformance replays it and analyze refuses
+    # the weight the marking matrix cannot hold
+    f = tmp_path / "huge.scn"
+    f.write_text("machines 2\njob J1 demand %d semantics wait\n" % 2**62)
+    assert main(["conformance", str(f)]) == 0
+    assert "conformance: ok\n" in capsys.readouterr().out
+    assert main(["analyze", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: a token count or arc weight exceeds 32767\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("exc, message", [
     (MemoryError("Unable to allocate 475. MiB for an array"),
      "error: Unable to allocate 475. MiB for an array\n"),

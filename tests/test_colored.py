@@ -117,12 +117,15 @@ def test_inscription_tokens():
     u = ColorUniverse(["m1"], ["j1", "j2"], {"j1": 3, "j2": 1}, {"j2": "fail"})
     j1 = ("m1", "j1", u.demand["j1"], u.semantics["j1"])
     j2 = ("m1", "j2", u.demand["j2"], u.semantics["j2"])
-    assert Inscription("m").tokens(*j1) == ["m1"]
-    assert Inscription("j").tokens(*j1) == ["j1"]
-    assert Inscription("j", per_demand=True).tokens(*j1) == ["j1", "j1", "j1"]
-    assert Inscription("j", per_wait=True).tokens(*j1) == ["j1"]
-    assert Inscription("j", per_wait=True).tokens(*j2) == []
-    assert Inscription("mj").tokens(*j1) == [("m1", "j1")]
+    assert Inscription("m").tokens(*j1) == ("m1", 1)
+    assert Inscription("j").tokens(*j1) == ("j1", 1)
+    assert Inscription("j", per_demand=True).tokens(*j1) == ("j1", 3)
+    assert Inscription("j", per_wait=True).tokens(*j1) == ("j1", 1)
+    assert Inscription("j", per_wait=True).tokens(*j2) == ("j2", 0)
+    assert Inscription("mj").tokens(*j1) == (("m1", "j1"), 1)
+    # a multiplicity is a count: a demand no list of tokens could hold
+    huge = ("m1", "j1", 2**62, u.semantics["j1"])
+    assert Inscription("j", per_demand=True).tokens(*huge) == ("j1", 2**62)
 
 
 def test_binding_order_is_lexicographic():

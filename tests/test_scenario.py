@@ -3,6 +3,7 @@
 import re
 import string
 import textwrap
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,20 @@ def test_documented_grammar_round_trips():
         scenario.__doc__.split("::\n\n", 1)[1])
     assert example.startswith("machines 3\n")
     assert parse_scenario(example).render() == example
+
+
+def test_every_run_setting_is_a_scenario_directive():
+    # a setting no scenario can give has no command behind it: the
+    # records hold what the directives, job and crash lines write, and the
+    # run its horizon besides
+    written = {"model": set(), "run": set()}
+    for _, records, name, _ in scenario.DIRECTIVES:
+        for record in records:
+            written[record].add(name)
+    assert {f.name for f in fields(SimConfig)} - {"horizon"} == \
+        written["run"] | {"crashes"}
+    assert {f.name for f in fields(CatalogParams)} == \
+        written["model"] | {"job_demands", "job_ids", "semantics"}
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,6 @@ import hashlib
 import random
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +17,8 @@ from hypothesis import strategies as st
 from qurdlab import simulator
 from qurdlab.catalog import CatalogParams
 from qurdlab.conformance import check_run, random_case
-from qurdlab.simulator import (DISCOVERING, InvalidScenario, SimConfig,
-                               Simulation, TraceEvent, run)
+from qurdlab.simulator import (DETECT_DELAY, DISCOVERING, InvalidScenario,
+                               SimConfig, Simulation, TraceEvent, run)
 
 
 def events(result, kind, machine=None, job=None):
@@ -124,11 +123,6 @@ PINNED_TRACES = [
                    semantics=["wait", "fail"]),
      SimConfig(bus_latency=0, msg_latency=0, seed=5),
      "059c98cb9f6444c46342966858142ef167d9440bd6a683dd495f41fb6bb1c9ad"),
-    # J1 is killed holding reservations; J2 must still hear their
-    # republication, which the bus delivers to the dead J1 first
-    (CatalogParams(machine_count=3, job_demands=[2, 2]),
-     SimConfig(launcher_kills=[("J1", 3)], seed=0),
-     "2fa7aadd90abd4dd86bc393f838cf87db7e45cdae133b5c7d490b002f90ddfca"),
     # M1 crashes while reserved and still cancels at its deadline, before
     # M2 in reservation order
     (CatalogParams(machine_count=2, job_demands=[3]),
@@ -138,13 +132,13 @@ PINNED_TRACES = [
 
 
 def late(launcher):
-    return not launcher.dead and launcher.phase != DISCOVERING
+    return launcher.phase != DISCOVERING
 
 
 class Notices(Simulation):
     """Records the machines each submit notice announces, the daemons
     published when its job is submitted, and checks that each bus event
-    walks exactly the live, discovering launchers, in job order."""
+    walks exactly the discovering launchers, in job order."""
 
     def __init__(self, params, config):
         super().__init__(params, config)
@@ -159,12 +153,12 @@ class Notices(Simulation):
     def notify(self, machine, published):
         assert list(self.discovering) == [
             lr for lr in self.launchers.values()
-            if not lr.dead and lr.phase == DISCOVERING]
+            if lr.phase == DISCOVERING]
         super().notify(machine, published)
 
 
 class CountingSimulation(Notices):
-    """Counts the (launcher, machine) pairs of the bus that reach a live
+    """Counts the (launcher, machine) pairs of the bus that reach a
     launcher which is no longer discovering (one per such subscriber of a
     publish or unpublish, one per announced machine of such a launcher's
     submit notice), and the snapshots of the state taken."""
@@ -244,7 +238,7 @@ def test_fuzz_space_traces_pinned():
 class PerLauncherBus(Notices):
     """The bus copied into every launcher, with no step skipped: each
     launcher keeps its own ``discovered`` dict (its ``view``), which
-    ``on_bus`` updates pair by pair, and every live, discovering launcher
+    ``on_bus`` updates pair by pair, and every discovering launcher
     steps after every (launcher, machine) pair it hears.  Its snapshots
     hold every launcher's own view."""
 
@@ -263,7 +257,7 @@ class PerLauncherBus(Notices):
 
     def deliver(self, launchers, machines, published):
         for launcher in launchers:
-            if launcher.dead or launcher.phase != DISCOVERING:
+            if launcher.phase != DISCOVERING:
                 continue
             for m in machines:
                 self.on_bus(launcher, m, published)
@@ -282,8 +276,8 @@ class PerLauncherBus(Notices):
 
 def wide_case(rng):
     """A scenario wider than the fuzz space: 1-8 machines, 1-6 jobs of
-    both semantics, up to 3 crashes and a kill (at t=0 too), latencies and
-    detect delay down to 0."""
+    both semantics, up to 3 crashes (at t=0 too) and latencies down to
+    0."""
     machines, jobs = rng.randint(1, 8), rng.randint(1, 6)
     timeout = rng.choice((None, 1, 3))
     params = CatalogParams(
@@ -300,10 +294,7 @@ def wide_case(rng):
         timeout=timeout, job_duration=rng.randint(1, 3),
         crashes=[(f"M{rng.randint(1, machines)}", at())
                  for _ in range(rng.randint(0, 3))],
-        launcher_kills=([(f"J{rng.randint(1, jobs)}", at())]
-                        if rng.random() < 0.4 else []),
-        seed=rng.randrange(2**32), detect_delay=rng.randint(0, 2),
-        horizon=200)
+        seed=rng.randrange(2**32), horizon=200)
     return params, config
 
 
@@ -330,7 +321,7 @@ def test_skipped_bus_steps_change_nothing():
         assert r.trace_text() == expected.trace_text(), (params, config)
         assert (r.outcomes, r.cycle) == (expected.outcomes, expected.cycle)
         loops += r.cycle is not None
-    assert loops == 349
+    assert loops == 391
 
 
 class JoinCheckingSimulation(Notices):
@@ -456,11 +447,9 @@ def test_finished_simulation_freed_without_collector(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=st.integers(0, 2**32 - 1), kill=st.none() | st.integers(0, 8))
-def test_random_runs_keep_the_protocol_invariants(case, kill):
+@given(case=st.integers(0, 2**32 - 1))
+def test_random_runs_keep_the_protocol_invariants(case):
     params, config = random_case(random.Random(case))
-    if kill is not None:
-        config = replace(config, launcher_kills=[(params.jobs()[0], kill)])
     r = run(params, config)
     full = NoCycleSimulation(params, config).run()
     assert (r.trace, r.outcomes) == (full.trace, full.outcomes), case
@@ -599,13 +588,13 @@ def daemon_events(result, machine):
 
 def test_reserve_to_crashed_daemon_gets_suspected_ko():
     p = CatalogParams(machine_count=1, job_demands=[1])
-    c = SimConfig(crashes=[("M1", 2)], detect_delay=2)
+    c = SimConfig(crashes=[("M1", 2)])
     r = run(p, c)
     arrival = events(r, "reserve-sent", machine="M1")[0].time + c.msg_latency
     assert arrival == 2
     suspected = events(r, "suspected", machine="M1", job="J1")
     assert [e.time for e in suspected] == \
-        [arrival + c.detect_delay + c.msg_latency]
+        [arrival + DETECT_DELAY + c.msg_latency]
     assert daemon_events(r, "M1") == [(2, "unpublished"), (2, "crashed-idle")]
 
 
@@ -683,22 +672,6 @@ def test_restart_waits_for_available_machine():
     assert events(r, "restart-waiting")
 
 
-# -- launcher volatility -----------------------------------------------------------
-
-def test_killed_launcher_reservations_expire():
-    p = CatalogParams(machine_count=3, job_demands=[3])
-    c = SimConfig(launcher_kills=[("J1", 3)])
-    r = run(p, c)
-    assert r.outcomes == {"J1": "killed"}
-    oks = events(r, "ok-sent")
-    assert oks
-    deadline = 3 + c.timeout + 2 * c.msg_latency
-    for ok in oks:
-        cancels = events(r, "canceled", machine=ok.machine)
-        assert cancels and cancels[0].time <= deadline
-        assert cancels[0].time == ok.time + c.timeout + 2 * c.msg_latency
-
-
 # -- liveness --------------------------------------------------------------------
 
 def test_desk_scale_liveness():
@@ -718,10 +691,8 @@ def test_a_time_that_is_not_an_int_is_rejected():
             (SimConfig(bus_latency=0.5), "bus-latency"),
             (SimConfig(msg_latency=1.5), "msg-latency"),
             (SimConfig(job_duration=2.0), "job duration"),
-            (SimConfig(detect_delay=0.5), "detect-delay"),
             (SimConfig(horizon=100.0), "horizon"),
-            (SimConfig(crashes=[("M1", 2.5)]), "crash time"),
-            (SimConfig(launcher_kills=[("J1", 0.5)]), "kill time")):
+            (SimConfig(crashes=[("M1", 2.5)]), "crash time")):
         assert config.validate(good) == [message + " must be an integer"]
         with pytest.raises(InvalidScenario, match=message):
             run(good, config)
@@ -741,12 +712,6 @@ def test_invalid_scenarios_rejected():
         run(good, SimConfig(job_duration=0))
     with pytest.raises(InvalidScenario):
         run(good, SimConfig(crashes=[("M9", 1)]))
-    with pytest.raises(InvalidScenario):
-        run(good, SimConfig(launcher_kills=[("J9", 1)]))
-    with pytest.raises(InvalidScenario, match="kill time must be >= 0"):
-        run(good, SimConfig(launcher_kills=[("J1", -4)]))
-    with pytest.raises(InvalidScenario, match="detect-delay must be >= 0"):
-        run(good, SimConfig(detect_delay=-3))
     # the run must time reservations out as the model does
     with pytest.raises(InvalidScenario, match="run timeout None differs "
                        "from the model timeout 3"):
