@@ -29,7 +29,7 @@ DEFAULT_TIMEOUT = 3
 
 # the model's inscriptions, built once for every net; PJ is P'(j), WJ W'(j)
 M_, J_, MJ = Inscription("m"), Inscription("j"), Inscription("mj")
-PJ, WJ = Inscription("j", per_demand=True), Inscription("j", per_wait=True)
+PJ, WJ = Inscription("j", per="demand"), Inscription("j", per="wait")
 
 
 @dataclass

@@ -27,7 +27,6 @@ import argparse
 import functools
 import hashlib
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import analysis, conformance, dot
@@ -83,14 +82,13 @@ def _digest(sc: Scenario) -> str:
     return hashlib.sha256(sc.render().encode()).hexdigest()[:12]
 
 
-def _format_witness(labels, marking):
-    """The labels, then the colored ``marking`` as ``# place=count`` lines
-    under ``unfold``'s place names, sorted."""
-    counts = Counter(color_name(p, tok)
-                     for p, toks in marking.items() for tok in toks)
+def _format_witness(labels, counts):
+    """The labels, then the flat colored ``counts`` as ``# place=count``
+    lines under ``unfold``'s place names, sorted, zero counts left out."""
     lines = ["%d %s" % (d, t) for d, t in labels]
     lines.append("")
-    lines.extend("# %s=%d" % (p, n) for p, n in sorted(counts.items()))
+    lines.extend("# %s=%d" % pn for pn in sorted(
+        (color_name(p, tok), n) for (p, tok), n in counts.items() if n))
     return "\n".join(lines) + "\n"
 
 
@@ -98,13 +96,13 @@ def _machine_list(machines):
     return ",".join(map(str, machines))
 
 
-def _holdings(cnet, marking):
-    """Which machines each job holds in a colored marking of ``cnet``, as
-    ``J1 holds M1,M2 (needs 3)`` joined by ``; ``; a machine is held while
-    it is reserved, running or finished for the job."""
+def _holdings(cnet, counts):
+    """Which machines each job holds in flat colored ``counts`` of
+    ``cnet``, as ``J1 holds M1,M2 (needs 3)`` joined by ``; ``; a machine
+    is held while it is reserved, running or finished for the job."""
     u = cnet.universe
-    pairs = {tok for p in cnet.places if cnet.sort[p] == PAIR
-             for tok in marking[p]}
+    pairs = {tok for (p, tok), n in counts.items()
+             if n and cnet.sort[p] == PAIR}
     held = []
     for j in u.jobs:
         ms = [m for m in u.machines if (m, j) in pairs]

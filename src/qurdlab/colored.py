@@ -10,15 +10,18 @@ shared by every net of it (``ColoredNet.instance``), plus its own universe
 and initial marking (Jensen & Kristensen, Coloured Petri Nets, 2009).
 ``ColoredNet.arcs`` is the one definition of a firing: the tokens it
 consumes and produces, compiled once per structure into one bounded table.
-``colored_fire``, the conformance replay and ``unfold`` all fire through
-it, and a binding is enabled exactly when every token it consumes is
-there.  ``unfold`` expands a colored net over its finite universe into
-an ordinary place/transition net with one place per (place, color) and
-one transition per (transition, binding), named ``base@J``, ``base@M`` and
-``base@(M,J)`` (``binding_name``).  The universe is not checked here (the
-reservation model builds it from ``CatalogParams``, whose ``validate``
-checks the parameters); ``ColoredNet.validate`` checks names, sorts,
-inscriptions, intervals and initial tokens.
+``colored_fire`` fires it in place on flat {(place, token): count}
+markings, the form ``ColoredNet.initial_counts`` builds, and a binding is
+enabled exactly when every token it consumes is there; the conformance
+replay and ``lift_machines`` fire through it, and ``unfold`` reads
+``arcs`` for its arc weights.  ``unfold`` expands a colored net over its
+finite universe into an ordinary place/transition net with one place per
+(place, color) and one transition per (transition, binding), named
+``base@J``, ``base@M`` and ``base@(M,J)`` (``binding_name``).  The
+universe is not checked here (the reservation model builds it from
+``CatalogParams``, whose ``validate`` checks the parameters);
+``ColoredNet.validate`` checks names, sorts, inscriptions, intervals and
+initial tokens.
 
 ``fold_machines`` merges every machine into the one color ``*``, so that
 its unfolding counts the machines in each local state (counter
@@ -28,7 +31,7 @@ that net would not behave as the original up to machine names, or when a
 machine is not proved to hold one token in every reachable marking, and
 ``lift_machines`` turns a firing sequence of the folded unfolding back into
 one of the original net's, binding concrete machines, and returns the
-colored marking it reaches.
+flat counts it reaches.
 """
 
 from __future__ import annotations
@@ -72,11 +75,10 @@ class ColorUniverse:
 
 class Inscription(NamedTuple):
     """Arc inscription: a variable pattern and an optional per-job
-    multiplicity, P'(j) (``per_demand``) or W'(j) (``per_wait``)."""
+    multiplicity ``per``, P'(j) (``"demand"``) or W'(j) (``"wait"``)."""
 
     pattern: str            # "m", "j" or "mj"
-    per_demand: bool = False
-    per_wait: bool = False
+    per: str = None         # None, "demand" or "wait"
 
     def tokens(self, m, j, demand, semantics):
         """The token for m and job j of that demand and semantics, and how
@@ -84,9 +86,9 @@ class Inscription(NamedTuple):
         if self.pattern == "m":
             return m, 1
         if self.pattern == "j":
-            if self.per_demand:
+            if self.per == "demand":
                 return j, demand
-            if self.per_wait:
+            if self.per == "wait":
                 return j, int(semantics == WAIT)
             return j, 1
         return (m, j), 1
@@ -167,7 +169,10 @@ class ColoredNet:
                         issues.append(
                             f"inscription {ins.pattern!r} does not match sort "
                             f"of place {p} on {t}")
-                    if (ins.per_demand or ins.per_wait) and ins.pattern != "j":
+                    if ins.per not in (None, "demand", "wait"):
+                        issues.append(f"unknown multiplicity {ins.per!r} "
+                                      f"on {t}->{p}")
+                    elif ins.per and ins.pattern != "j":
                         issues.append(f"P'(j) or W'(j) multiplicity needs "
                                       f"pattern j on {t}->{p}")
             issues += interval_issues(t, *self.interval[t])
@@ -232,30 +237,27 @@ class ColoredNet:
         self.firings[key] = firing = tuple(firing)
         return firing
 
-    def initial_marking(self):
-        return {p: tuple(sorted(self.initial.get(p, ()))) for p in self.places}
+    def initial_counts(self):
+        """The flat {(place, token): count} marking of ``initial``, as a
+        plain dict: item access on a subclass such as Counter is slower."""
+        return dict(Counter((p, tok) for p, toks in self.initial.items()
+                            for tok in toks))
 
 
-def colored_fire(cnet, marking, t, binding):
-    """Fire t under binding: remove the tokens ``cnet.arcs`` says it
-    consumes (NotFireable when one is missing), then add those it
-    produces.  Only the places holding them are copied and re-sorted, so
-    the marking's values must be sorted tuples, as ``initial_marking`` and
-    this function make them."""
+def colored_fire(cnet, counts, t, binding):
+    """Fire t under binding in place on the flat {(place, token): count}
+    marking ``counts``: remove the tokens ``cnet.arcs`` says it consumes,
+    then add those it produces.  NotFireable, with ``counts`` unchanged,
+    when one is missing; ``arcs``' ValueError for a transition or job the
+    net lacks."""
     consumed, produced = cnet.arcs(t, binding)
-    changed = {}
-    for (p, tok), n in consumed:
-        toks = changed.setdefault(p, list(marking.get(p, ())))
-        if toks.count(tok) < n:
+    for pt, n in consumed:
+        if counts.get(pt, 0) < n:
             raise NotFireable((t, binding))
-        for _ in range(n):
-            toks.remove(tok)
-    for (p, tok), n in produced:
-        changed.setdefault(p, list(marking.get(p, ()))).extend([tok] * n)
-    out = dict(marking)
-    for p, toks in changed.items():
-        out[p] = tuple(sorted(toks))
-    return out
+    for pt, n in consumed:
+        counts[pt] -= n
+    for pt, n in produced:
+        counts[pt] = counts.get(pt, 0) + n
 
 
 def token_name(tok):
@@ -390,37 +392,36 @@ def fold_machines(cnet):
 
 def lift_machines(cnet, names):
     """Lift a firing sequence of ``unfold(fold_machines(cnet))``, given by
-    transition names, to cnet: each step binds the lowest-indexed machine
-    for which it is enabled.  Returns the steps' names in ``unfold(cnet)``
-    and the colored marking they reach.
+    transition names, to cnet: each step binds the first machine, in
+    universe order, that holds the token of its transition's one
+    machine-carrying input.  Returns the steps' names in ``unfold(cnet)``
+    and the flat counts they reach.
 
-    Where ``fold_refusal(cnet)`` is None some machine is always enabled,
-    and that marking's machine counts are the folded marking; NotFireable
-    is raised otherwise.  A step's machine holds the token of its
-    transition's one machine-carrying input, so only the machines that
-    hold it are tried."""
+    Where ``fold_refusal(cnet)`` is None that machine can take the step
+    whenever the folded net can, as its other inputs are job tokens, and
+    the counts' machine counts are the folded marking; NotFireable, with
+    the step's folded binding, when no machine holds the token or the
+    step is not enabled."""
     folded = fold_machines(cnet)
     step_of = {binding_name(t, b): (t, b) for t in folded.transitions
                for b in folded.bindings_of(t)}
     source = {t: (p, ins.pattern) for t in cnet.transitions
               for p, ins in cnet.pre[t].items() if ins.pattern != "j"}
-    marking = cnet.initial_marking()
+    counts = cnet.initial_counts()
     lifted = []
     for name in names:
         t, b = step_of[name]
-        machines = (None,)
+        lift = b
         if b.m == FOLDED:
             p, pattern = source[t]
-            held = set(marking[p]) if pattern == "m" else {
-                m for m, j in marking[p] if j == b.j}
-            machines = (m for m in cnet.universe.machines if m in held)
-        for m in machines:
-            try:
-                marking = colored_fire(cnet, marking, t, Binding(m, b.j))
-            except NotFireable:
-                continue
-            lifted.append(binding_name(t, Binding(m, b.j)))
-            break
-        else:
+            lift = next((Binding(m, b.j) for m in cnet.universe.machines
+                         if counts.get((p, m if pattern == "m" else
+                                        (m, b.j)))), None)
+        if lift is None:
             raise NotFireable((t, b))
-    return lifted, marking
+        try:
+            colored_fire(cnet, counts, t, lift)
+        except NotFireable:
+            raise NotFireable((t, b)) from None
+        lifted.append(binding_name(t, lift))
+    return lifted, counts

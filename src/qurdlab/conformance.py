@@ -5,9 +5,9 @@ Protocol events are projected onto colored transitions through
 ``DEFAULT_MAPPING`` (events without a net counterpart, like KO replies and
 bus notifications, are declared internal in ``DEFAULT_INTERNAL``); the
 projection is then replayed untimed from the net's initial marking,
-checking enabling only.  A run conforms when every projected event fires
-and the final number of job_done tokens equals the number of completed
-jobs in the trace.
+checking enabling only, each step fired by ``colored.colored_fire``.  A
+run conforms when every projected event fires and the final number of
+job_done tokens equals the number of completed jobs in the trace.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import colored as cpn
 from .catalog import (DEFAULT_TIMEOUT, FAIL, WAIT, CatalogParams,
                       build_colored)
 from .simulator import SimConfig, run
+from .tpn import NotFireable
 
 
 class UnknownEvent(Exception):
@@ -97,30 +98,20 @@ def project(trace):
 
 
 def replay(projected, cnet):
-    """Fire the projected sequence from the initial colored marking,
-    untimed; divergences, including a transition or job the net lacks,
-    are reported, not raised.  The marking is kept as one flat
-    {(place, token): count} dict that each step tests and updates in
-    place, firing as ``cnet.arcs`` says, as ``colored_fire`` does; the
-    report keeps that dict and the net's places, not the net."""
-    held = {}
-    for p, toks in cnet.initial.items():
-        for tok in toks:
-            held[p, tok] = held.get((p, tok), 0) + 1
-    get, arcs, places = held.get, cnet.arcs, cnet.places
+    """Fire the projected sequence from the net's initial counts,
+    untimed, each step through ``colored_fire``; divergences, including a
+    transition or job the net lacks, are reported, not raised.  The
+    report keeps the flat {(place, token): count} marking the steps fired
+    into and the net's places, not the net."""
+    fire = cpn.colored_fire     # looked up per call, so a wrapper sees it
+    held, places = cnet.initial_counts(), cnet.places
     for i, (t, b) in enumerate(projected):
         try:
-            consumed, produced = arcs(t, b)
+            fire(cnet, held, t, b)
+        except NotFireable:
+            return ReplayReport(False, i, (t, b), "not enabled", held, places)
         except ValueError as missing:
             return ReplayReport(False, i, (t, b), str(missing), held, places)
-        for pt, n in consumed:
-            if get(pt, 0) < n:
-                return ReplayReport(False, i, (t, b), "not enabled", held,
-                                    places)
-        for pt, n in consumed:
-            held[pt] -= n
-        for pt, n in produced:
-            held[pt] = get(pt, 0) + n
     return ReplayReport(True, held=held, places=places)
 
 

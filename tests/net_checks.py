@@ -1,19 +1,19 @@
 """Checks that only the tests make: the full timed graph, with every
 machine permutation of a state kept apart, a plain net's enabling and
-firing rules read from its pre and post sets alone, the untimed graph of
-a colored net (the reference that ``unfold`` plus ``explore_markings``
+firing rules read from its pre and post sets alone, colored firing on
+place -> sorted tuple markings and the untimed graph it explores (the
+references that the replay, and ``unfold`` plus ``explore_markings``,
 are checked against), a predicate scanned over every state of an
-explored graph, a P-invariant tested on a plain net's incidence matrix,
-the unfolded names of one machine's places, and a colored net rebuilt
-with edited arcs."""
+explored graph, a P-invariant tested on a plain net's
+incidence matrix, the unfolded names of one machine's places, and a
+colored net rebuilt with edited arcs."""
 
 from types import SimpleNamespace
 
 from qurdlab.analysis import (DEFAULT_BOUND, ReachGraph, _closure,
                               _identity, _incidence, _require_complete,
                               _require_open_intervals)
-from qurdlab.colored import (MACHINE, PAIR, ColoredNet, color_name,
-                             colored_fire)
+from qurdlab.colored import MACHINE, PAIR, ColoredNet, color_name
 from qurdlab.tpn import NotFireable, TimedState
 
 
@@ -88,6 +88,34 @@ def mutant(cnet, change):
 
 # -- the colored explorer ---------------------------------------------------
 
+def initial_marking(cnet):
+    """cnet's initial colored marking, place -> sorted tuple of tokens."""
+    return {p: tuple(sorted(cnet.initial.get(p, ()))) for p in cnet.places}
+
+
+def sorted_fire(cnet, marking, t, binding):
+    """Fire t under binding: remove the tokens ``cnet.arcs`` says it
+    consumes (NotFireable when one is missing), then add those it
+    produces.  Only the places holding them are copied and re-sorted, so
+    the marking's values must be sorted tuples, as ``initial_marking`` and
+    this function make them: the reference that ``colored_fire``'s
+    in-place firing on flat counts is checked against."""
+    consumed, produced = cnet.arcs(t, binding)
+    changed = {}
+    for (p, tok), n in consumed:
+        toks = changed.setdefault(p, list(marking.get(p, ())))
+        if toks.count(tok) < n:
+            raise NotFireable((t, binding))
+        for _ in range(n):
+            toks.remove(tok)
+    for (p, tok), n in produced:
+        changed.setdefault(p, list(marking.get(p, ()))).extend([tok] * n)
+    out = dict(marking)
+    for p, toks in changed.items():
+        out[p] = tuple(sorted(toks))
+    return out
+
+
 class ColoredGraph(ReachGraph):
     """A ReachGraph of a ColoredNet (``net``) whose states are colored
     markings, place -> sorted tuple of tokens; edges and paths are labeled
@@ -114,7 +142,7 @@ def colored_successors(cnet, marking):
     for t in cnet.transitions:
         for b in cnet.bindings_of(t):
             try:
-                after = colored_fire(cnet, marking, t, b)
+                after = sorted_fire(cnet, marking, t, b)
             except NotFireable:
                 continue
             yield (t, b), after
@@ -125,7 +153,7 @@ def explore_colored(cnet, bound=DEFAULT_BOUND):
     times slower than ``explore_markings`` on the unfolded net.  Refuses a
     net with a finite lfd, as ``explore_markings`` does."""
     _require_open_intervals(cnet)
-    return _closure(ColoredGraph(cnet, bound), cnet.initial_marking(),
+    return _closure(ColoredGraph(cnet, bound), initial_marking(cnet),
                     lambda m: colored_successors(cnet, m), canonical)
 
 

@@ -525,9 +525,10 @@ def test_job_conservation_needs_the_weights():
 
 def test_colored_initial_marking_pins():
     cnet = build_colored(CatalogParams(machine_count=2, job_demands=[1, 1]))
-    m0 = cnet.initial_marking()
-    assert m0["begin"] == ("J1", "J2")
-    assert m0["available"] == ("M1", "M2")
+    assert cnet.initial == {"begin": ("J1", "J2"), "available": ("M1", "M2")}
+    assert cnet.initial_counts() == {("begin", "J1"): 1, ("begin", "J2"): 1,
+                                     ("available", "M1"): 1,
+                                     ("available", "M2"): 1}
 
 
 def test_full_defaults():

@@ -9,12 +9,13 @@ import random
 
 import pytest
 
-from net_checks import canonical, colored_enabled, mutant
+from net_checks import (canonical, colored_enabled, initial_marking, mutant,
+                        sorted_fire)
 from qurdlab import colored
 from qurdlab.colored import (FOLDED, Binding, ColoredNet, ColorUniverse,
                              Inscription, JOB, MACHINE, PAIR, binding_name,
-                             colored_fire, fold_machines, fold_refusal,
-                             lift_machines, token_name, unfold)
+                             color_name, colored_fire, fold_machines,
+                             fold_refusal, lift_machines, token_name, unfold)
 from qurdlab.catalog import CatalogParams, build_colored
 from qurdlab.tpn import Net, NotFireable
 
@@ -48,9 +49,17 @@ def test_sort_mismatch_is_reported():
 def test_per_demand_needs_job_pattern():
     cnet = ColoredNet(tiny_universe())
     cnet.add_place("available", MACHINE)
-    cnet.add_transition("t", pre={"available": Inscription("m", per_demand=True)},
+    cnet.add_transition("t", pre={"available": Inscription("m", per="demand")},
                         post={})
     assert any("P'(j)" in msg for msg in cnet.validate())
+
+
+def test_unknown_multiplicity_is_reported():
+    # one field names the multiplicity, so an arc carries P'(j) or W'(j),
+    # never both, and a value that is neither is reported
+    cnet = mutant(build_colored(tiny_params()), lambda c: c.post["t5"].update(
+        job_done=Inscription("j", per="both")))
+    assert cnet.validate() == ["unknown multiplicity 'both' on t5->job_done"]
 
 
 def test_unknown_pattern_is_reported():
@@ -119,13 +128,13 @@ def test_inscription_tokens():
     j2 = ("m1", "j2", u.demand["j2"], u.semantics["j2"])
     assert Inscription("m").tokens(*j1) == ("m1", 1)
     assert Inscription("j").tokens(*j1) == ("j1", 1)
-    assert Inscription("j", per_demand=True).tokens(*j1) == ("j1", 3)
-    assert Inscription("j", per_wait=True).tokens(*j1) == ("j1", 1)
-    assert Inscription("j", per_wait=True).tokens(*j2) == ("j2", 0)
+    assert Inscription("j", per="demand").tokens(*j1) == ("j1", 3)
+    assert Inscription("j", per="wait").tokens(*j1) == ("j1", 1)
+    assert Inscription("j", per="wait").tokens(*j2) == ("j2", 0)
     assert Inscription("mj").tokens(*j1) == (("m1", "j1"), 1)
     # a multiplicity is a count: a demand no list of tokens could hold
     huge = ("m1", "j1", 2**62, u.semantics["j1"])
-    assert Inscription("j", per_demand=True).tokens(*huge) == ("j1", 2**62)
+    assert Inscription("j", per="demand").tokens(*huge) == ("j1", 2**62)
 
 
 def test_binding_order_is_lexicographic():
@@ -142,7 +151,7 @@ def test_binding_order_is_lexicographic():
 
 def test_initially_only_start_job_enabled():
     cnet = build_colored(tiny_params())
-    fired = colored_enabled(cnet, cnet.initial_marking())
+    fired = colored_enabled(cnet, initial_marking(cnet))
     assert fired == [("start_job", Binding(None, "j1"))]
 
 
@@ -153,40 +162,74 @@ def test_empty_marking_nothing_enabled():
 
 def test_after_start_job_t1_enabled():
     cnet = build_colored(tiny_params())
-    m = colored_fire(cnet, cnet.initial_marking(), "start_job",
-                     Binding(None, "j1"))
+    m = sorted_fire(cnet, initial_marking(cnet), "start_job",
+                    Binding(None, "j1"))
     assert ("t1", Binding("M1", "j1")) in colored_enabled(cnet, m)
 
 
 def test_t1_produces_pair_and_answer():
     cnet = build_colored(tiny_params())
-    m = colored_fire(cnet, cnet.initial_marking(), "start_job",
-                     Binding(None, "j1"))
-    m = colored_fire(cnet, m, "t1", Binding("M1", "j1"))
-    assert m["reserved"] == (("M1", "j1"),)
-    assert m["answered"] == ("j1",)
-    assert m["available"] == ()
+    m = cnet.initial_counts()
+    colored_fire(cnet, m, "start_job", Binding(None, "j1"))
+    colored_fire(cnet, m, "t1", Binding("M1", "j1"))
+    assert m["reserved", ("M1", "j1")] == 1
+    assert m["answered", "j1"] == 1
+    assert m["available", "M1"] == 0
 
 
 def test_t5_needs_demand_tokens():
     cnet = build_colored(params(2, ["j1"], [2]))
-    m = dict(cnet.initial_marking())
-    m["job_finished"] = ("j1",)
+    m = cnet.initial_counts()
+    m["job_finished", "j1"] = 1
     with pytest.raises(NotFireable):
         colored_fire(cnet, m, "t5", Binding(None, "j1"))
-    m["job_finished"] = ("j1", "j1")
-    m2 = colored_fire(cnet, m, "t5", Binding(None, "j1"))
-    assert m2["job_done"] == ("j1",)
+    m["job_finished", "j1"] = 2
+    colored_fire(cnet, m, "t5", Binding(None, "j1"))
+    assert (m["job_finished", "j1"], m["job_done", "j1"]) == (0, 1)
 
 
 def test_cancel_returns_machine_and_retry_token():
     cnet = build_colored(tiny_params())
-    m = dict(cnet.initial_marking())
-    m.update(available=(), reserved=(("M1", "j1"),), answered=("j1",))
-    m2 = colored_fire(cnet, m, "cancel", Binding("M1", "j1"))
-    assert m2["available"] == ("M1",)
-    assert m2["get_nodes"] == ("j1",)
-    assert m2["reserved"] == ()
+    m = cnet.initial_counts()
+    m["available", "M1"] = 0
+    m["reserved", ("M1", "j1")] = m["answered", "j1"] = 1
+    colored_fire(cnet, m, "cancel", Binding("M1", "j1"))
+    assert m["available", "M1"] == 1
+    assert m["get_nodes", "j1"] == 1
+    assert m["reserved", ("M1", "j1")] == 0
+
+
+def test_fire_in_place_changes_only_the_named_tokens():
+    # every binding of every transition, and two the net lacks, tried on
+    # a copy at each step of a random walk: a refused firing leaves the
+    # counts as they were, a firing moves only the tokens ``arcs`` names
+    rng = random.Random(3)
+    cnet = build_colored(CatalogParams(
+        machine_count=2, job_demands=[2, 1], semantics=["wait", "fail"],
+        timeout=3, zeroconf=True, failure_detector=True))
+    steps = [(t, b) for t in cnet.transitions for b in cnet.bindings_of(t)]
+    steps += [("teleport", Binding("M1", "J1")), ("t5", Binding(None, "J9"))]
+    counts, refused = cnet.initial_counts(), {NotFireable: 0, ValueError: 0}
+    for _ in range(30):
+        fired = []
+        for t, b in steps:
+            after = counts.copy()
+            try:
+                colored_fire(cnet, after, t, b)
+            except (NotFireable, ValueError) as exc:
+                assert after == counts, (t, b)
+                refused[type(exc)] += 1
+                continue
+            expected = dict(counts)
+            consumed, produced = cnet.arcs(t, b)
+            for pt, n in consumed:
+                expected[pt] -= n
+            for pt, n in produced:
+                expected[pt] = expected.get(pt, 0) + n
+            assert after == expected, (t, b)
+            fired.append(after)
+        counts = rng.choice(fired)
+    assert refused == {NotFireable: 1047, ValueError: 60}
 
 
 def test_arcs_instantiate_the_inscriptions():
@@ -221,7 +264,7 @@ def test_shared_firings_follow_each_nets_job():
 
 def test_same_transition_name_different_inscriptions_not_shared():
     nets = []
-    for ins in (Inscription("j"), Inscription("j", per_demand=True)):
+    for ins in (Inscription("j"), Inscription("j", per="demand")):
         cnet = ColoredNet(ColorUniverse(["m1"], ["j1"], {"j1": 2}))
         cnet.add_place("p", JOB)
         cnet.initial["p"] = ("j1",)
@@ -236,11 +279,12 @@ def test_same_transition_name_different_inscriptions_not_shared():
 def test_post_changed_before_first_firing_is_fired():
     cnet = mutant(build_colored(tiny_params()),
                   lambda c: c.post["t4"].update(finished=Inscription("mj")))
-    m = dict(cnet.initial_marking(), available=(), finished=(("M1", "j1"),))
-    m = colored_fire(cnet, m, "t4", Binding("M1", "j1"))
-    assert m["finished"] == (("M1", "j1"),)
-    assert m["available"] == ("M1",)
-    assert m["job_finished"] == ("j1",)
+    m = cnet.initial_counts()
+    m["available", "M1"], m["finished", ("M1", "j1")] = 0, 1
+    colored_fire(cnet, m, "t4", Binding("M1", "j1"))
+    assert m["finished", ("M1", "j1")] == 1
+    assert m["available", "M1"] == 1
+    assert m["job_finished", "j1"] == 1
 
 
 def test_a_built_nets_structure_is_read_only():
@@ -263,8 +307,14 @@ def test_a_built_nets_structure_is_read_only():
 def test_extending_a_built_net_leaves_fresh_nets_alone():
     p, b = params(2, ["j1"], [1]), Binding("M1", "j1")
     fresh = build_colored(p)
-    running = dict(fresh.initial_marking(), running=(("M1", "j1"),))
-    fired = colored_fire(fresh, running, "t3", b)
+
+    def fire(net, t):
+        counts = fresh.initial_counts()
+        counts["running", ("M1", "j1")] = 1
+        colored_fire(net, counts, t, b)
+        return counts
+
+    fired = fire(fresh, "t3")
     shape = fresh.places, fresh.transitions, fresh.arcs("t3", b)
     cnet = build_colored(p)
     cnet.add_transition("t3", pre={"running": Inscription("mj")},
@@ -273,10 +323,10 @@ def test_extending_a_built_net_leaves_fresh_nets_alone():
     cnet.add_place("spare", MACHINE)
     cnet.add_transition("stop", pre={"available": Inscription("m")},
                         post={"spare": Inscription("m")})
-    assert colored_fire(cnet, running, "stop", b)["spare"] == ("M1",)
+    assert fire(cnet, "stop")["spare", "M1"] == 1
     for net in (fresh, build_colored(p)):
         assert (net.places, net.transitions, net.arcs("t3", b)) == shape
-        assert colored_fire(net, running, "t3", b) == fired
+        assert fire(net, "t3") == fired
 
 
 def test_a_name_declared_twice_is_reported():
@@ -296,7 +346,7 @@ def test_a_name_declared_twice_is_reported():
 def test_fire_checks_enabling():
     cnet = build_colored(tiny_params())
     with pytest.raises(NotFireable):
-        colored_fire(cnet, cnet.initial_marking(), "t1", Binding("M1", "j1"))
+        colored_fire(cnet, cnet.initial_counts(), "t1", Binding("M1", "j1"))
 
 
 def test_not_fireable_names_the_step():
@@ -306,7 +356,7 @@ def test_not_fireable_names_the_step():
     net = unfold(cnet)
     t1 = Binding("M1", "j1")
     for fire, step in (
-            (lambda: colored_fire(cnet, cnet.initial_marking(), "t1", t1),
+            (lambda: colored_fire(cnet, cnet.initial_counts(), "t1", t1),
              ("t1", t1)),
             (lambda: net.fire_marking(dict(net.initial), "t1@(M1,j1)"),
              "t1@(M1,j1)"),
@@ -321,13 +371,13 @@ def test_not_fireable_names_the_step():
 def test_sort_preserved_by_firing():
     cnet = build_colored(params(2, ["j1"], [2]))
     rng = random.Random(5)
-    m = cnet.initial_marking()
+    m = initial_marking(cnet)
     for _ in range(40):
         fired = colored_enabled(cnet, m)
         if not fired:
             break
         t, b = rng.choice(fired)
-        m = colored_fire(cnet, m, t, b)
+        m = sorted_fire(cnet, m, t, b)
         assert cnet.instance(cnet.universe, m).validate() == []
 
 
@@ -412,7 +462,7 @@ def test_unfold_random_walk_bisimulation():
                                 ["wait", "fail"]))
     net = unfold(cnet)
     for _ in range(20):
-        cm = cnet.initial_marking()
+        cm = initial_marking(cnet)
         pm = dict(net.initial)
         for _ in range(25):
             fired = colored_enabled(cnet, cm)
@@ -427,7 +477,7 @@ def test_unfold_random_walk_bisimulation():
             if not fired:
                 break
             t, b = rng.choice(fired)
-            cm = colored_fire(cnet, cm, t, b)
+            cm = sorted_fire(cnet, cm, t, b)
             suffix = token_name((b.m, b.j)) if b.m and b.j else \
                 token_name(b.m or b.j)
             pm = net.fire_marking(pm, f"{t}@{suffix}")
@@ -495,7 +545,8 @@ def test_lift_machines_binds_lowest_enabled_machine():
     for t in lifted:                # raises NotFireable on a wrong step
         marking = net.fire_marking(marking, t)
     assert marking["running@(M2,j1)"] == 1
-    assert _renamed(end) == {p: n for p, n in marking.items() if n}
+    assert {color_name(p, tok): n for (p, tok), n in end.items() if n} == \
+        {p: n for p, n in marking.items() if n}
     with pytest.raises(NotFireable):
         lift_machines(cnet, ["t1@(*,j1)"])
 

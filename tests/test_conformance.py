@@ -9,10 +9,11 @@ from hashlib import sha256
 
 import pytest
 
+from net_checks import initial_marking, sorted_fire
 from qurdlab import colored as cpn
 from qurdlab import conformance
 from qurdlab.catalog import DEFAULT_TIMEOUT, CatalogParams, build_colored
-from qurdlab.colored import Binding, colored_fire
+from qurdlab.colored import Binding
 from qurdlab.conformance import (DEFAULT_INTERNAL, DEFAULT_MAPPING,
                                  FuzzSummary, ReplayReport, UnknownEvent,
                                  check_run, conformance_net,
@@ -93,14 +94,14 @@ def test_mixed_semantics_fail_cancel_gives_up_the_request():
 
 def reference_replay(projected, cnet):
     """``replay``'s report and final marking, as a fold of
-    ``colored_fire`` over the steps, each step copying the
+    ``sorted_fire`` over the steps, each step copying the
     dict-of-sorted-tuples marking."""
-    marking = cnet.initial_marking()
+    marking = initial_marking(cnet)
     for i, (t, b) in enumerate(projected):
         if t not in cnet.pre:
             return ReplayReport(False, i, (t, b), "not in the net"), marking
         try:
-            marking = colored_fire(cnet, marking, t, b)
+            marking = sorted_fire(cnet, marking, t, b)
         except NotFireable:
             return ReplayReport(False, i, (t, b), "not enabled"), marking
     return ReplayReport(True), marking
@@ -129,6 +130,8 @@ def test_replay_matches_colored_fire_fold():
         steps = project(run(params, config).trace)
         for projected in [steps, *mutated_projections(k, steps,
                                                       params.machines())]:
+            # at a divergence, the counts the refused step left unchanged
+            # are the reference's marking before that step
             report = replay(projected, cnet)
             assert (report, report.final_marking) == \
                 reference_replay(projected, cnet), k
@@ -366,7 +369,7 @@ def test_unknown_job_reported_not_raised():
     assert not report.ok and report.index == 0
     assert str(report) == ("divergence at step 0: "
                            "start_job Binding(j=J9) job J9 not in the net")
-    assert report.final_marking == net.initial_marking()
+    assert report.final_marking == initial_marking(net)
 
 
 def test_firing_table_stays_within_the_bound():
