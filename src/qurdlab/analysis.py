@@ -59,10 +59,15 @@ covering goal reads only the columns it names.
 
 Machine symmetry enters in two ways.  ``qurdlab analyze`` hands
 ``explore_markings`` the unfolding of ``colored.fold_machines(cnet)``,
-whose places count the machines in each local state, and the checks read
-that graph unchanged.  Its states are then orbits of the full graph's
-under machine permutations, and a folded path is lifted to a path of the
-full net (``colored.lift_machines``) before ``timed_witness`` times it.
+whose places count the machines in each local state, after ``fuse`` has
+merged each step that nothing can interrupt into its producers.  A token
+in a place ``fuse`` deletes can always move on and disables nothing, so
+the fused net reaches exactly the folded markings that leave every
+deleted place empty: every dead one and every ``job_done`` goal among
+them.  The checks read that graph unchanged.  Its states are orbits of
+the full graph's under machine permutations, and a path, expanded by
+``fuse``'s function, is lifted to a path of the full net
+(``colored.lift_machines``) before ``timed_witness`` times it.
 And ``explore`` keeps one timed state per machine orbit (scalarset
 symmetry; Ip & Dill, FMSD 9, 1996): a colored transition binds at most one
 machine, by variable patterns alone, so ``unfold``'s nets are invariant
@@ -75,11 +80,12 @@ colored net.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from operator import itemgetter
 
 import numpy as np
 
-from .tpn import TimedState
+from .tpn import Net, TimedState
 
 DEFAULT_BOUND = 2_000_000
 
@@ -474,10 +480,54 @@ def _gather(blocks, starts, ids):
         return blocks[lv][:, ids - starts[lv]]   # the common case: one level
     level = np.searchsorted(starts, ids, side="right") - 1
     out = np.empty((blocks[0].shape[0], len(ids)), dtype=np.int16)
-    for lv in np.unique(level):
+    # not np.unique, which imports numpy.ma on its first call (numpy 2.4)
+    for lv in np.bincount(level).nonzero()[0]:
         sel = np.flatnonzero(level == lv)
         out[:, sel] = blocks[lv][:, ids[sel] - starts[lv]]
     return out
+
+
+# -- post-agglomeration -------------------------------------------------------
+
+def fuse(net):
+    """Post-agglomeration (Berthelot, LNCS 254, 1987): ``net`` with each
+    step that nothing can interrupt merged into its producers, and a
+    function that expands a firing sequence of the result into one of
+    ``net``.  A transition f goes, with its one input p, when p has weight
+    1, no other consumer and no arc back from f, and f's interval is
+    (0, None): a producer of k tokens in p, the initial marking among
+    them, produces k times post(f) instead.  No merge lets another
+    transition qualify, so one pass reaches the fixpoint."""
+    # the initial marking is the producer None, fired once before all
+    post = {None: dict(net.initial)}
+    post.update((t, dict(net.post[t])) for t in net.transitions)
+    # the steps of net that each transition stands for
+    steps = {t: (t,) for t in net.transitions}
+    steps[None] = ()
+    consumers = Counter(p for t in net.transitions for p in net.pre[t])
+    gone = set()
+    for f in net.transitions:
+        if list(net.pre[f].values()) != [1] or net.interval[f] != (0, None):
+            continue
+        p, = net.pre[f]
+        if consumers[p] > 1 or p in post[f]:
+            continue
+        out, run = post.pop(f), steps.pop(f)
+        for t, arcs in post.items():
+            k = arcs.pop(p, 0)
+            if k:
+                for q, w in out.items():
+                    arcs[q] = arcs.get(q, 0) + k * w
+                steps[t] += run * k
+        gone.add(p)
+    fused = Net(net.name)
+    for p in net.places:
+        if p not in gone:
+            fused.add_place(p, tokens=post[None].get(p, 0))
+    for t in net.transitions:
+        if t in steps:
+            fused.add_transition(t, net.pre[t], post[t], net.interval[t])
+    return fused, lambda path: [s for t in (None, *path) for s in steps[t]]
 
 
 # -- witnesses ----------------------------------------------------------------

@@ -8,9 +8,12 @@ Four subcommands::
     qurdlab export-dot <selector> [--reach] [--bound N] [--out FILE]
 
 ``analyze`` explores the scenario's net with its machines folded into
-counters (``colored.fold_machines``) and says so on its ``symmetry:``
-line; ``states explored`` and the dead-state count count machine orbits.
-Witness files always hold concrete paths of the full net.  Its one guard,
+counters (``colored.fold_machines``), as its ``symmetry:`` line says,
+and each step that nothing can interrupt merged into its producers
+(``analysis.fuse``); ``states explored`` and the dead-state count count
+machine orbits of the markings where no merged step is pending, and
+``export-dot --reach`` draws the unreduced graph.  Witness files always
+hold concrete paths of the full net.  Its one guard,
 ``colored.fold_refusal``, also proves ``mutex`` and ``machine-invariant``;
 where it gives a reason, ``analyze`` prints ``symmetry: off (<reason>)``
 and no verdict, whichever properties were asked.
@@ -129,8 +132,8 @@ def cmd_analyze(args) -> Report:
         return report
     n = len(cnet.universe.machines)
     symmetry = "%d machine%s folded into counters" % (n, "s" * (n > 1))
-    g = analysis.explore_markings(unfold(fold_machines(cnet)),
-                                  bound=args.bound)
+    net, expand = analysis.fuse(unfold(fold_machines(cnet)))
+    g = analysis.explore_markings(net, bound=args.bound)
     if g.truncated:
         report.add("truncated: bound of %d states exceeded" % args.bound)
         report.add("symmetry: %s" % symmetry)
@@ -145,8 +148,8 @@ def cmd_analyze(args) -> Report:
             if bad:
                 report.add("deadlock: FOUND (%d dead states)" % len(bad))
                 # a concrete path through the first dead orbit
-                names, end = lift_machines(cnet,
-                                           g.path_transitions(bad[0]))
+                names, end = lift_machines(
+                    cnet, expand(g.path_transitions(bad[0])))
                 labels = analysis.timed_witness(build_net(params), names)
                 report.add("deadlock witness: %s" % _holdings(cnet, end))
                 report.witness_path = args.out or (args.scenario

@@ -392,10 +392,11 @@ def fold_machines(cnet):
 
 def lift_machines(cnet, names):
     """Lift a firing sequence of ``unfold(fold_machines(cnet))``, given by
-    transition names, to cnet: each step binds the first machine, in
-    universe order, that holds the token of its transition's one
-    machine-carrying input.  Returns the steps' names in ``unfold(cnet)``
-    and the flat counts they reach.
+    transition names (``analyze`` passes the path of its fused net, which
+    ``analysis.fuse`` expands into one), to cnet: each step binds the
+    first machine, in universe order, that holds the token of its
+    transition's one machine-carrying input.  Returns the steps' names in
+    ``unfold(cnet)`` and the flat counts they reach.
 
     Where ``fold_refusal(cnet)`` is None that machine can take the step
     whenever the folded net can, as its other inputs are job tokens, and

@@ -17,7 +17,7 @@ from net_checks import (check_invariant, check_p_invariant, colored_done,
                         explore_colored, full_explore, machine_places)
 from qurdlab.analysis import (DEFAULT_BOUND, ExplorationError, Truncated,
                               check_reachable, completion_skip, explore,
-                              explore_markings, find_deadlocks,
+                              explore_markings, find_deadlocks, fuse,
                               pending_deadlocks, replay_labels,
                               timed_witness)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
@@ -330,6 +330,52 @@ def test_merge_matches_np_insert(case):
     merged = analysis._merge(index, at, *added)
     assert merged.dtype == np.int64
     assert np.array_equal(merged, np.insert(index, at, added, axis=1))
+
+
+# -- fuse ---------------------------------------------------------------------
+
+def feeding(interval=(0, None), weight=1, refill=False, rival=False):
+    """``t`` moves a token from ``a`` (shared with ``u``, so ``t`` stays)
+    into ``p``, whose consumer ``f`` puts one in ``q``; ``f`` can be timed,
+    take ``p`` by a weight-2 arc, put its token back, or share ``p`` with
+    a rival ``g``."""
+    net = Net()
+    for p, n in (("a", 2), ("p", 0), ("q", 0)):
+        net.add_place(p, tokens=n)
+    net.add_transition("t", pre={"a": 1}, post={"p": weight})
+    net.add_transition("u", pre={"a": 2}, post={"q": 1})
+    net.add_transition("f", pre={"p": weight},
+                       post={"q": 1, "p": 1} if refill else {"q": 1},
+                       interval=interval)
+    if rival:
+        net.add_transition("g", pre={"p": 1})
+    return net
+
+
+def test_fuse_merges_a_free_step_into_its_producer():
+    net, expand = fuse(feeding())
+    assert (net.places, net.transitions) == (["a", "q"], ["t", "u"])
+    assert (net.pre["t"], net.post["t"]) == ({"a": 1}, {"q": 1})
+    assert expand(["t", "u"]) == ["t", "f", "u"]
+    # an initial token of p: f fires there, once per token
+    initial = feeding()
+    initial.initial["p"] = 2
+    net, expand = fuse(initial)
+    assert net.initial == {"a": 2, "q": 2}
+    assert expand(["t"]) == ["f", "f", "t", "f"]
+
+
+@pytest.mark.parametrize("shape", [
+    {"interval": (1, None)}, {"interval": (0, 4)}, {"weight": 2},
+    {"refill": True}, {"rival": True}])
+def test_fuse_leaves_timed_and_contested_steps(shape):
+    # a nonzero efd, a finite lfd, an arc of weight 2, a self-loop or a
+    # second consumer of p keeps f
+    net = feeding(**shape)
+    fused, expand = fuse(net)
+    assert fused.transitions == net.transitions
+    assert (fused.pre, fused.post) == (net.pre, net.post)
+    assert expand(["t", "f"]) == ["t", "f"]
 
 
 # -- deadlocks ------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from net_checks import check_p_invariant, machine_places
 from qurdlab import catalog, colored
 from qurdlab.analysis import (check_reachable, completion_skip, explore,
-                              explore_markings, pending_deadlocks,
+                              explore_markings, fuse, pending_deadlocks,
                               replay_labels, timed_witness)
 from qurdlab.catalog import (CatalogParams, build_colored, build_machine,
                              build_net, jname)
@@ -348,12 +348,13 @@ def machine_grid():
                                 zeroconf=zc, failure_detector=fd)
 
 
-def random_params(rng):
+def random_params(rng, machines=40, jobs=4, demand=6):
     """A valid ``CatalogParams`` drawn from 1-40 machines, 1-4 jobs of
-    demand 1-6 with mixed semantics, timeout off/1/3/7 and either layer."""
-    demands = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+    demand 1-6 with mixed semantics, timeout off/1/3/7 and either layer;
+    the three bounds can be lowered."""
+    demands = [rng.randint(1, demand) for _ in range(rng.randint(1, jobs))]
     p = CatalogParams(
-        machine_count=rng.randint(1, 40), job_demands=demands,
+        machine_count=rng.randint(1, machines), job_demands=demands,
         semantics=[rng.choice(("wait", "fail")) for _ in demands],
         timeout=rng.choice((None, 1, 3, 7)), zeroconf=rng.random() < 0.5,
         failure_detector=rng.random() < 0.5)
@@ -437,7 +438,8 @@ def fold_of(cnet, net):
 def row_set(rows):
     """The distinct rows of an integer matrix, sorted, as one array."""
     rows = np.ascontiguousarray(rows, dtype=np.int16)
-    return np.unique(rows.view(np.dtype((np.void, rows.strides[0]))))
+    # not strides[0], which numpy leaves arbitrary on a one-row matrix
+    return np.unique(rows.view(np.dtype((np.void, 2 * rows.shape[1]))))
 
 
 def test_folded_graph_is_the_full_graph_up_to_machine_names():
@@ -485,6 +487,68 @@ def test_folded_graph_is_the_full_graph_up_to_machine_names():
                 folded.counts(i), (p, i)
             lifted += 1
     assert lifted > 100
+
+
+def assert_fusion_exact(p):
+    """``analyze``'s graph, the fused folded one, against the full folded
+    graph: the same dead markings, where no fused place is marked, the
+    same job-done-reachable answer, and every pending dead marking's
+    expanded path, lifted to machines, replays on build_net to a dead,
+    pending marking that folds onto it.  Returns the folded and fused
+    state counts."""
+    cnet, net = build_colored(p), build_net(p)
+    folded = unfold(fold_machines(cnet))
+    reduced, expand = fuse(folded)
+    full, fused = explore_markings(folded), explore_markings(reduced)
+    kept = [folded.places.index(q) for q in reduced.places]
+    gone = sorted(set(range(len(folded.places))) - set(kept))
+    dead = full.matrix[full.dead]
+    assert not dead[:, gone].any(), p
+    assert np.array_equal(row_set(dead[:, kept]),
+                          row_set(fused.matrix[fused.dead])), p
+    done = {jname("job_done", j): 1 for j in p.jobs()}
+    assert (check_reachable(full, done) is None) == \
+        (check_reachable(fused, done) is None), p
+    proj = fold_of(cnet, net)[0][:, kept]
+    complete = completion_skip(fused)
+    for i in pending_deadlocks(fused):
+        names = lift_machines(cnet, expand(fused.path_transitions(i)))[0]
+        final = replay_labels(net, timed_witness(net, names))
+        assert final.enabled == [], (p, i)
+        assert not complete(final.marking), (p, i)
+        assert tuple(np.array(final.counts) @ proj) == fused.counts(i), \
+            (p, i)
+    return full.n_states, fused.n_states
+
+
+def test_fused_graph_keeps_every_dead_marking():
+    # the oracle for analyze's post-agglomeration, on both grids and on
+    # small random nets
+    rng = random.Random(33)
+    configs = itertools.chain(
+        machine_grid(), safety_grid(),
+        (random_params(rng, machines=4, jobs=2, demand=3) for _ in range(60)))
+    counts = np.array([assert_fusion_exact(p) for p in configs])
+    assert (counts[:, 1] <= counts[:, 0]).all()
+    assert counts[:, 1].sum() * 3 < counts[:, 0].sum()
+
+
+def test_fusion_keeps_interruptible_steps():
+    # fused: start_job, t4 into t3, then t3·t4 into t2; with the detector
+    # crash also consumes running, so t3 stays and only t4 goes
+    for fd, kept in ((False, {"t1", "t2"}), (True, {"t1", "t2", "t3",
+                                                    "crash", "continue"})):
+        p = CatalogParams(machine_count=2, job_demands=[2], timeout=None,
+                          failure_detector=fd)
+        net, expand = fuse(unfold(fold_machines(build_colored(p))))
+        assert {t.partition("@")[0] for t in net.transitions} == \
+            kept | {"launch", "t5"}, fd
+        assert expand([]) == ["start_job@J1"]
+        steps = {t.partition("@")[0]: [s.partition("@")[0]
+                                       for s in expand([t])[1:]]
+                 for t in net.transitions}
+        assert steps["t2"] == (["t2"] if fd else ["t2", "t3", "t4"]), fd
+        assert steps.get("t3", ["t3", "t4"]) == ["t3", "t4"], fd
 
 
 def _job_weights(net, j, demand):

@@ -74,9 +74,9 @@ def test_analyze_finds_contention_deadlock(capsys, contention_file):
     status, out = run_cli(capsys, "analyze", contention_file,
                           "--out", witness)
     assert status == 1
-    # the folded graph has one dead orbit, the 2+1 standoff; the witness
+    # the fused graph has one dead orbit, the 2+1 standoff; the witness
     # line reads the lifted concrete dead marking
-    assert "states explored: 202\n" \
+    assert "states explored: 50\n" \
            "symmetry: 3 machines folded into counters\n" \
            "deadlock: FOUND (1 dead states)\n" \
            "deadlock witness: J1 holds M2,M3 (needs 3); J2 holds M1 " \
@@ -137,6 +137,35 @@ def test_python_dash_m_runs_the_cli(capsys, contention_file):
     status, out = run_cli(capsys, "analyze", contention_file)
     assert (done.returncode, done.stdout) == (status, out)
     assert status == 1
+
+
+# the scenario's lookups span BFS levels, the branch of analysis._gather
+# that reads the level blocks one by one
+SPANNING_LEVELS = """\
+import sys
+import numpy as np
+from qurdlab import analysis, cli
+spans = []
+gather = analysis._gather
+def spy(blocks, starts, ids):
+    spans.append(len(set(np.searchsorted(starts, ids, side="right"))) > 1)
+    return gather(blocks, starts, ids)
+analysis._gather = spy
+status = cli.main(["analyze", sys.argv[1]])
+print(status, any(spans), "numpy.ma" in sys.modules)
+"""
+
+
+def test_analyze_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use (numpy 2.4): 7-11 ms and
+    # about 1.7 MB in a fresh process that never reads a masked array
+    f = tmp_path / "s.scn"
+    f.write_text(dict(PINNED_ANALYZE)["4m-2w-2f-zc-fd"])
+    src = os.path.dirname(os.path.dirname(qurdlab.__file__))
+    done = subprocess.run([sys.executable, "-c", SPANNING_LEVELS, str(f)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "1 True False", done.stderr
 
 
 def test_analyze_timeout_clears_deadlock(capsys, tmp_path):
@@ -244,8 +273,9 @@ def test_parser_is_built_once_and_runs_stay_apart(capsys, contention_file,
 
 
 @pytest.mark.parametrize("machines, demands, timeout, states", [
-    (7, [3, 2, 2], "3", 5850),      # the full graph passes 2 M markings
-    (12, [3, 3, 3], "off", 17576),
+    (7, [3, 2, 2], "3", 441),       # the full graph passes 2 M markings
+    (12, [3, 3, 3], "off", 729),
+    (16, [4, 4, 4, 4], "3", 14641),  # unfused, the folded graph passes 2 M
 ])
 def test_analyze_folds_large_clusters(capsys, tmp_path, machines, demands,
                                       timeout, states):
@@ -336,7 +366,7 @@ PINNED_ANALYZE = (
 # SHA-256 over each run's name, exit status, stdout and witness file, then
 # the output of `export-dot machine`
 ANALYZE_SHA256 = \
-    "7abad9db5674bc76f2f49e786e192ec2565ec6898826fe5a9f56175e6e5c1820"
+    "a0c7d2e5bf8beabd833860ded72e6e77316d69f7103774858081ec70b4f70765"
 
 
 def test_analyze_output_pinned(capsys, tmp_path, monkeypatch):
